@@ -25,9 +25,7 @@ from .separation import (
     SeparationResult,
     TransportProfile,
     best_violation,
-    most_violated,
     separate_exact,
-    separate_sampled,
     transport_profile,
 )
 from .solvers import (

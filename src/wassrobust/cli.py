@@ -7,9 +7,9 @@ Subcommands:
 * ``experiment``      run the repeated train/test comparison harness
 * ``separate-debug``  dump one sample's transport profile
 
-Every command that involves randomness takes ``--seed``; solver-facing
-commands take ``--eps``, ``--threads``, ``--trace``, ``--drop-cuts``
-and ``--alpha``.
+``experiment`` takes ``--seed`` for its train/test splits and folds;
+``fit``, ``solve`` and ``experiment`` take ``--eps``, ``--trace``,
+``--drop-cuts`` and ``--alpha``.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ __all__ = ["main"]
 def _add_solver_flags(parser):
     parser.add_argument("--eps", type=float, default=1e-5,
                         help="target feasibility tolerance (default 1e-5)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent subproblems")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="write per-iteration JSON lines to PATH")
     parser.add_argument("--drop-cuts", action="store_true",
@@ -52,8 +49,8 @@ def _cmd_fit(args):
     else:
         model = fit_wrlr(
             train, args.r0, eps=args.eps, solver=args.solver,
-            theta_radius=args.theta_radius, threads=args.threads,
-            trace_path=args.trace, drop_cuts=args.drop_cuts, alpha=args.alpha,
+            theta_radius=args.theta_radius, trace_path=args.trace,
+            drop_cuts=args.drop_cuts, alpha=args.alpha,
         )
     save_model(model, args.out)
     print(f"fitted {model.kind} model on {train.m} samples "
@@ -87,11 +84,10 @@ def _cmd_solve(args):
     )
     solver = payload.get("solver", args.solver)
     if solver == "exchange":
-        point, trace = solve_exchange(data, args.eps, threads=args.threads,
-                                      trace_path=args.trace)
+        point, trace = solve_exchange(data, args.eps, trace_path=args.trace)
     else:
         point, trace = solve_cutting_surface(
-            data, args.eps, threads=args.threads, trace_path=args.trace,
+            data, args.eps, trace_path=args.trace,
             drop_cuts=args.drop_cuts, alpha=args.alpha,
         )
     if point is None:
@@ -125,8 +121,6 @@ def _cmd_experiment(args):
         overrides["seed"] = args.seed
     if args.eps is not None:
         overrides["eps"] = args.eps
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.drop_cuts:
         overrides["drop_cuts"] = True
     if args.alpha is not None:
@@ -163,10 +157,14 @@ def _cmd_separate_debug(args):
     theta = _parse_theta(args.theta, dataset.n + 1)
     label = int(dataset.labels[i])
     profile = transport_profile(theta, regions[label], dataset.features[i])
-    writer = csv.writer(open(args.out, "w", newline="") if args.out else sys.stdout)
-    writer.writerow(["score", "transport_cost"])
-    for u, c in zip(profile.breakpoints, profile.costs):
-        writer.writerow([repr(float(u)), repr(float(c))])
+    rows = [["score", "transport_cost"]]
+    rows += [[repr(float(u)), repr(float(c))]
+             for u, c in zip(profile.breakpoints, profile.costs)]
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    else:
+        csv.writer(sys.stdout).writerows(rows)
     print(f"sample {i} (label {label}): {profile.breakpoints.size} breakpoints, "
           f"entry cost {profile.base_cost}", file=sys.stderr)
     return 0
@@ -207,7 +205,6 @@ def build_parser():
     p_exp.add_argument("--json-out", default="results.json")
     p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument("--eps", type=float, default=None)
-    p_exp.add_argument("--threads", type=int, default=None)
     p_exp.add_argument("--trace", default=None, metavar="DIR",
                        help="directory for per-repetition trace files")
     p_exp.add_argument("--drop-cuts", action="store_true")

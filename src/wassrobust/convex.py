@@ -14,11 +14,9 @@ residual norm.  Working on the optimality residuals keeps every
 quantity at its natural scale, which is what lets the solver certify
 tolerances near 1e-8 in double precision; a pure primal barrier loses
 those digits in its merit function once the barrier weight is large.
-The barrier weight decreases by a fixed factor (default 10) per step.
+The barrier weight decreases by a fixed factor of 10 per step.
 
-Constraint blocks supply values, Jacobians, and weighted Hessians.  If
-any block lacks a Hessian, the solver falls back to a value-based
-barrier with BFGS centering, which certifies looser tolerances only.
+Constraint blocks supply values, Jacobians, and weighted Hessians.
 
 Everything here is deterministic: identical inputs produce identical
 reports, bit for bit.
@@ -36,8 +34,6 @@ from .losses import sigmoid, softplus
 __all__ = [
     "LinearConstraints",
     "SoftplusConstraints",
-    "SoftplusSumConstraint",
-    "SmoothConstraint",
     "ConvexProgram",
     "SolveReport",
     "solve",
@@ -53,8 +49,6 @@ ITERATION_LIMIT = "iteration_limit"
 
 class LinearConstraints:
     """Rows ``coeffs @ x + offsets <= 0``."""
-
-    has_hessian = True
 
     def __init__(self, coeffs, offsets):
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
@@ -86,8 +80,6 @@ class SoftplusConstraints:
     Each row couples one softplus of an affine score with an extra
     affine term; this is exactly the shape of a loss-based cut.
     """
-
-    has_hessian = True
 
     def __init__(self, curves, curve_offsets, linear, offsets):
         self.curves = np.atleast_2d(np.asarray(curves, dtype=float))
@@ -124,72 +116,6 @@ class SoftplusConstraints:
         return (self.curves * w[:, None]).T @ self.curves
 
 
-class SoftplusSumConstraint:
-    """One row ``sum_k w_k softplus(curves_k @ x + b_k) + linear @ x + offset <= 0``."""
-
-    rows = 1
-    has_hessian = True
-
-    def __init__(self, weights, curves, curve_offsets, linear, offset):
-        self.weights = np.atleast_1d(np.asarray(weights, dtype=float))
-        self.curves = np.atleast_2d(np.asarray(curves, dtype=float))
-        self.curve_offsets = np.atleast_1d(np.asarray(curve_offsets, dtype=float))
-        self.linear = np.asarray(linear, dtype=float)
-        self.offset = float(offset)
-        k = self.curves.shape[0]
-        if not (self.weights.size == k and self.curve_offsets.size == k):
-            raise ValueError("row count mismatch between softplus terms")
-        if self.curves.shape[1] != self.linear.size:
-            raise ValueError("dimension mismatch between curve and linear parts")
-
-    @property
-    def dim(self):
-        return self.linear.size
-
-    def _scores(self, x):
-        return self.curves @ x + self.curve_offsets
-
-    def values(self, x):
-        total = self.weights @ softplus(self._scores(x)) + self.linear @ x + self.offset
-        return np.array([total])
-
-    def jacobian(self, x):
-        sig = sigmoid(self._scores(x))
-        row = (self.weights * sig) @ self.curves + self.linear
-        return row[None, :]
-
-    def curvature(self, x, weights):
-        sig = sigmoid(self._scores(x))
-        w = weights[0] * self.weights * sig * (1.0 - sig)
-        return (self.curves * w[:, None]).T @ self.curves
-
-
-class SmoothConstraint:
-    """One general convex row from callables; the Hessian is optional."""
-
-    rows = 1
-
-    def __init__(self, fun, grad, hess=None):
-        self.fun = fun
-        self.grad = grad
-        self.hess = hess
-
-    @property
-    def has_hessian(self):
-        return self.hess is not None
-
-    def values(self, x):
-        return np.array([float(self.fun(x))])
-
-    def jacobian(self, x):
-        return np.asarray(self.grad(x), dtype=float)[None, :]
-
-    def curvature(self, x, weights):
-        if self.hess is None:
-            return None
-        return weights[0] * np.asarray(self.hess(x), dtype=float)
-
-
 @dataclass
 class ConvexProgram:
     """A smooth convex program over a box; the objective is maximized."""
@@ -219,10 +145,6 @@ class ConvexProgram:
     @property
     def constraint_rows(self):
         return sum(block.rows for block in self.blocks)
-
-    @property
-    def has_hessians(self):
-        return all(block.has_hessian for block in self.blocks)
 
     def constraint_values(self, x):
         if not self.blocks:
@@ -256,6 +178,8 @@ class SolveReport:
 
 
 _RIDGE_TRIES = 8
+# the barrier weight falls by this factor per Newton step
+_SHRINK = 0.1
 
 
 def _finite_start(lower, upper):
@@ -302,7 +226,7 @@ def _strictly_feasible(program, x):
     return bool(np.all(program.constraint_values(x) < 0.0))
 
 
-def _pd_solve(program, tol, x, max_iters, shrink=0.1, stop_early=None):
+def _pd_solve(program, tol, x, max_iters, stop_early=None):
     """Primal-dual interior steps from a strictly feasible x.
 
     Returns (x, status, kkt_residual, iterations).  Terminates when both
@@ -351,7 +275,7 @@ def _pd_solve(program, tol, x, max_iters, shrink=0.1, stop_early=None):
         dual_norm = float(np.linalg.norm(r_dual))
         if gap <= 0.5 * tol and dual_norm <= 0.5 * tol:
             return x, OPTIMAL, gap + dual_norm, it - 1
-        mu = max(shrink * gap / count, 1e-300)
+        mu = max(_SHRINK * gap / count, 1e-300)
 
         hess = np.zeros((dim, dim))
         if n_rows:
@@ -420,113 +344,12 @@ def _pd_solve(program, tol, x, max_iters, shrink=0.1, stop_early=None):
     return x, ITERATION_LIMIT, gap, max_iters
 
 
-# ---------------------------------------------------------------------------
-# value-based barrier with BFGS centering: fallback for blocks without
-# Hessians.  Cannot certify deep tolerances; fine for loose ones.
-
-def _barrier_value(program, x, t):
-    val = -t * float(program.objective @ x)
-    lo_gap = x - program.lower
-    hi_gap = program.upper - x
-    finite_lo = np.isfinite(program.lower)
-    finite_hi = np.isfinite(program.upper)
-    if np.any(lo_gap[finite_lo] <= 0.0) or np.any(hi_gap[finite_hi] <= 0.0):
-        return np.inf
-    for block in program.blocks:
-        g = block.values(x)
-        if np.any(g >= 0.0):
-            return np.inf
-        val -= float(np.sum(np.log(-g)))
-    val -= float(np.sum(np.log(lo_gap[finite_lo])))
-    val -= float(np.sum(np.log(hi_gap[finite_hi])))
-    return val
-
-
-def _barrier_gradient(program, x, t):
-    grad = -t * program.objective.copy()
-    for block in program.blocks:
-        g = block.values(x)
-        J = block.jacobian(x)
-        grad += J.T @ (-1.0 / g)
-    finite_lo = np.isfinite(program.lower)
-    finite_hi = np.isfinite(program.upper)
-    grad[finite_lo] -= 1.0 / (x[finite_lo] - program.lower[finite_lo])
-    grad[finite_hi] += 1.0 / (program.upper[finite_hi] - x[finite_hi])
-    return grad
-
-
-def _line_search(program, x, dx, t, val, slope):
-    step = 1.0
-    for _ in range(100):
-        cand = _barrier_value(program, x + step * dx, t)
-        if np.isfinite(cand) and cand <= val + 0.25 * step * slope:
-            return step
-        step *= 0.5
-    return 0.0
-
-
-def _center_bfgs(program, x, t, max_iters, stop_early=None):
-    dim = program.dim
-    h_inv = np.eye(dim)
-    val = _barrier_value(program, x, t)
-    grad = _barrier_gradient(program, x, t)
-    for it in range(1, max_iters + 1):
-        dx = -h_inv @ grad
-        slope = float(grad @ dx)
-        if slope >= 0.0:
-            h_inv = np.eye(dim)
-            dx = -grad
-            slope = float(grad @ dx)
-        decrement = -slope
-        if decrement <= 2e-9:
-            return x, it - 1, True, max(decrement, 0.0)
-        step = _line_search(program, x, dx, t, val, slope)
-        if step == 0.0:
-            return x, it, True, max(decrement, 0.0)
-        x_new = x + step * dx
-        grad_new = _barrier_gradient(program, x_new, t)
-        s = x_new - x
-        y = grad_new - grad
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            rho = 1.0 / sy
-            v = np.eye(dim) - rho * np.outer(s, y)
-            h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
-        x, grad = x_new, grad_new
-        val = _barrier_value(program, x, t)
-        if stop_early is not None and stop_early(x):
-            return x, it, True, max(decrement, 0.0)
-    return x, max_iters, False, 0.0
-
-
-def _bfgs_barrier_solve(program, tol, x, max_iters, factor, stop_early=None):
-    n_log = _count_log_terms(program)
-    t = 1.0
-    total = 0
-    while True:
-        x, iters, converged, decrement = _center_bfgs(
-            program, x, t, 8 * max_iters, stop_early=stop_early)
-        total += iters
-        if stop_early is not None and stop_early(x):
-            return x, OPTIMAL, n_log / t, total
-        if not converged:
-            return x, ITERATION_LIMIT, n_log / t + decrement, total
-        gap = n_log / t
-        if gap <= 0.5 * tol:
-            return x, OPTIMAL, gap + decrement, total
-        t *= factor
-
-
-# ---------------------------------------------------------------------------
-
-
 class _Phase1Block:
     """Wraps a block so each row becomes g_j(x) - slack <= 0."""
 
     def __init__(self, inner):
         self.inner = inner
         self.rows = inner.rows
-        self.has_hessian = inner.has_hessian
 
     def values(self, y):
         return self.inner.values(y[:-1]) - y[-1]
@@ -544,7 +367,7 @@ class _Phase1Block:
         return out
 
 
-def _phase1(program, max_iters, factor):
+def _phase1(program, max_iters):
     """Find a strictly feasible point, or None when there is none."""
     if not program.blocks:
         return _finite_start(program.lower, program.upper)
@@ -560,17 +383,13 @@ def _phase1(program, max_iters, factor):
     stop = lambda z: z[-1] < -1e-6
     if stop(y):
         return x_c
-    if aug.has_hessians:
-        y, status, _, _ = _pd_solve(aug, 1e-9, y, 4 * max_iters, stop_early=stop)
-    else:
-        y, status, _, _ = _bfgs_barrier_solve(aug, 1e-9, y, max_iters, factor,
-                                              stop_early=stop)
+    y, _, _, _ = _pd_solve(aug, 1e-9, y, 4 * max_iters, stop_early=stop)
     if stop(y):
         return y[:-1]
     return None
 
 
-def solve(program, tol=1e-8, x0=None, max_newton=200, barrier_factor=10.0):
+def solve(program, tol=1e-8, x0=None, max_newton=200):
     """Solve the program to within ``tol`` of its optimal value.
 
     ``x0``, when given and strictly feasible, skips the feasibility
@@ -579,8 +398,6 @@ def solve(program, tol=1e-8, x0=None, max_newton=200, barrier_factor=10.0):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if barrier_factor <= 1:
-        raise ValueError("barrier_factor must exceed 1")
     n_log = _count_log_terms(program)
     if n_log == 0:
         if np.any(program.objective != 0.0):
@@ -592,14 +409,9 @@ def solve(program, tol=1e-8, x0=None, max_newton=200, barrier_factor=10.0):
     if x is not None and not _strictly_feasible(program, x):
         x = None
     if x is None:
-        x = _phase1(program, max_newton, barrier_factor)
+        x = _phase1(program, max_newton)
         if x is None:
             return SolveReport(None, np.nan, INFEASIBLE, np.nan, 0)
 
-    if program.has_hessians:
-        x, status, kkt, iters = _pd_solve(program, tol, x, max_newton,
-                                          shrink=1.0 / barrier_factor)
-    else:
-        x, status, kkt, iters = _bfgs_barrier_solve(program, tol, x,
-                                                    max_newton, barrier_factor)
+    x, status, kkt, iters = _pd_solve(program, tol, x, max_newton)
     return SolveReport(x, float(program.objective @ x), status, kkt, iters)

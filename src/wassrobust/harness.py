@@ -12,14 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.stats import t as student_t
 
 from .model import Dataset
 from .wrlr import auc, fit_lr, fit_wrlr, predict_score, select_r0
-from ._parallel import map_indexed
 
 __all__ = [
     "ExperimentConfig",
@@ -59,7 +58,6 @@ class ExperimentConfig:
     solver: str = "cutting_surface"
     folds: int = 4
     theta_radius: float = 10.0
-    threads: int = 1
     alpha: float = 2.0
     drop_cuts: bool = False
     cut_strategy: str = "all"
@@ -78,6 +76,9 @@ class ExperimentConfig:
     def from_json(cls, path):
         with open(path) as fh:
             payload = json.load(fh)
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {unknown}")
         return cls(**payload)
 
     def to_json(self, path):
@@ -197,7 +198,7 @@ def _run_repetition(rep, config, dataset):
     )
     started = time.perf_counter() if config.capture_timing else 0.0
     report = select_r0(train, config.radius_grid, folds=config.folds,
-                       seed=config.seed + rep, threads=1, **fit_kwargs)
+                       seed=config.seed + rep, **fit_kwargs)
     lr_model = fit_lr(train, theta_radius=config.theta_radius)
     trace_path = None
     if config.trace_dir:
@@ -230,8 +231,7 @@ def _run_repetition(rep, config, dataset):
 def run_experiment(config):
     """Run every repetition and aggregate the paired comparison."""
     dataset = Dataset.from_csv(config.dataset_csv, config.label_column)
-    reps = map_indexed(lambda r: _run_repetition(r, config, dataset),
-                       config.repetitions, config.threads)
+    reps = [_run_repetition(r, config, dataset) for r in range(config.repetitions)]
     a = np.array([r.auc_wrlr for r in reps])
     b = np.array([r.auc_lr for r in reps])
     mean_wrlr, mean_lr = float(np.mean(a)), float(np.mean(b))

@@ -72,7 +72,13 @@ class Dataset:
             if len(names) != n:
                 raise ValueError("feature_names length does not match dimension")
             object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "_features", _frozen([s.features for s in samples]))
+        features = _frozen([s.features for s in samples])
+        bad_rows, bad_cols = np.nonzero(~np.isfinite(features))
+        if bad_rows.size:
+            i, j = int(bad_rows[0]), int(bad_cols[0])
+            raise ValueError(f"row {i}, column {j}: feature value {features[i, j]} "
+                             "is not finite")
+        object.__setattr__(self, "_features", features)
         object.__setattr__(self, "_labels", _frozen([s.label for s in samples], dtype=int))
 
     @classmethod

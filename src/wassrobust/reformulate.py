@@ -7,16 +7,16 @@ derives the constants that make that dual well posed (multiplier boxes,
 the strict objective cap, the centering coefficient), and assembles the
 finite master programs the iterative solvers need:
 
-* the plain master: minimize the dual objective under a finite cut set,
+* the plain master: minimize the dual objective under a finite cut set;
+  over the m zero-cost cuts at the observed samples it is the nominal
+  problem (no perturbation), whose optimum is the average training loss,
 * the centered master: maximize the feasibility margin ``w`` under the
   same cuts plus a level constraint on the objective,
-* the nominal problem (no perturbation): minimize average training loss,
 * the fully enumerated dual for finite regions, used as an oracle.
 
 Variable layouts, in order:
     master            [theta, multipliers, w, t]
     exchange/enum     [theta, multipliers]
-    nominal           [theta, t]
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (
-    ConvexProgram,
-    LinearConstraints,
-    SoftplusConstraints,
-    SoftplusSumConstraint,
-)
+from .convex import ConvexProgram, LinearConstraints, SoftplusConstraints
 from .losses import LogisticLoss
 from .model import Dataset, DualPoint, FiniteRegion, Scenario
 
@@ -40,11 +35,9 @@ __all__ = [
     "derive_constants",
     "build_master",
     "build_exchange_master",
-    "build_nominal",
     "build_enumeration",
     "master_interior_point",
     "exchange_interior_point",
-    "nominal_interior_point",
     "split_master_solution",
     "split_dual_solution",
 ]
@@ -275,30 +268,6 @@ def build_exchange_master(data, cuts):
     return ConvexProgram(objective, lower, upper, blocks)
 
 
-def build_nominal(data):
-    """Nominal problem: minimize average training loss at the observed samples.
-
-    Variables are [theta, t] with one epigraph row; maximizing -t.
-    """
-    n_theta = data.theta_size
-    m = data.m
-    dim = n_theta + 1
-    signs = 2.0 * data.dataset.labels - 1.0
-    curves = np.zeros((m, dim))
-    curves[:, 0] = -signs
-    curves[:, 1:n_theta] = -signs[:, None] * data.dataset.features
-    linear = np.zeros(dim)
-    linear[-1] = -1.0
-    epigraph = SoftplusSumConstraint(
-        np.full(m, 1.0 / m), curves, np.zeros(m), linear, 0.0
-    )
-    objective = np.zeros(dim)
-    objective[-1] = -1.0
-    lower = np.concatenate([data.theta_lower, [-np.inf]])
-    upper = np.concatenate([data.theta_upper, [np.inf]])
-    return ConvexProgram(objective, lower, upper, [epigraph])
-
-
 def enumeration_cuts(data):
     """Every (sample, region point) pair as a cut; finite regions only.
 
@@ -344,13 +313,6 @@ def _interior_theta(data):
 def exchange_interior_point(data):
     """A strictly feasible start for the plain master, any cut set."""
     return np.concatenate([_interior_theta(data), _interior_multipliers(data)])
-
-
-def nominal_interior_point(data):
-    theta = _interior_theta(data)
-    mean_loss = float(np.mean(data.loss.evaluate_many(
-        theta, data.dataset.features, data.dataset.labels)))
-    return np.concatenate([theta, [mean_loss + 1.0]])
 
 
 def master_interior_point(data, cuts, cap, program=None):

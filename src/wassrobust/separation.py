@@ -9,9 +9,7 @@ largest |theta_j| first, then the next, and so on.  The constraint value
 phi(u) - multiplier_i - budget * cost(u) is convex in u on each linear
 piece of the cost, so its maximum over the box sits at a breakpoint of
 the cost profile.  That yields an exact oracle with at most 2n + 1
-candidate scores.
-
-A sampled fallback covers losses without the scalar-link form.
+candidate scores.  Finite regions are searched by enumeration.
 """
 
 from __future__ import annotations
@@ -21,15 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BoxRegion, FiniteRegion, Scenario
-from ._parallel import map_indexed
 
 __all__ = [
     "TransportProfile",
     "SeparationResult",
     "transport_profile",
     "separate_exact",
-    "separate_sampled",
-    "most_violated",
     "best_violation",
 ]
 
@@ -162,7 +157,7 @@ def _check_scalar_link(loss):
         raise ValueError("exact separation needs a loss with the scalar-link form")
 
 
-def _atom_result(x, i, data, exact):
+def _atom_result(x, i, data):
     """The sample's own observation as a zero-cost scenario.
 
     The observed point is always admissible even when it falls outside
@@ -174,7 +169,7 @@ def _atom_result(x, i, data, exact):
     point = data.dataset.features[i]
     h = data.loss.evaluate(x.theta, point, label)
     violation = h - float(x.multipliers[i])
-    return SeparationResult(Scenario(point, i, label), violation, exact)
+    return SeparationResult(Scenario(point, i, label), violation, True)
 
 
 def _prefer(region_best, atom):
@@ -191,7 +186,7 @@ def _finite_best(x, i, data, region):
     g = values - x.multipliers[i] - x.multipliers[-1] * dists
     k = int(np.argmax(g))
     best = SeparationResult(Scenario(pts[k], i, label), float(g[k]), True)
-    return _prefer(best, _atom_result(x, i, data, True))
+    return _prefer(best, _atom_result(x, i, data))
 
 
 def separate_exact(x, i, data):
@@ -219,67 +214,17 @@ def separate_exact(x, i, data):
     dist = float(np.sum(np.abs(point - data.dataset.features[i])))
     violation = h - float(x.multipliers[i]) - float(x.multipliers[-1]) * dist
     best = SeparationResult(Scenario(point, i, label), violation, True)
-    return _prefer(best, _atom_result(x, i, data, True))
+    return _prefer(best, _atom_result(x, i, data))
 
 
-def separate_sampled(x, i, data, count=2048, seed=0):
-    """Approximate separation by uniform sampling plus fixed candidates.
-
-    Samples ``count`` uniform points of the box and adds deterministic
-    candidates: the clipped observation and the box corners (corners of
-    the first 10 dimensions when there are more).  Not exact, but the
-    result never reports a violation larger than the true maximum.
-    """
-    region = data.region_for_sample(i)
-    if isinstance(region, FiniteRegion):
-        return _finite_best(x, i, data, region)
-    label = int(data.dataset.labels[i])
-    ref = data.dataset.features[i]
-    rng = np.random.default_rng(seed)
-    pts = [rng.uniform(region.lower, region.upper, size=(count, region.dimension))]
-    anchor = region.clip(ref)
-    pts.append(anchor[None, :])
-    k = min(region.dimension, 10)
-    if k > 0:
-        corners = np.tile(anchor, (2**k, 1))
-        for bit in range(2**k):
-            for j in range(k):
-                corners[bit, j] = region.upper[j] if (bit >> j) & 1 else region.lower[j]
-        pts.append(corners)
-    pts = np.vstack(pts)
-    u = data.loss.link(x.theta, pts)
-    values = data.loss.link_loss(u, label) if getattr(data.loss, "scalar_link", False) \
-        else np.array([data.loss.evaluate(x.theta, p, label) for p in pts])
-    dists = np.sum(np.abs(pts - ref), axis=1)
-    g = values - x.multipliers[i] - x.multipliers[-1] * dists
-    j = int(np.argmax(g))
-    best = SeparationResult(Scenario(pts[j], i, label), float(g[j]), False)
-    return _prefer(best, _atom_result(x, i, data, False))
-
-
-def best_violation(x, data, method="auto", count=2048, seed=0, threads=1):
+def best_violation(x, data):
     """Largest constraint value across all samples, violated or not.
 
-    Ties pick the smallest sample index.  ``method`` is "auto" (exact
-    when the loss supports it), "exact", or "sampled".
+    Ties pick the smallest sample index.
     """
-    if method == "auto":
-        method = "exact" if getattr(data.loss, "scalar_link", False) else "sampled"
-    if method == "exact":
-        task = lambda i: separate_exact(x, i, data)
-    elif method == "sampled":
-        task = lambda i: separate_sampled(x, i, data, count=count, seed=seed + i)
-    else:
-        raise ValueError(f"unknown separation method {method!r}")
-    results = map_indexed(task, data.m, threads)
-    best = results[0]
-    for res in results[1:]:
+    best = separate_exact(x, 0, data)
+    for i in range(1, data.m):
+        res = separate_exact(x, i, data)
         if res.violation > best.violation:
             best = res
     return best
-
-
-def most_violated(x, data, method="auto", count=2048, seed=0, threads=1):
-    """The most violated constraint at ``x``, or None when none is violated."""
-    best = best_violation(x, data, method=method, count=count, seed=seed, threads=threads)
-    return best if best.violation > 0.0 else None

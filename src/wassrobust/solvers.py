@@ -33,15 +33,12 @@ from .reformulate import (
     build_enumeration,
     build_exchange_master,
     build_master,
-    build_nominal,
     exchange_interior_point,
     master_interior_point,
-    nominal_interior_point,
     split_dual_solution,
     split_master_solution,
 )
-from .separation import best_violation, separate_exact, separate_sampled
-from ._parallel import map_indexed
+from .separation import best_violation, separate_exact
 
 __all__ = [
     "Cut",
@@ -168,14 +165,28 @@ class _Clock:
         return time.perf_counter() if self.enabled else 0.0
 
 
+def _atom_scenarios(data):
+    """One zero-cost scenario per sample: the observation itself."""
+    return [Scenario(data.dataset.features[i], i, int(data.dataset.labels[i]))
+            for i in range(data.m)]
+
+
 def solve_nominal(data, solver_tol=1e-8):
-    """Minimize the average training loss; returns (theta, value, report)."""
-    program = build_nominal(data)
-    report = convex.solve(program, tol=solver_tol, x0=nominal_interior_point(data))
+    """Minimize the average training loss; returns (theta, value, report).
+
+    Solves the plain master over the atom cuts alone.  They cost no
+    transport, so the budget multiplier is free to sit at zero and the
+    optimum is the average loss.  The value is that loss evaluated at
+    theta, so the budget multiplier's residue does not enter it.
+    """
+    program = build_exchange_master(data, _atom_scenarios(data))
+    report = convex.solve(program, tol=solver_tol, x0=exchange_interior_point(data))
     if report.status != convex.OPTIMAL:
         raise RuntimeError(f"nominal problem failed to solve: {report.status}")
     theta = report.solution[: data.theta_size]
-    return theta, -report.objective, report
+    value = float(np.mean(data.loss.evaluate_many(
+        theta, data.dataset.features, data.dataset.labels)))
+    return theta, value, report
 
 
 def solve_full_enumeration(data, solver_tol=1e-8):
@@ -193,9 +204,7 @@ def solve_full_enumeration(data, solver_tol=1e-8):
 
 
 def solve_exchange(data, eps, max_iterations=500, solver_tol=1e-8,
-                   separation_method="auto", separation_count=2048,
-                   separation_seed=0, threads=1, trace_path=None,
-                   capture_timing=True):
+                   trace_path=None, capture_timing=True):
     """Exchange scheme: add the most violated cut until eps/2-feasible.
 
     Stops when the separation oracle finds no constraint violated by
@@ -221,9 +230,7 @@ def solve_exchange(data, eps, max_iterations=500, solver_tol=1e-8,
             trace.master_seconds += t1 - t0
             break
         point = split_dual_solution(data, report.solution)
-        sep = best_violation(point, data, method=separation_method,
-                             count=separation_count, seed=separation_seed,
-                             threads=threads)
+        sep = best_violation(point, data)
         t2 = clock.now()
         trace.master_seconds += t1 - t0
         trace.separation_seconds += t2 - t1
@@ -256,20 +263,12 @@ def solve_exchange(data, eps, max_iterations=500, solver_tol=1e-8,
     return point, trace
 
 
-def _sweep(x, data, method, count, seed, threads):
-    if method == "auto":
-        method = "exact" if getattr(data.loss, "scalar_link", False) else "sampled"
-    if method == "exact":
-        task = lambda i: separate_exact(x, i, data)
-    else:
-        task = lambda i: separate_sampled(x, i, data, count=count, seed=seed + i)
-    return map_indexed(task, data.m, threads)
+def _sweep(x, data):
+    return [separate_exact(x, i, data) for i in range(data.m)]
 
 
 def solve_cutting_surface(data, eps, w_tol=None, alpha=2.0, drop_cuts=False,
-                          max_iterations=500, solver_tol=1e-8,
-                          separation_method="auto", separation_count=2048,
-                          separation_seed=0, threads=1, trace_path=None,
+                          max_iterations=500, solver_tol=1e-8, trace_path=None,
                           cut_strategy="all", capture_timing=True):
     """Centered cutting scheme with a certified eps-feasible incumbent.
 
@@ -297,8 +296,8 @@ def solve_cutting_surface(data, eps, w_tol=None, alpha=2.0, drop_cuts=False,
     trace.master_seconds += clock.now() - t0
 
     pool = CutPool()
-    for i in range(data.m):
-        pool.add(Scenario(data.dataset.features[i], i, int(data.dataset.labels[i])))
+    for scenario in _atom_scenarios(data):
+        pool.add(scenario)
 
     incumbent = DualPoint(theta0, np.zeros(data.m + 1))
     cap = der.objective_cap
@@ -327,8 +326,7 @@ def solve_cutting_surface(data, eps, w_tol=None, alpha=2.0, drop_cuts=False,
             trace.status = "optimal"
             break
 
-        results = _sweep(point, data, separation_method, separation_count,
-                         separation_seed, threads)
+        results = _sweep(point, data)
         t2 = clock.now()
         trace.separation_seconds += t2 - t1
         trace.oracle_calls += data.m
@@ -386,8 +384,7 @@ def solve_cutting_surface(data, eps, w_tol=None, alpha=2.0, drop_cuts=False,
 
     # certify whatever we return by a full sweep at the incumbent
     t0 = clock.now()
-    final = _sweep(incumbent, data, separation_method, separation_count,
-                   separation_seed, threads)
+    final = _sweep(incumbent, data)
     trace.separation_seconds += clock.now() - t0
     trace.oracle_calls += data.m
     trace.final_violation = max(res.violation for res in final)

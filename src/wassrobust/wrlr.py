@@ -24,7 +24,6 @@ from .losses import LogisticLoss, sigmoid
 from .model import BoxRegion, Dataset
 from .reformulate import ProblemData
 from .solvers import SolveTrace, solve_cutting_surface, solve_exchange, solve_nominal
-from ._parallel import map_indexed
 
 __all__ = [
     "FittedModel",
@@ -86,9 +85,9 @@ def fit_lr(train, theta_radius=10.0, solver_tol=1e-8):
 
 
 def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
-             theta_radius=10.0, solver_tol=1e-8, threads=1,
-             trace_path=None, drop_cuts=False, alpha=2.0,
-             cut_strategy="all", max_iterations=500, capture_timing=True):
+             theta_radius=10.0, solver_tol=1e-8, trace_path=None,
+             drop_cuts=False, alpha=2.0, cut_strategy="all",
+             max_iterations=500, capture_timing=True):
     """Robust logistic regression at a fixed radius.
 
     ``radius=0`` falls back to plain logistic regression so radius grids
@@ -105,13 +104,13 @@ def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
         point, trace = solve_cutting_surface(
             data, eps, alpha=alpha, drop_cuts=drop_cuts,
             max_iterations=max_iterations, solver_tol=solver_tol,
-            threads=threads, trace_path=trace_path,
-            cut_strategy=cut_strategy, capture_timing=capture_timing,
+            trace_path=trace_path, cut_strategy=cut_strategy,
+            capture_timing=capture_timing,
         )
     elif solver == "exchange":
         point, trace = solve_exchange(
             data, eps, max_iterations=max_iterations, solver_tol=solver_tol,
-            threads=threads, trace_path=trace_path, capture_timing=capture_timing,
+            trace_path=trace_path, capture_timing=capture_timing,
         )
     else:
         raise ValueError(f"unknown solver {solver!r}")
@@ -178,7 +177,7 @@ def _stratified_folds(dataset, folds, rng):
     return assignment
 
 
-def select_r0(train, grid, folds=4, seed=0, threads=1, **fit_kwargs):
+def select_r0(train, grid, folds=4, seed=0, **fit_kwargs):
     """Pick the radius with the best mean validation AUC.
 
     Folds are stratified and seeded.  Each fold's training part must
@@ -220,18 +219,14 @@ def select_r0(train, grid, folds=4, seed=0, threads=1, **fit_kwargs):
         val_idx = np.flatnonzero(assignment == fold)
         split.append((train_part, train.features[val_idx], train.labels[val_idx]))
 
-    def fold_auc(args):
-        radius, (part, val_x, val_y) = args
+    def fold_auc(radius, part, val_x, val_y):
         model = fit_wrlr(part, radius, **fit_kwargs)
         return auc(predict_score(model, val_x), val_y)
 
-    unique = sorted(set(grid))
-    jobs = [(radius, s) for radius in unique for s in split]
-    scores = map_indexed(lambda j: fold_auc(jobs[j]), len(jobs), threads)
-    mean_by_radius = {}
-    for pos, radius in enumerate(unique):
-        vals = scores[pos * len(split) : (pos + 1) * len(split)]
-        mean_by_radius[radius] = float(np.mean(vals))
+    mean_by_radius = {
+        radius: float(np.mean([fold_auc(radius, *s) for s in split]))
+        for radius in sorted(set(grid))
+    }
 
     means = tuple(mean_by_radius[r] for r in grid)
     best = max(mean_by_radius.values())

@@ -179,7 +179,8 @@ def test_separate_debug_writes_csv_file(tmp_path, capsys):
     code = main(["separate-debug", "--data", str(data), "--label-column", "label",
                  "--sample-index", "3", "--out", str(out)])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["score", "transport_cost"]
     assert len(rows) > 1
 

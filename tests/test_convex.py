@@ -12,9 +12,7 @@ from wassrobust.convex import (
     OPTIMAL,
     ConvexProgram,
     LinearConstraints,
-    SmoothConstraint,
     SoftplusConstraints,
-    SoftplusSumConstraint,
     solve,
 )
 
@@ -124,47 +122,6 @@ def test_softplus_row_hand_case():
     report = solve(prog)
     assert report.status == OPTIMAL
     assert report.objective == pytest.approx(math.log(math.exp(2.0) - 1.0), abs=1e-7)
-
-
-def test_softplus_sum_row_matches_bisection():
-    # maximize x subject to (softplus(x) + softplus(-x)) / 2 <= 1
-    block = SoftplusSumConstraint([0.5, 0.5], [[1.0], [-1.0]], [0.0, 0.0],
-                                  [0.0], -1.0)
-    prog = ConvexProgram(np.array([1.0]), np.array([-6.0]), np.array([6.0]),
-                         [block])
-    report = solve(prog)
-
-    def row(x):
-        return 0.5 * (np.logaddexp(0, x) + np.logaddexp(0, -x)) - 1.0
-
-    lo, hi = 0.0, 6.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if row(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    assert report.status == OPTIMAL
-    assert report.objective == pytest.approx(lo, abs=1e-6)
-
-
-def test_smooth_constraint_with_hessian():
-    # maximize x + y inside the unit disc: value sqrt(2)
-    disc = SmoothConstraint(lambda x: x @ x - 1.0,
-                            lambda x: 2.0 * x,
-                            lambda x: 2.0 * np.eye(2))
-    prog = ConvexProgram(np.ones(2), np.full(2, -2.0), np.full(2, 2.0), [disc])
-    report = solve(prog)
-    assert report.status == OPTIMAL
-    assert report.objective == pytest.approx(math.sqrt(2.0), abs=1e-6)
-
-
-def test_smooth_constraint_without_hessian_uses_fallback():
-    disc = SmoothConstraint(lambda x: x @ x - 1.0, lambda x: 2.0 * x)
-    prog = ConvexProgram(np.ones(2), np.full(2, -2.0), np.full(2, 2.0), [disc])
-    report = solve(prog, tol=1e-6)
-    assert report.status == OPTIMAL
-    assert report.objective == pytest.approx(math.sqrt(2.0), abs=1e-4)
 
 
 def test_infeasible_program_is_reported():

@@ -59,6 +59,18 @@ def test_dataset_rejects_empty_and_ragged():
         Dataset((Sample(np.zeros(2), 0), Sample(np.zeros(3), 1)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(bad, tmp_path):
+    X = np.zeros((3, 2))
+    X[2, 1] = bad
+    with pytest.raises(ValueError, match="row 2, column 1.*not finite"):
+        Dataset.from_arrays(X, [0, 1, 0])
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a,b,label\n0,0,0\n1,{bad},1\n")
+    with pytest.raises(ValueError, match="row 1, column 1.*not finite"):
+        Dataset.from_csv(path, "label")
+
+
 def test_dataset_labels_are_binary():
     with pytest.raises(ValueError):
         Dataset.from_arrays(np.zeros((2, 1)), [0, 3])

@@ -229,16 +229,6 @@ def test_timing_capture_modes():
     assert covered >= 0.9 * timed.wall_seconds
 
 
-def test_threaded_separation_matches_sequential():
-    data = box_problem(12, m=10, n=3, radius=0.2)
-    a, tr_a = solve_cutting_surface(data, 1e-6, threads=1, capture_timing=False)
-    b, tr_b = solve_cutting_surface(data, 1e-6, threads=4, capture_timing=False)
-    assert np.array_equal(a.theta, b.theta)
-    assert np.array_equal(a.multipliers, b.multipliers)
-    assert tr_a.iterations == tr_b.iterations
-    assert tr_a.cut_count == tr_b.cut_count
-
-
 def test_repeat_solves_are_bitwise_identical():
     data = box_problem(13, m=9, n=2)
     a, _ = solve_cutting_surface(data, 1e-6, capture_timing=False)

@@ -50,6 +50,14 @@ def test_fit_lr_matches_nominal_solver():
     assert np.allclose(model.theta, theta, atol=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1.0, 10.0, 100.0, 1000.0])
+def test_fits_solve_at_every_feature_scale(scale):
+    ds = blob_dataset(3, 20, 3, scale=scale)
+    fit_lr(ds)
+    model = fit_wrlr(ds, 0.1, eps=1e-4)
+    assert model.trace.status == "optimal"
+
+
 def test_fit_wrlr_zero_radius_is_plain_lr():
     ds = blob_dataset(22, 15, 2)
     a = fit_wrlr(ds, 0.0)
@@ -192,14 +200,6 @@ def test_select_r0_impossible_folds_raise():
         select_r0(ds, (0.0,), folds=4, seed=0)
     with pytest.raises(ValueError, match="grid"):
         select_r0(blob_dataset(1, 8, 2), ())
-
-
-def test_select_r0_threads_match_sequential():
-    ds = blob_dataset(32, 16, 2)
-    seq = select_r0(ds, (0.0, 0.05), folds=4, seed=2, threads=1, eps=1e-4)
-    par = select_r0(ds, (0.0, 0.05), folds=4, seed=2, threads=4, eps=1e-4)
-    assert seq.mean_aucs == par.mean_aucs
-    assert seq.chosen_radius == par.chosen_radius
 
 
 def test_save_load_round_trip(tmp_path):
