@@ -13,7 +13,6 @@ from .model import (
     Dataset,
     DualPoint,
     FiniteRegion,
-    Sample,
     Scenario,
     constraint_g,
     objective_f,

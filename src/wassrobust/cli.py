@@ -9,7 +9,10 @@ Subcommands:
 
 ``experiment`` takes ``--seed`` for its train/test splits and folds;
 ``fit``, ``solve`` and ``experiment`` take ``--eps``, ``--trace``,
-``--drop-cuts`` and ``--alpha``.
+``--drop-cuts`` and ``--alpha``.  A flag that the chosen path would
+ignore is an error (exit status 2): ``fit --r0 0`` rejects ``--solver``,
+``--eps``, ``--trace``, ``--drop-cuts`` and ``--alpha``, and ``solve``
+with the exchange solver rejects ``--drop-cuts`` and ``--alpha``.
 """
 
 from __future__ import annotations
@@ -31,27 +34,45 @@ from .wrlr import build_regions, fit_lr, fit_wrlr, save_model
 __all__ = ["main"]
 
 
+# Solver flags default to None, so that a flag given on the command line
+# can be told apart from one left out; the library supplies the defaults.
 def _add_solver_flags(parser):
-    parser.add_argument("--eps", type=float, default=1e-5,
+    parser.add_argument("--solver", choices=["cutting_surface", "exchange"],
+                        default=None, help="semi-infinite solver (default cutting_surface)")
+    parser.add_argument("--eps", type=float, default=None,
                         help="target feasibility tolerance (default 1e-5)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="write per-iteration JSON lines to PATH")
-    parser.add_argument("--drop-cuts", action="store_true",
+    parser.add_argument("--drop-cuts", action="store_true", default=None,
                         help="drop cuts that have gone slack")
-    parser.add_argument("--alpha", type=float, default=2.0,
+    parser.add_argument("--alpha", type=float, default=None,
                         help="staleness factor for cut dropping (default 2)")
 
 
+def _given(**flags):
+    """The flags that were set on the command line."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _reject(args, flags, reason):
+    names = ", ".join("--" + name.replace("_", "-") for name in flags)
+    print(f"wassrobust {args.command}: error: {names} {reason}", file=sys.stderr)
+    return 2
+
+
 def _cmd_fit(args):
+    flags = _given(solver=args.solver, eps=args.eps, trace=args.trace,
+                   drop_cuts=args.drop_cuts, alpha=args.alpha)
+    if args.r0 == 0.0 and flags:
+        return _reject(args, flags, "only apply to a robust fit, and --r0 0 "
+                       "fits plain logistic regression")
     train = Dataset.from_csv(args.data, args.label_column)
     if args.r0 == 0.0:
         model = fit_lr(train, theta_radius=args.theta_radius)
     else:
-        model = fit_wrlr(
-            train, args.r0, eps=args.eps, solver=args.solver,
-            theta_radius=args.theta_radius, trace_path=args.trace,
-            drop_cuts=args.drop_cuts, alpha=args.alpha,
-        )
+        if "trace" in flags:
+            flags["trace_path"] = flags.pop("trace")
+        model = fit_wrlr(train, args.r0, theta_radius=args.theta_radius, **flags)
     save_model(model, args.out)
     print(f"fitted {model.kind} model on {train.m} samples "
           f"(radius {model.radius}), wrote {args.out}")
@@ -82,14 +103,15 @@ def _cmd_solve(args):
         dataset, regions, radius=float(payload["radius"]),
         theta_radius=float(payload.get("theta_radius", 10.0)),
     )
-    solver = payload.get("solver", args.solver)
-    if solver == "exchange":
-        point, trace = solve_exchange(data, args.eps, trace_path=args.trace)
+    eps = 1e-5 if args.eps is None else args.eps
+    cut_flags = _given(drop_cuts=args.drop_cuts, alpha=args.alpha)
+    if payload.get("solver", args.solver) == "exchange":
+        if cut_flags:
+            return _reject(args, cut_flags, "only apply to the cutting_surface solver")
+        point, trace = solve_exchange(data, eps, trace_path=args.trace)
     else:
-        point, trace = solve_cutting_surface(
-            data, args.eps, trace_path=args.trace,
-            drop_cuts=args.drop_cuts, alpha=args.alpha,
-        )
+        point, trace = solve_cutting_surface(data, eps, trace_path=args.trace,
+                                             **cut_flags)
     if point is None:
         print(f"solve failed: {trace.status}", file=sys.stderr)
         return 1
@@ -182,8 +204,6 @@ def build_parser():
     p_fit.add_argument("--label-column", required=True)
     p_fit.add_argument("--r0", type=float, default=0.1,
                        help="robustness radius; 0 trains plain logistic regression")
-    p_fit.add_argument("--solver", choices=["cutting_surface", "exchange"],
-                       default="cutting_surface")
     p_fit.add_argument("--theta-radius", type=float, default=10.0,
                        help="half-width of the parameter box (default 10)")
     p_fit.add_argument("--out", required=True, help="where to write the model JSON")
@@ -193,8 +213,6 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="solve a raw robust instance from JSON")
     p_solve.add_argument("--instance", required=True,
                          help="instance JSON: features, labels, regions, radius")
-    p_solve.add_argument("--solver", choices=["cutting_surface", "exchange"],
-                         default="cutting_surface")
     p_solve.add_argument("--out", default=None, help="solution JSON path (default stdout)")
     _add_solver_flags(p_solve)
     p_solve.set_defaults(func=_cmd_solve)

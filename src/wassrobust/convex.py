@@ -38,12 +38,10 @@ __all__ = [
     "SolveReport",
     "solve",
     "OPTIMAL",
-    "INFEASIBLE",
     "ITERATION_LIMIT",
 ]
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 ITERATION_LIMIT = "iteration_limit"
 
 
@@ -170,7 +168,7 @@ class ConvexProgram:
 
 @dataclass
 class SolveReport:
-    solution: np.ndarray | None
+    solution: np.ndarray
     objective: float
     status: str
     kkt_residual: float
@@ -180,19 +178,6 @@ class SolveReport:
 _RIDGE_TRIES = 8
 # the barrier weight falls by this factor per Newton step
 _SHRINK = 0.1
-
-
-def _finite_start(lower, upper):
-    x = np.zeros(lower.size)
-    for j in range(lower.size):
-        lo, hi = lower[j], upper[j]
-        if np.isfinite(lo) and np.isfinite(hi):
-            x[j] = 0.5 * (lo + hi)
-        elif np.isfinite(lo):
-            x[j] = lo + 1.0
-        elif np.isfinite(hi):
-            x[j] = hi - 1.0
-    return x
 
 
 def _count_log_terms(program):
@@ -217,16 +202,24 @@ def _solve_spd(hess, rhs):
     return rhs / scale
 
 
-def _strictly_feasible(program, x):
-    if x is None or np.shape(x) != (program.dim,) or not np.all(np.isfinite(x)):
-        return False
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= program.lower) or np.any(x >= program.upper):
-        return False
-    return bool(np.all(program.constraint_values(x) < 0.0))
+def _check_start(program, x):
+    """Raise ValueError naming the first bound or row that ``x`` does not
+    satisfy strictly."""
+    if x.shape != (program.dim,):
+        raise ValueError(f"start point has shape {x.shape}, expected ({program.dim},)")
+    outside = np.flatnonzero(~((program.lower < x) & (x < program.upper)))
+    if outside.size:
+        j = int(outside[0])
+        raise ValueError(f"start point is not strictly inside the box: x[{j}] = {x[j]} "
+                         f"for bounds [{program.lower[j]}, {program.upper[j]}]")
+    g = program.constraint_values(x)
+    bad = np.flatnonzero(~(g < 0.0))
+    if bad.size:
+        raise ValueError(f"start point is not strictly feasible: constraint row "
+                         f"{int(bad[0])} has value {g[bad[0]]}, which must be negative")
 
 
-def _pd_solve(program, tol, x, max_iters, stop_early=None):
+def _pd_solve(program, tol, x, max_iters):
     """Primal-dual interior steps from a strictly feasible x.
 
     Returns (x, status, kkt_residual, iterations).  Terminates when both
@@ -336,82 +329,25 @@ def _pd_solve(program, tol, x, max_iters, stop_early=None):
         s_row = -g
         s_lo = x[lo_idx] - lo[lo_idx]
         s_hi = hi[hi_idx] - x[hi_idx]
-        if stop_early is not None and stop_early(x):
-            return x, OPTIMAL, gap + dual_norm, it
     g = program.constraint_values(x)
     gap = float(-g @ lam_row + (x[lo_idx] - lo[lo_idx]) @ lam_lo
                 + (hi[hi_idx] - x[hi_idx]) @ lam_hi)
     return x, ITERATION_LIMIT, gap, max_iters
 
 
-class _Phase1Block:
-    """Wraps a block so each row becomes g_j(x) - slack <= 0."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.rows = inner.rows
-
-    def values(self, y):
-        return self.inner.values(y[:-1]) - y[-1]
-
-    def jacobian(self, y):
-        J = self.inner.jacobian(y[:-1])
-        return np.hstack([J, -np.ones((self.rows, 1))])
-
-    def curvature(self, y, weights):
-        curv = self.inner.curvature(y[:-1], weights)
-        if curv is None:
-            return None
-        out = np.zeros((curv.shape[0] + 1, curv.shape[1] + 1))
-        out[:-1, :-1] = curv
-        return out
-
-
-def _phase1(program, max_iters):
-    """Find a strictly feasible point, or None when there is none."""
-    if not program.blocks:
-        return _finite_start(program.lower, program.upper)
-    aug = ConvexProgram(
-        objective=np.concatenate([np.zeros(program.dim), [-1.0]]),
-        lower=np.concatenate([program.lower, [-np.inf]]),
-        upper=np.concatenate([program.upper, [np.inf]]),
-        blocks=[_Phase1Block(b) for b in program.blocks],
-    )
-    x_c = _finite_start(program.lower, program.upper)
-    slack0 = float(np.max(program.constraint_values(x_c))) + 1.0
-    y = np.concatenate([x_c, [slack0]])
-    stop = lambda z: z[-1] < -1e-6
-    if stop(y):
-        return x_c
-    y, _, _, _ = _pd_solve(aug, 1e-9, y, 4 * max_iters, stop_early=stop)
-    if stop(y):
-        return y[:-1]
-    return None
-
-
-def solve(program, tol=1e-8, x0=None, max_newton=200):
+def solve(program, x0, tol=1e-8, max_newton=200):
     """Solve the program to within ``tol`` of its optimal value.
 
-    ``x0``, when given and strictly feasible, skips the feasibility
-    phase.  The report's ``kkt_residual`` is the certified optimality
-    measure: complementarity sum plus dual residual norm.
+    ``x0`` must be strictly feasible: strictly inside the box and every
+    constraint row negative; otherwise a ValueError names the first bound
+    or row it breaks.  The report's ``kkt_residual`` is the certified
+    optimality measure: complementarity sum plus dual residual norm.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n_log = _count_log_terms(program)
-    if n_log == 0:
-        if np.any(program.objective != 0.0):
-            raise ValueError("program has no constraints or finite bounds: unbounded")
-        x = _finite_start(program.lower, program.upper)
-        return SolveReport(x, 0.0, OPTIMAL, 0.0, 0)
-
-    x = np.asarray(x0, dtype=float) if x0 is not None else None
-    if x is not None and not _strictly_feasible(program, x):
-        x = None
-    if x is None:
-        x = _phase1(program, max_newton)
-        if x is None:
-            return SolveReport(None, np.nan, INFEASIBLE, np.nan, 0)
-
+    if _count_log_terms(program) == 0:
+        raise ValueError("program has no constraints or finite bounds: unbounded")
+    x = np.asarray(x0, dtype=float)
+    _check_start(program, x)
     x, status, kkt, iters = _pd_solve(program, tol, x, max_newton)
     return SolveReport(x, float(program.objective @ x), status, kkt, iters)

@@ -60,7 +60,6 @@ class ExperimentConfig:
     theta_radius: float = 10.0
     alpha: float = 2.0
     drop_cuts: bool = False
-    cut_strategy: str = "all"
     standardize: bool = False
     capture_timing: bool = True
     trace_dir: str | None = None
@@ -194,7 +193,7 @@ def _run_repetition(rep, config, dataset):
     fit_kwargs = dict(
         eps=config.eps, solver=config.solver, theta_radius=config.theta_radius,
         drop_cuts=config.drop_cuts, alpha=config.alpha,
-        cut_strategy=config.cut_strategy, capture_timing=config.capture_timing,
+        capture_timing=config.capture_timing,
     )
     started = time.perf_counter() if config.capture_timing else 0.0
     report = select_r0(train, config.radius_grid, folds=config.folds,

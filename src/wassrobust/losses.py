@@ -63,10 +63,6 @@ class LogisticLoss:
         s = self._sign(label)
         return -s * sigmoid(-s * np.asarray(u, dtype=float))
 
-    def link_lipschitz(self):
-        """Bound on |d loss / d u|."""
-        return 1.0
-
     def evaluate(self, theta, point, label):
         return float(self.link_loss(self.link(theta, point), label))
 
@@ -81,15 +77,6 @@ class LogisticLoss:
         u = self.link(theta, point)
         coeff = self.link_loss_derivative(u, label)
         return float(coeff) * np.concatenate([[1.0], point])
-
-    def hessian_theta(self, theta, point, label):
-        point = np.asarray(point, dtype=float)
-        u = self.link(theta, point)
-        s = self._sign(label)
-        # sigma(-su) * sigma(su) is symmetric in the sign
-        w = float(sigmoid(-s * u) * sigmoid(s * u))
-        z = np.concatenate([[1.0], point])
-        return w * np.outer(z, z)
 
     def bounds_over(self, theta_lower, theta_upper, regions):
         """(lowest, highest) loss value over the parameter box and regions."""

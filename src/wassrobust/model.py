@@ -1,6 +1,6 @@
 """Core data types for robust training problems.
 
-Samples and datasets describe the observed data; regions describe where
+A dataset describes the observed data; regions describe where
 perturbed points are allowed to live (one region per class label); a
 DualPoint carries the decision variables of the reformulated problem:
 the loss parameters ``theta`` together with the vector of per-sample
@@ -13,12 +13,11 @@ be shared across threads without copying.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Sample",
     "Dataset",
     "BoxRegion",
     "FiniteRegion",
@@ -30,67 +29,49 @@ __all__ = [
 
 
 def _frozen(values, dtype=float):
-    arr = np.array(values, dtype=dtype)
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One labelled observation: a feature vector and a binary class label."""
+class Dataset:
+    """Labelled observations: an (m, n) feature matrix and m 0/1 labels."""
 
     features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", _frozen(self.features))
-        if self.features.ndim != 1:
-            raise ValueError("features must be a 1-D vector")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
-        object.__setattr__(self, "label", int(self.label))
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """An ordered collection of samples sharing one feature dimension."""
-
-    samples: tuple
+    labels: np.ndarray
     feature_names: tuple | None = None
 
     def __post_init__(self):
-        samples = tuple(self.samples)
-        if not samples:
+        features = _frozen(self.features)
+        if features.ndim != 2:
+            raise ValueError("features must be a 2-D array")
+        if features.shape[0] == 0:
             raise ValueError("dataset needs at least one sample")
-        object.__setattr__(self, "samples", samples)
-        n = samples[0].features.size
-        for s in samples:
-            if s.features.size != n:
-                raise ValueError("samples disagree on feature dimension")
-        if self.feature_names is not None:
-            names = tuple(self.feature_names)
-            if len(names) != n:
-                raise ValueError("feature_names length does not match dimension")
-            object.__setattr__(self, "feature_names", names)
-        features = _frozen([s.features for s in samples])
+        labels = np.asarray(self.labels)
+        if labels.shape != (features.shape[0],):
+            raise ValueError("labels length does not match feature rows")
+        bad = np.flatnonzero(~np.isin(labels, (0, 1)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"row {i}: label must be 0 or 1, got {labels.tolist()[i]!r}")
         bad_rows, bad_cols = np.nonzero(~np.isfinite(features))
         if bad_rows.size:
             i, j = int(bad_rows[0]), int(bad_cols[0])
             raise ValueError(f"row {i}, column {j}: feature value {features[i, j]} "
                              "is not finite")
-        object.__setattr__(self, "_features", features)
-        object.__setattr__(self, "_labels", _frozen([s.label for s in samples], dtype=int))
+        if self.feature_names is not None:
+            names = tuple(self.feature_names)
+            if len(names) != features.shape[1]:
+                raise ValueError("feature_names length does not match dimension")
+            object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", _frozen(labels, dtype=int))
 
     @classmethod
     def from_arrays(cls, features, labels, feature_names=None):
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-D array")
-        if labels.shape != (features.shape[0],):
-            raise ValueError("labels length does not match feature rows")
-        samples = tuple(Sample(f, int(l)) for f, l in zip(features, labels))
-        return cls(samples, feature_names=feature_names)
+        """Same as ``Dataset(features, labels, feature_names)``."""
+        return cls(features, labels, feature_names)
 
     @classmethod
     def from_csv(cls, path, label_column):
@@ -126,32 +107,22 @@ class Dataset:
                 labels.append(int(raw))
         if not rows:
             raise ValueError(f"{path}: no data rows")
-        return cls.from_arrays(np.asarray(rows), np.asarray(labels), feature_names)
+        return cls(np.asarray(rows), np.asarray(labels), feature_names)
 
     @property
     def m(self):
-        return len(self.samples)
+        return self.features.shape[0]
 
     @property
     def n(self):
-        return self.samples[0].features.size
-
-    @property
-    def features(self):
-        """(m, n) feature matrix."""
-        return self._features
-
-    @property
-    def labels(self):
-        """(m,) integer label vector."""
-        return self._labels
+        return self.features.shape[1]
 
     def subset(self, indices):
-        return Dataset(tuple(self.samples[i] for i in indices), self.feature_names)
+        indices = np.asarray(indices, dtype=int)
+        return Dataset(self.features[indices], self.labels[indices], self.feature_names)
 
     def class_counts(self):
-        labels = self._labels
-        return int(np.sum(labels == 0)), int(np.sum(labels == 1))
+        return int(np.sum(self.labels == 0)), int(np.sum(self.labels == 1))
 
 
 @dataclass(frozen=True)
@@ -284,56 +255,37 @@ class DualPoint:
             raise ValueError("budget multiplier must be non-negative")
 
     @property
-    def sample_count(self):
-        return self.multipliers.size - 1
-
-    @property
     def budget_multiplier(self):
         return float(self.multipliers[-1])
 
-    def as_vector(self):
-        return np.concatenate([self.theta, self.multipliers])
 
-    @classmethod
-    def from_vector(cls, vec, theta_size):
-        vec = np.asarray(vec, dtype=float)
-        return cls(vec[:theta_size], vec[theta_size:])
-
-
-def objective_f(x, radius, sample_count=None):
+def objective_f(x, radius):
     """Objective of the reformulated problem.
 
     Average of the per-sample multipliers plus ``radius`` times the
-    budget multiplier.  ``sample_count``, when given, cross-checks the
-    multiplier vector length.
+    budget multiplier.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    m = x.sample_count
-    if sample_count is not None and sample_count != m:
-        raise ValueError(f"multiplier vector implies {m} samples, expected {sample_count}")
     return float(np.mean(x.multipliers[:-1]) + radius * x.multipliers[-1])
 
 
-def constraint_g(x, i, scenario, loss, dataset, metric="l1"):
+def constraint_g(x, i, scenario, loss, dataset):
     """Constraint value for sample ``i`` at one scenario.
 
     Returns ``loss(theta, scenario) - multipliers[i] - budget * d`` where
-    ``d`` is the ground-metric distance between the scenario point and
-    the observed sample.  Positive values mean the scenario is violated
-    at ``x``.  Only the L1 ground metric is implemented.
+    ``d`` is the L1 distance between the scenario point and the observed
+    sample.  Positive values mean the scenario is violated at ``x``.
     """
-    if metric != "l1":
-        raise NotImplementedError(f"ground metric {metric!r} not supported")
     if not 0 <= i < dataset.m:
         raise IndexError(f"sample index {i} out of range for m={dataset.m}")
-    sample = dataset.samples[i]
-    if scenario.label != sample.label:
+    label = int(dataset.labels[i])
+    if scenario.label != label:
         raise ValueError(
-            f"scenario label {scenario.label} does not match sample label {sample.label}"
+            f"scenario label {scenario.label} does not match sample label {label}"
         )
     if scenario.point.size != dataset.n:
         raise ValueError("scenario dimension does not match dataset")
     h = loss.evaluate(x.theta, scenario.point, scenario.label)
-    dist = float(np.sum(np.abs(scenario.point - sample.features)))
+    dist = float(np.sum(np.abs(scenario.point - dataset.features[i])))
     return float(h - x.multipliers[i] - x.multipliers[-1] * dist)

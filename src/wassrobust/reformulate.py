@@ -315,7 +315,7 @@ def exchange_interior_point(data):
     return np.concatenate([_interior_theta(data), _interior_multipliers(data)])
 
 
-def master_interior_point(data, cuts, cap, program=None):
+def master_interior_point(data, cuts, cap):
     """A strictly feasible start for the centered master."""
     der = data.derived
     theta = _interior_theta(data)

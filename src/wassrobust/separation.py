@@ -35,7 +35,6 @@ class SeparationResult:
 
     scenario: Scenario
     violation: float
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,7 @@ def _atom_result(x, i, data):
     point = data.dataset.features[i]
     h = data.loss.evaluate(x.theta, point, label)
     violation = h - float(x.multipliers[i])
-    return SeparationResult(Scenario(point, i, label), violation, True)
+    return SeparationResult(Scenario(point, i, label), violation)
 
 
 def _prefer(region_best, atom):
@@ -185,7 +184,7 @@ def _finite_best(x, i, data, region):
     dists = np.sum(np.abs(pts - data.dataset.features[i]), axis=1)
     g = values - x.multipliers[i] - x.multipliers[-1] * dists
     k = int(np.argmax(g))
-    best = SeparationResult(Scenario(pts[k], i, label), float(g[k]), True)
+    best = SeparationResult(Scenario(pts[k], i, label), float(g[k]))
     return _prefer(best, _atom_result(x, i, data))
 
 
@@ -213,7 +212,7 @@ def separate_exact(x, i, data):
     h = data.loss.evaluate(x.theta, point, label)
     dist = float(np.sum(np.abs(point - data.dataset.features[i])))
     violation = h - float(x.multipliers[i]) - float(x.multipliers[-1]) * dist
-    best = SeparationResult(Scenario(point, i, label), violation, True)
+    best = SeparationResult(Scenario(point, i, label), violation)
     return _prefer(best, _atom_result(x, i, data))
 
 

@@ -180,7 +180,7 @@ def solve_nominal(data, solver_tol=1e-8):
     theta, so the budget multiplier's residue does not enter it.
     """
     program = build_exchange_master(data, _atom_scenarios(data))
-    report = convex.solve(program, tol=solver_tol, x0=exchange_interior_point(data))
+    report = convex.solve(program, exchange_interior_point(data), tol=solver_tol)
     if report.status != convex.OPTIMAL:
         raise RuntimeError(f"nominal problem failed to solve: {report.status}")
     theta = report.solution[: data.theta_size]
@@ -196,7 +196,7 @@ def solve_full_enumeration(data, solver_tol=1e-8):
     ground-truth oracle for the iterative solvers.
     """
     program = build_enumeration(data)
-    report = convex.solve(program, tol=solver_tol, x0=exchange_interior_point(data))
+    report = convex.solve(program, exchange_interior_point(data), tol=solver_tol)
     if report.status != convex.OPTIMAL:
         raise RuntimeError(f"enumeration failed to solve: {report.status}")
     point = split_dual_solution(data, report.solution)
@@ -223,7 +223,7 @@ def solve_exchange(data, eps, max_iterations=500, solver_tol=1e-8,
     for k in range(max_iterations + 1):
         t0 = clock.now()
         program = build_exchange_master(data, pool.scenarios())
-        report = convex.solve(program, tol=solver_tol, x0=x0)
+        report = convex.solve(program, x0, tol=solver_tol)
         t1 = clock.now()
         if report.status != convex.OPTIMAL:
             trace.status = f"master_{report.status}"
@@ -269,11 +269,10 @@ def _sweep(x, data):
 
 def solve_cutting_surface(data, eps, w_tol=None, alpha=2.0, drop_cuts=False,
                           max_iterations=500, solver_tol=1e-8, trace_path=None,
-                          cut_strategy="all", capture_timing=True):
+                          capture_timing=True):
     """Centered cutting scheme with a certified eps-feasible incumbent.
 
-    ``cut_strategy`` is "all" (add every violated constraint found in a
-    sweep) or "best" (add only the most violated one).  Cut dropping,
+    Each sweep adds every violated constraint it finds.  Cut dropping,
     when enabled, removes cuts whose birth margin is at least ``alpha``
     times the current margin and whose slack is strictly positive at the
     current iterate.
@@ -282,8 +281,6 @@ def solve_cutting_surface(data, eps, w_tol=None, alpha=2.0, drop_cuts=False,
         raise ValueError("eps must be positive")
     if alpha <= 1.0:
         raise ValueError("alpha must exceed 1")
-    if cut_strategy not in ("all", "best"):
-        raise ValueError(f"unknown cut strategy {cut_strategy!r}")
     der = data.derived
     if w_tol is None:
         w_tol = 1e-9 * (der.objective_cap - der.loss_lower)
@@ -308,7 +305,7 @@ def solve_cutting_surface(data, eps, w_tol=None, alpha=2.0, drop_cuts=False,
         scenarios = pool.scenarios()
         program = build_master(data, scenarios, cap)
         hint = master_interior_point(data, scenarios, cap)
-        report = convex.solve(program, tol=solver_tol, x0=hint)
+        report = convex.solve(program, hint, tol=solver_tol)
         t1 = clock.now()
         trace.master_seconds += t1 - t0
         if report.status != convex.OPTIMAL:
@@ -336,13 +333,10 @@ def solve_cutting_surface(data, eps, w_tol=None, alpha=2.0, drop_cuts=False,
         dropped = 0
         stalled = False
         if worst > eps:
-            if cut_strategy == "all":
-                candidates = [res for res in results if res.violation > 0.0]
-            else:
-                candidates = [max(results, key=lambda res: res.violation)]
-            for res in candidates:
-                added += int(pool.add(res.scenario, birth_iteration=k,
-                                      margin_at_birth=margin))
+            for res in results:
+                if res.violation > 0.0:
+                    added += int(pool.add(res.scenario, birth_iteration=k,
+                                          margin_at_birth=margin))
             # every violated cut already known: the master cannot move
             # further at this precision
             stalled = added == 0

@@ -86,8 +86,7 @@ def fit_lr(train, theta_radius=10.0, solver_tol=1e-8):
 
 def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
              theta_radius=10.0, solver_tol=1e-8, trace_path=None,
-             drop_cuts=False, alpha=2.0, cut_strategy="all",
-             max_iterations=500, capture_timing=True):
+             drop_cuts=False, alpha=2.0, max_iterations=500, capture_timing=True):
     """Robust logistic regression at a fixed radius.
 
     ``radius=0`` falls back to plain logistic regression so radius grids
@@ -104,8 +103,7 @@ def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
         point, trace = solve_cutting_surface(
             data, eps, alpha=alpha, drop_cuts=drop_cuts,
             max_iterations=max_iterations, solver_tol=solver_tol,
-            trace_path=trace_path, cut_strategy=cut_strategy,
-            capture_timing=capture_timing,
+            trace_path=trace_path, capture_timing=capture_timing,
         )
     elif solver == "exchange":
         point, trace = solve_exchange(

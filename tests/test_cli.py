@@ -67,6 +67,24 @@ def test_fit_writes_trace_file(tmp_path):
     assert lines[-1]["event"] == "done"
 
 
+def test_fit_rejects_robust_flags_with_zero_radius(tmp_path, capsys):
+    data = dataset_csv(tmp_path, seed=23, m=16)
+    trace_path = tmp_path / "t0.jsonl"
+    model_path = tmp_path / "m.json"
+    code = main(["fit", "--data", str(data), "--label-column", "label",
+                 "--r0", "0", "--out", str(model_path), "--trace", str(trace_path)])
+    assert code == 2
+    assert "--trace" in capsys.readouterr().err
+    assert not trace_path.exists() and not model_path.exists()
+    code = main(["fit", "--data", str(data), "--label-column", "label", "--r0", "0",
+                 "--out", str(model_path), "--solver", "exchange", "--eps", "1e-3",
+                 "--drop-cuts", "--alpha", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--solver, --eps, --drop-cuts, --alpha" in err
+    assert not model_path.exists()
+
+
 def solve_instance(tmp_path):
     payload = {
         "features": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
@@ -131,6 +149,20 @@ def test_solve_exchange_agrees(tmp_path, capsys):
     solution = json.loads(capsys.readouterr().out)
     expected = reference_objective(payload, 1e-6)
     assert solution["objective"] == pytest.approx(expected, abs=2e-6)
+
+
+def test_solve_exchange_rejects_cut_dropping_flags(tmp_path, capsys):
+    instance, payload = solve_instance(tmp_path)
+    code = main(["solve", "--instance", str(instance), "--solver", "exchange",
+                 "--drop-cuts"])
+    assert code == 2
+    assert "--drop-cuts" in capsys.readouterr().err
+    payload["solver"] = "exchange"
+    instance.write_text(json.dumps(payload))
+    code = main(["solve", "--instance", str(instance), "--alpha", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--alpha" in captured.err and captured.out == ""
 
 
 def test_experiment_command(tmp_path, capsys):

@@ -73,34 +73,6 @@ def test_gradient_matches_central_differences():
     assert worst <= 1e-6
 
 
-def test_hessian_matches_gradient_differences():
-    rng = np.random.default_rng(2)
-    loss = LogisticLoss()
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        theta = rng.normal(size=n + 1)
-        x = rng.normal(size=n)
-        label = int(rng.integers(0, 2))
-        hess = loss.hessian_theta(theta, x, label)
-        step = 1e-5
-        for j in range(n + 1):
-            e = np.zeros(n + 1)
-            e[j] = step
-            col = (loss.subgradient_theta(theta + e, x, label)
-                   - loss.subgradient_theta(theta - e, x, label)) / (2 * step)
-            assert np.allclose(hess[:, j], col, atol=1e-8)
-
-
-def test_hessian_is_positive_semidefinite():
-    rng = np.random.default_rng(3)
-    loss = LogisticLoss()
-    for _ in range(10):
-        hess = loss.hessian_theta(rng.normal(size=3), rng.normal(size=2),
-                                  int(rng.integers(0, 2)))
-        eig = np.linalg.eigvalsh(hess)
-        assert eig.min() >= -1e-12
-
-
 def test_bounds_over_hand_value():
     loss = LogisticLoss()
     box = BoxRegion(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), 1)
@@ -162,4 +134,3 @@ def test_link_loss_derivative_bounded_by_one():
         assert np.all(np.abs(d) <= 1.0)
         mid = np.abs(u) <= 30
         assert np.all(np.abs(d[mid]) < 1.0)
-    assert loss.link_lipschitz() == 1.0

@@ -125,8 +125,6 @@ def test_exchange_rejects_bad_eps():
         solve_cutting_surface(data, -1.0)
     with pytest.raises(ValueError):
         solve_cutting_surface(data, 1e-5, alpha=1.0)
-    with pytest.raises(ValueError):
-        solve_cutting_surface(data, 1e-5, cut_strategy="both")
 
 
 def test_cutting_surface_monotone_without_drops():
@@ -162,17 +160,6 @@ def test_cutting_surface_drop_variant_agrees():
         diff = abs(objective_f(plain, data.radius) - objective_f(dropped, data.radius))
         assert diff <= 2 * eps
         assert trace.final_violation <= eps
-
-
-def test_cutting_surface_best_strategy_agrees_with_all():
-    data = box_problem(8, m=10, n=2, radius=0.15)
-    eps = 1e-5
-    p_all, tr_all = solve_cutting_surface(data, eps, cut_strategy="all")
-    p_best, tr_best = solve_cutting_surface(data, eps, cut_strategy="best")
-    assert tr_best.status == "optimal"
-    assert max(r.cuts_added for r in tr_best.records) <= 1
-    diff = abs(objective_f(p_all, data.radius) - objective_f(p_best, data.radius))
-    assert diff <= 2 * eps
 
 
 def test_cutting_surface_iteration_cap_reports_honestly():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from wassrobust import (
+    BoxRegion,
     Dataset,
     ProblemData,
     auc,
@@ -106,6 +108,61 @@ def test_objective_grows_with_radius():
         assert trace.status == "optimal"
         values.append(objective_f(point, radius))
     assert all(values[i + 1] >= values[i] - 1e-6 for i in range(len(values) - 1))
+
+
+def regularized_lr_value(ds, r0, theta_radius=10.0):
+    """min over the parameter box of average loss + r0 * max_j |theta_j|, j >= 1.
+
+    Solved by SciPy's SLSQP in epigraph form, [theta, lam] with
+    lam >= +-theta_j; shares no code with the library's solvers.
+    """
+    X, y = ds.features, ds.labels
+    Z = np.hstack([np.ones((ds.m, 1)), X]) * (1.0 - 2.0 * y)[:, None]
+    d = ds.n + 1
+
+    def value(z):
+        return np.mean(np.logaddexp(0.0, Z @ z[:d])) + r0 * z[d]
+
+    def grad(z):
+        weights = 0.5 * (1.0 + np.tanh(0.5 * (Z @ z[:d])))
+        return np.concatenate([Z.T @ weights / ds.m, [r0]])
+
+    rows = []
+    for j in range(1, d):
+        for sign in (1.0, -1.0):
+            row = np.zeros(d + 1)
+            row[j], row[d] = -sign, 1.0
+            rows.append(row)
+    cons = {"type": "ineq", "fun": lambda z: np.array(rows) @ z,
+            "jac": lambda z: np.array(rows)}
+    bounds = [(-theta_radius, theta_radius)] * d + [(0.0, None)]
+    res = minimize(value, np.zeros(d + 1), jac=grad, method="SLSQP", bounds=bounds,
+                   constraints=[cons], options={"ftol": 1e-14, "maxiter": 1000})
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def test_values_grow_toward_the_closed_form_limit():
+    # With unbounded support and the L1 ground metric, the worst case is the
+    # average loss plus r0 * ||theta_1:||_inf (the dual norm); as the class
+    # boxes grow, the robust value must rise toward it and never pass it.
+    ds = blob_dataset(3, 20, 3)
+    r0, eps = 0.1, 1e-5
+    limit = regularized_lr_value(ds, r0)
+    values = []
+    for spread in (1.0, 2.0, 4.0, 8.0, 16.0):
+        regions = {}
+        for label in (0, 1):
+            pts = ds.features[ds.labels == label]
+            center, sd = pts.mean(axis=0), pts.std(axis=0, ddof=1)
+            regions[label] = BoxRegion(center - spread * sd, center + spread * sd, label)
+        data = ProblemData.assemble(ds, regions, radius=r0)
+        point, trace = solve_cutting_surface(data, eps)
+        assert trace.status == "optimal"
+        values.append(objective_f(point, r0))
+    assert all(b >= a for a, b in zip(values, values[1:]))
+    assert max(values) <= limit + 2 * eps
+    assert limit - values[-1] < 0.1 * (limit - values[0])
 
 
 def test_predict_score_closed_form():
