@@ -13,6 +13,9 @@ Subcommands:
 ignore is an error (exit status 2): ``fit --r0 0`` rejects ``--solver``,
 ``--eps``, ``--trace``, ``--drop-cuts`` and ``--alpha``, and ``solve``
 with the exchange solver rejects ``--drop-cuts`` and ``--alpha``.
+``solve`` also exits with status 2 when the instance's ``"solver"`` is
+not ``cutting_surface`` or ``exchange``, or when ``--solver`` names the
+other one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import sys
 import numpy as np
 
 from .harness import ExperimentConfig, emit_results, run_experiment
-from .model import BoxRegion, Dataset, DualPoint, FiniteRegion
+from .model import BoxRegion, Dataset, FiniteRegion, objective_f
 from .reformulate import ProblemData
 from .separation import transport_profile
 from .solvers import solve_cutting_surface, solve_exchange
@@ -34,10 +37,13 @@ from .wrlr import build_regions, fit_lr, fit_wrlr, save_model
 __all__ = ["main"]
 
 
+SOLVERS = ("cutting_surface", "exchange")
+
+
 # Solver flags default to None, so that a flag given on the command line
 # can be told apart from one left out; the library supplies the defaults.
 def _add_solver_flags(parser):
-    parser.add_argument("--solver", choices=["cutting_surface", "exchange"],
+    parser.add_argument("--solver", choices=SOLVERS,
                         default=None, help="semi-infinite solver (default cutting_surface)")
     parser.add_argument("--eps", type=float, default=None,
                         help="target feasibility tolerance (default 1e-5)")
@@ -54,10 +60,14 @@ def _given(**flags):
     return {name: value for name, value in flags.items() if value is not None}
 
 
+def _error(args, message):
+    print(f"wassrobust {args.command}: error: {message}", file=sys.stderr)
+    return 2
+
+
 def _reject(args, flags, reason):
     names = ", ".join("--" + name.replace("_", "-") for name in flags)
-    print(f"wassrobust {args.command}: error: {names} {reason}", file=sys.stderr)
-    return 2
+    return _error(args, f"{names} {reason}")
 
 
 def _cmd_fit(args):
@@ -92,6 +102,13 @@ def _region_from_payload(payload, label):
 def _cmd_solve(args):
     with open(args.instance) as fh:
         payload = json.load(fh)
+    solver = payload.get("solver", args.solver or "cutting_surface")
+    if solver not in SOLVERS:
+        return _error(args, f'instance "solver" is {solver!r}; '
+                      f"it must be one of {', '.join(SOLVERS)}")
+    if args.solver not in (None, solver):
+        return _error(args, f"--solver {args.solver} disagrees with the "
+                      f'instance "solver" {solver}')
     dataset = Dataset.from_arrays(np.asarray(payload["features"], dtype=float),
                                   np.asarray(payload["labels"]))
     if "regions" in payload:
@@ -105,7 +122,7 @@ def _cmd_solve(args):
     )
     eps = 1e-5 if args.eps is None else args.eps
     cut_flags = _given(drop_cuts=args.drop_cuts, alpha=args.alpha)
-    if payload.get("solver", args.solver) == "exchange":
+    if solver == "exchange":
         if cut_flags:
             return _reject(args, cut_flags, "only apply to the cutting_surface solver")
         point, trace = solve_exchange(data, eps, trace_path=args.trace)
@@ -115,7 +132,6 @@ def _cmd_solve(args):
     if point is None:
         print(f"solve failed: {trace.status}", file=sys.stderr)
         return 1
-    from .model import objective_f
     out = {
         "status": trace.status,
         "objective": objective_f(point, data.radius),

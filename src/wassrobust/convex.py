@@ -73,43 +73,35 @@ class LinearConstraints:
 
 
 class SoftplusConstraints:
-    """Rows ``softplus(curve @ x + curve_offset) + linear @ x + offset <= 0``.
+    """Rows ``softplus(curve @ x) + linear @ x <= 0``.
 
-    Each row couples one softplus of an affine score with an extra
-    affine term; this is exactly the shape of a loss-based cut.
+    Each row couples one softplus of a linear score with an extra linear
+    term; this is exactly the shape of a loss-based cut.
     """
 
-    def __init__(self, curves, curve_offsets, linear, offsets):
+    def __init__(self, curves, linear):
         self.curves = np.atleast_2d(np.asarray(curves, dtype=float))
-        self.curve_offsets = np.atleast_1d(np.asarray(curve_offsets, dtype=float))
         self.linear = np.atleast_2d(np.asarray(linear, dtype=float))
-        self.offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-        k = self.curves.shape[0]
-        if not (self.curve_offsets.size == k and self.linear.shape[0] == k and self.offsets.size == k):
-            raise ValueError("row count mismatch between softplus rows")
-        if self.curves.shape[1] != self.linear.shape[1]:
-            raise ValueError("dimension mismatch between curve and linear parts")
+        if self.curves.shape != self.linear.shape:
+            raise ValueError("shape mismatch between curve and linear parts")
 
     @property
     def rows(self):
-        return self.offsets.size
+        return self.curves.shape[0]
 
     @property
     def dim(self):
         return self.curves.shape[1]
 
-    def _scores(self, x):
-        return self.curves @ x + self.curve_offsets
-
     def values(self, x):
-        return softplus(self._scores(x)) + self.linear @ x + self.offsets
+        return softplus(self.curves @ x) + self.linear @ x
 
     def jacobian(self, x):
-        sig = sigmoid(self._scores(x))
+        sig = sigmoid(self.curves @ x)
         return sig[:, None] * self.curves + self.linear
 
     def curvature(self, x, weights):
-        sig = sigmoid(self._scores(x))
+        sig = sigmoid(self.curves @ x)
         w = weights * sig * (1.0 - sig)
         return (self.curves * w[:, None]).T @ self.curves
 
@@ -180,31 +172,27 @@ _RIDGE_TRIES = 8
 _SHRINK = 0.1
 
 
-def _count_log_terms(program):
-    return (
-        program.constraint_rows
-        + int(np.sum(np.isfinite(program.lower)))
-        + int(np.sum(np.isfinite(program.upper)))
-    )
-
-
 def _solve_spd(hess, rhs):
-    """Solve hess @ d = rhs for a (near) positive definite hess."""
-    scale = max(1.0, float(np.trace(hess)) / hess.shape[0])
-    ridge = 0.0
-    for attempt in range(_RIDGE_TRIES):
+    """Solve hess @ d = rhs for a (near) positive definite hess; a failed
+    Cholesky factorization is retried with a growing ridge on the diagonal."""
+    n = hess.shape[0]
+    scale = max(1.0, float(np.trace(hess)) / n)
+    ridges = [0.0] + [scale * 10.0 ** (k - 12) for k in range(_RIDGE_TRIES - 1)]
+    for ridge in ridges:
+        H = hess if ridge == 0.0 else hess + ridge * np.eye(n)
         try:
-            H = hess if ridge == 0.0 else hess + ridge * np.eye(hess.shape[0])
             factor = scipy.linalg.cho_factor(H, check_finite=False)
-            return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
         except scipy.linalg.LinAlgError:
-            ridge = scale * 10.0 ** (attempt - 12)
-    return rhs / scale
+            continue
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    raise scipy.linalg.LinAlgError(
+        f"Newton matrix of size {n}x{n} is not positive definite, "
+        f"even with a ridge of {ridges[-1]:.3g} on its diagonal")
 
 
 def _check_start(program, x):
-    """Raise ValueError naming the first bound or row that ``x`` does not
-    satisfy strictly."""
+    """The constraint values at ``x``; raise ValueError naming the first
+    bound or row that ``x`` does not satisfy strictly."""
     if x.shape != (program.dim,):
         raise ValueError(f"start point has shape {x.shape}, expected ({program.dim},)")
     outside = np.flatnonzero(~((program.lower < x) & (x < program.upper)))
@@ -217,79 +205,71 @@ def _check_start(program, x):
     if bad.size:
         raise ValueError(f"start point is not strictly feasible: constraint row "
                          f"{int(bad[0])} has value {g[bad[0]]}, which must be negative")
+    return g
 
 
-def _pd_solve(program, tol, x, max_iters):
-    """Primal-dual interior steps from a strictly feasible x.
+def _pd_solve(program, tol, x, g, count, max_iters):
+    """Primal-dual interior steps from a strictly feasible x with row values g.
 
+    ``count`` is the number of log terms: rows plus finite bounds.
     Returns (x, status, kkt_residual, iterations).  Terminates when both
     the complementarity sum and the dual residual norm drop below half
     the tolerance; their sum is the reported optimality measure.
+
+    Each point is evaluated once.  A trial point gets its row values,
+    and its Jacobian only once a trial has been strictly feasible; the
+    accepted trial's values and Jacobian carry into the next step.
     """
     c = program.objective
     lo, hi = program.lower, program.upper
     lo_idx = np.flatnonzero(np.isfinite(lo))
     hi_idx = np.flatnonzero(np.isfinite(hi))
     dim = program.dim
-    n_rows = program.constraint_rows
-    count = n_rows + lo_idx.size + hi_idx.size
 
-    g = program.constraint_values(x)
-    s_row = -g
-    s_lo = x[lo_idx] - lo[lo_idx]
-    s_hi = hi[hi_idx] - x[hi_idx]
-    lam_row = 1.0 / s_row
-    lam_lo = 1.0 / s_lo
-    lam_hi = 1.0 / s_hi
+    def slacks(x, g):
+        return -g, x[lo_idx] - lo[lo_idx], hi[hi_idx] - x[hi_idx]
 
     def dual_residual(jac, lam_row, lam_lo, lam_hi):
-        r = -c.copy()
-        if n_rows:
-            r += jac.T @ lam_row
+        r = -c + jac.T @ lam_row
         np.subtract.at(r, lo_idx, lam_lo)
         np.add.at(r, hi_idx, lam_hi)
         return r
 
-    def residual_norm(xx, lam_row, lam_lo, lam_hi, mu):
-        gg = program.constraint_values(xx)
-        jac = program.constraint_jacobian(xx)
-        r_dual = dual_residual(jac, lam_row, lam_lo, lam_hi)
+    def residual_norm(r_dual, s_row, s_lo, s_hi, lam_row, lam_lo, lam_hi, mu):
         r_cent = np.concatenate([
-            lam_row * (-gg) - mu,
-            lam_lo * (xx[lo_idx] - lo[lo_idx]) - mu,
-            lam_hi * (hi[hi_idx] - xx[hi_idx]) - mu,
+            lam_row * s_row - mu,
+            lam_lo * s_lo - mu,
+            lam_hi * s_hi - mu,
         ])
         return float(np.sqrt(np.sum(r_dual**2) + np.sum(r_cent**2)))
 
+    s_row, s_lo, s_hi = slacks(x, g)
+    lam_row, lam_lo, lam_hi = 1.0 / s_row, 1.0 / s_lo, 1.0 / s_hi
+    jac = program.constraint_jacobian(x)
+    r_dual = dual_residual(jac, lam_row, lam_lo, lam_hi)
+
     for it in range(1, max_iters + 1):
-        jac = program.constraint_jacobian(x)
-        r_dual = dual_residual(jac, lam_row, lam_lo, lam_hi)
         gap = float(s_row @ lam_row + s_lo @ lam_lo + s_hi @ lam_hi)
         dual_norm = float(np.linalg.norm(r_dual))
         if gap <= 0.5 * tol and dual_norm <= 0.5 * tol:
             return x, OPTIMAL, gap + dual_norm, it - 1
         mu = max(_SHRINK * gap / count, 1e-300)
 
-        hess = np.zeros((dim, dim))
-        if n_rows:
-            curv = program.weighted_curvature(x, lam_row)
-            if curv is not None:
-                hess += curv
-            hess += (jac * (lam_row / s_row)[:, None]).T @ jac
+        hess = (jac * (lam_row / s_row)[:, None]).T @ jac
+        curv = program.weighted_curvature(x, lam_row)
+        if curv is not None:
+            hess += curv
         diag = np.zeros(dim)
         np.add.at(diag, lo_idx, lam_lo / s_lo)
         np.add.at(diag, hi_idx, lam_hi / s_hi)
         hess[np.diag_indices(dim)] += diag
 
-        rhs = c.copy()
-        if n_rows:
-            rhs -= jac.T @ (mu / s_row)
+        rhs = c - jac.T @ (mu / s_row)
         np.add.at(rhs, lo_idx, mu / s_lo)
         np.subtract.at(rhs, hi_idx, mu / s_hi)
         dx = _solve_spd(hess, rhs)
 
-        dlam_row = (mu - lam_row * s_row) / s_row + (lam_row / s_row) * (jac @ dx) \
-            if n_rows else np.empty(0)
+        dlam_row = (mu - lam_row * s_row) / s_row + (lam_row / s_row) * (jac @ dx)
         dlam_lo = (mu - lam_lo * s_lo) / s_lo - (lam_lo / s_lo) * dx[lo_idx]
         dlam_hi = (mu - lam_hi * s_hi) / s_hi + (lam_hi / s_hi) * dx[hi_idx]
 
@@ -300,38 +280,33 @@ def _pd_solve(program, tol, x, max_iters):
             neg = dvec < 0
             if np.any(neg):
                 alpha = min(alpha, 0.99 * float(np.min(-vec[neg] / dvec[neg])))
-        # nonlinear rows: back off until strictly feasible
-        while alpha > 1e-14:
-            if not n_rows or np.all(program.constraint_values(x + alpha * dx) < 0.0):
-                break
-            alpha *= 0.5
-        base = residual_norm(x, lam_row, lam_lo, lam_hi, mu)
-        accepted = False
+        # halve the step until the rows are strictly negative and the
+        # residual norm falls; the rows are convex and x is strictly
+        # feasible, so once a trial is feasible every shorter one is too
+        base = residual_norm(r_dual, s_row, s_lo, s_hi, lam_row, lam_lo, lam_hi, mu)
+        feasible = False
         while alpha > 1e-14:
             x_new = x + alpha * dx
-            trial = residual_norm(x_new, lam_row + alpha * dlam_row,
-                                  lam_lo + alpha * dlam_lo,
-                                  lam_hi + alpha * dlam_hi, mu)
-            if trial <= (1.0 - 0.01 * alpha) * base:
-                accepted = True
-                break
+            g_new = program.constraint_values(x_new)
+            feasible = feasible or bool(np.all(g_new < 0.0))
+            if feasible:
+                jac_new = program.constraint_jacobian(x_new)
+                lams_new = (lam_row + alpha * dlam_row, lam_lo + alpha * dlam_lo,
+                            lam_hi + alpha * dlam_hi)
+                r_new = dual_residual(jac_new, *lams_new)
+                slacks_new = slacks(x_new, g_new)
+                if residual_norm(r_new, *slacks_new, *lams_new, mu) \
+                        <= (1.0 - 0.01 * alpha) * base:
+                    break
             alpha *= 0.5
-        if not accepted:
+        else:
             # stuck at numerical precision; report what we have
             return x, (OPTIMAL if gap + dual_norm <= tol else ITERATION_LIMIT), \
                 gap + dual_norm, it
-        x = x + alpha * dx
-        if n_rows:
-            lam_row = lam_row + alpha * dlam_row
-        lam_lo = lam_lo + alpha * dlam_lo
-        lam_hi = lam_hi + alpha * dlam_hi
-        g = program.constraint_values(x)
-        s_row = -g
-        s_lo = x[lo_idx] - lo[lo_idx]
-        s_hi = hi[hi_idx] - x[hi_idx]
-    g = program.constraint_values(x)
-    gap = float(-g @ lam_row + (x[lo_idx] - lo[lo_idx]) @ lam_lo
-                + (hi[hi_idx] - x[hi_idx]) @ lam_hi)
+        x, jac, r_dual = x_new, jac_new, r_new
+        s_row, s_lo, s_hi = slacks_new
+        lam_row, lam_lo, lam_hi = lams_new
+    gap = float(s_row @ lam_row + s_lo @ lam_lo + s_hi @ lam_hi)
     return x, ITERATION_LIMIT, gap, max_iters
 
 
@@ -345,9 +320,11 @@ def solve(program, x0, tol=1e-8, max_newton=200):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if _count_log_terms(program) == 0:
+    count = (program.constraint_rows + int(np.sum(np.isfinite(program.lower)))
+             + int(np.sum(np.isfinite(program.upper))))
+    if count == 0:
         raise ValueError("program has no constraints or finite bounds: unbounded")
     x = np.asarray(x0, dtype=float)
-    _check_start(program, x)
-    x, status, kkt, iters = _pd_solve(program, tol, x, max_newton)
+    g = _check_start(program, x)
+    x, status, kkt, iters = _pd_solve(program, tol, x, g, count, max_newton)
     return SolveReport(x, float(program.objective @ x), status, kkt, iters)

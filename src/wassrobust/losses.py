@@ -1,11 +1,10 @@
-"""Loss models.
+"""The logistic loss.
 
-A loss model evaluates a convex training loss h(theta, point, label),
-supplies derivatives in theta, and bounds the loss and its gradient
-over a parameter box and a family of regions.  Losses of generalized
-linear form additionally expose the scalar link representation
-``h = phi_label(theta_0 + theta . x)``, which the exact separation
-oracle relies on.
+``LogisticLoss`` evaluates the convex training loss h(theta, point,
+label), supplies its derivatives in theta, and bounds the loss and its
+gradient over a parameter box and a family of regions.  It has the
+scalar link form ``h = phi_label(theta_0 + theta . x)``, which the exact
+separation oracle relies on.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ class LogisticLoss:
     For a point x with label y in {0, 1}, writes s = 2y - 1 and scores
     u = theta[0] + theta[1:] . x; the loss is log(1 + exp(-s * u)).
     """
-
-    scalar_link = True
 
     def theta_dim(self, n_features):
         # intercept plus one weight per feature

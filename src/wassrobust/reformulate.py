@@ -121,21 +121,15 @@ class ProblemData:
     derived: DerivedConstants
 
     @classmethod
-    def assemble(cls, dataset, regions, radius, loss=None, theta_radius=10.0,
-                 theta_lower=None, theta_upper=None):
-        """Build problem data with a symmetric parameter box by default."""
-        loss = loss if loss is not None else LogisticLoss()
+    def assemble(cls, dataset, regions, radius, theta_radius=10.0):
+        """Build problem data for the logistic loss over the parameter box
+        [-theta_radius, theta_radius] in every coordinate."""
+        if not theta_radius > 0:
+            raise ValueError(f"theta_radius must be positive, got {theta_radius}")
+        loss = LogisticLoss()
         dim = loss.theta_dim(dataset.n)
-        if theta_lower is None:
-            theta_lower = np.full(dim, -float(theta_radius))
-        theta_lower = np.asarray(theta_lower, dtype=float)
-        if theta_upper is None:
-            theta_upper = np.full(dim, float(theta_radius))
-        theta_upper = np.asarray(theta_upper, dtype=float)
-        if theta_lower.shape != (dim,) or theta_upper.shape != (dim,):
-            raise ValueError("parameter box does not match the loss dimension")
-        if np.any(theta_lower >= theta_upper):
-            raise ValueError("parameter box must have positive width")
+        theta_lower = np.full(dim, -float(theta_radius))
+        theta_upper = np.full(dim, float(theta_radius))
         for region in regions.values():
             if region.dimension != dataset.n:
                 raise ValueError("region dimension does not match dataset")
@@ -202,7 +196,7 @@ def _cut_rows(data, cuts, dim, theta_ofs, mult_ofs, w_ofs=None):
         linear[j, mult_ofs + data.m] = -dist
         if w_ofs is not None:
             linear[j, w_ofs] = data.derived.centering_bound
-    return SoftplusConstraints(curves, np.zeros(k), linear, np.zeros(k))
+    return SoftplusConstraints(curves, linear)
 
 
 def build_master(data, cuts, cap):

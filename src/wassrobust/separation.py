@@ -151,11 +151,6 @@ def transport_profile(theta, region, reference):
     return TransportProfile(breakpoints, cost_arr, anchor, base, up_moves, down_moves)
 
 
-def _check_scalar_link(loss):
-    if not getattr(loss, "scalar_link", False):
-        raise ValueError("exact separation needs a loss with the scalar-link form")
-
-
 def _atom_result(x, i, data):
     """The sample's own observation as a zero-cost scenario.
 
@@ -199,7 +194,6 @@ def separate_exact(x, i, data):
     region = data.region_for_sample(i)
     if isinstance(region, FiniteRegion):
         return _finite_best(x, i, data, region)
-    _check_scalar_link(data.loss)
     label = int(data.dataset.labels[i])
     profile = transport_profile(x.theta, region, data.dataset.features[i])
     values = data.loss.link_loss(profile.breakpoints, label)

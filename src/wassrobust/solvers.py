@@ -55,7 +55,6 @@ __all__ = [
 @dataclass
 class Cut:
     scenario: Scenario
-    birth_iteration: int
     margin_at_birth: float
 
 
@@ -75,19 +74,16 @@ class CutPool:
         rounded = np.round(scenario.point, 10)
         return (scenario.sample_index, tuple(float(v) for v in rounded))
 
-    def add(self, scenario, birth_iteration=0, margin_at_birth=np.inf):
+    def add(self, scenario, margin_at_birth=np.inf):
         key = self._key(scenario)
         if key in self._keys:
             return False
         self._keys.add(key)
-        self._cuts.append(Cut(scenario, birth_iteration, margin_at_birth))
+        self._cuts.append(Cut(scenario, margin_at_birth))
         return True
 
     def scenarios(self):
         return [cut.scenario for cut in self._cuts]
-
-    def cuts(self):
-        return list(self._cuts)
 
     def drop_where(self, predicate):
         """Remove cuts for which predicate(cut) holds; returns the count."""
@@ -155,6 +151,10 @@ class SolveTrace:
             fh.write(json.dumps({"event": "done", **self.summary()}) + "\n")
 
 
+# outer iterations before a solver reports ``iteration_limit``
+MAX_ITERATIONS = 500
+
+
 class _Clock:
     """Accumulates wall time; a null clock keeps results reproducible."""
 
@@ -171,7 +171,7 @@ def _atom_scenarios(data):
             for i in range(data.m)]
 
 
-def solve_nominal(data, solver_tol=1e-8):
+def solve_nominal(data):
     """Minimize the average training loss; returns (theta, value, report).
 
     Solves the plain master over the atom cuts alone.  They cost no
@@ -180,7 +180,7 @@ def solve_nominal(data, solver_tol=1e-8):
     theta, so the budget multiplier's residue does not enter it.
     """
     program = build_exchange_master(data, _atom_scenarios(data))
-    report = convex.solve(program, exchange_interior_point(data), tol=solver_tol)
+    report = convex.solve(program, exchange_interior_point(data))
     if report.status != convex.OPTIMAL:
         raise RuntimeError(f"nominal problem failed to solve: {report.status}")
     theta = report.solution[: data.theta_size]
@@ -189,22 +189,21 @@ def solve_nominal(data, solver_tol=1e-8):
     return theta, value, report
 
 
-def solve_full_enumeration(data, solver_tol=1e-8):
+def solve_full_enumeration(data):
     """Solve the dual with every (sample, point) constraint materialized.
 
     Only for finite regions within the enumeration budget; serves as the
     ground-truth oracle for the iterative solvers.
     """
     program = build_enumeration(data)
-    report = convex.solve(program, exchange_interior_point(data), tol=solver_tol)
+    report = convex.solve(program, exchange_interior_point(data))
     if report.status != convex.OPTIMAL:
         raise RuntimeError(f"enumeration failed to solve: {report.status}")
     point = split_dual_solution(data, report.solution)
     return point, -report.objective
 
 
-def solve_exchange(data, eps, max_iterations=500, solver_tol=1e-8,
-                   trace_path=None, capture_timing=True):
+def solve_exchange(data, eps, trace_path=None, capture_timing=True):
     """Exchange scheme: add the most violated cut until eps/2-feasible.
 
     Stops when the separation oracle finds no constraint violated by
@@ -220,10 +219,10 @@ def solve_exchange(data, eps, max_iterations=500, solver_tol=1e-8,
     pool = CutPool()
     x0 = exchange_interior_point(data)
     point = None
-    for k in range(max_iterations + 1):
+    for k in range(MAX_ITERATIONS + 1):
         t0 = clock.now()
         program = build_exchange_master(data, pool.scenarios())
-        report = convex.solve(program, x0, tol=solver_tol)
+        report = convex.solve(program, x0)
         t1 = clock.now()
         if report.status != convex.OPTIMAL:
             trace.status = f"master_{report.status}"
@@ -237,7 +236,7 @@ def solve_exchange(data, eps, max_iterations=500, solver_tol=1e-8,
         trace.oracle_calls += data.m
         added = 0
         if sep.violation > 0.5 * eps:
-            added = int(pool.add(sep.scenario, birth_iteration=k))
+            added = int(pool.add(sep.scenario))
         trace.records.append(IterationRecord(
             iteration=k, margin=None, cap=None,
             objective=-report.objective, violation=sep.violation,
@@ -267,8 +266,8 @@ def _sweep(x, data):
     return [separate_exact(x, i, data) for i in range(data.m)]
 
 
-def solve_cutting_surface(data, eps, w_tol=None, alpha=2.0, drop_cuts=False,
-                          max_iterations=500, solver_tol=1e-8, trace_path=None,
+def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
+                          max_iterations=MAX_ITERATIONS, trace_path=None,
                           capture_timing=True):
     """Centered cutting scheme with a certified eps-feasible incumbent.
 
@@ -282,14 +281,14 @@ def solve_cutting_surface(data, eps, w_tol=None, alpha=2.0, drop_cuts=False,
     if alpha <= 1.0:
         raise ValueError("alpha must exceed 1")
     der = data.derived
-    if w_tol is None:
-        w_tol = 1e-9 * (der.objective_cap - der.loss_lower)
+    # the loop ends once the master's margin falls to this
+    margin_tol = 1e-9 * (der.objective_cap - der.loss_lower)
     clock = _Clock(capture_timing)
     start = clock.now()
     trace = SolveTrace(algorithm="cutting_surface")
 
     t0 = clock.now()
-    theta0, _, _ = solve_nominal(data, solver_tol=solver_tol)
+    theta0, _, _ = solve_nominal(data)
     trace.master_seconds += clock.now() - t0
 
     pool = CutPool()
@@ -305,14 +304,14 @@ def solve_cutting_surface(data, eps, w_tol=None, alpha=2.0, drop_cuts=False,
         scenarios = pool.scenarios()
         program = build_master(data, scenarios, cap)
         hint = master_interior_point(data, scenarios, cap)
-        report = convex.solve(program, hint, tol=solver_tol)
+        report = convex.solve(program, hint)
         t1 = clock.now()
         trace.master_seconds += t1 - t0
         if report.status != convex.OPTIMAL:
             trace.status = f"master_{report.status}"
             break
         point, margin, _ = split_master_solution(data, report.solution)
-        if margin <= w_tol:
+        if margin <= margin_tol:
             trace.records.append(IterationRecord(
                 iteration=k, margin=margin, cap=cap,
                 objective=objective_f(point, data.radius), violation=None,
@@ -335,8 +334,7 @@ def solve_cutting_surface(data, eps, w_tol=None, alpha=2.0, drop_cuts=False,
         if worst > eps:
             for res in results:
                 if res.violation > 0.0:
-                    added += int(pool.add(res.scenario, birth_iteration=k,
-                                          margin_at_birth=margin))
+                    added += int(pool.add(res.scenario, margin_at_birth=margin))
             # every violated cut already known: the master cannot move
             # further at this precision
             stalled = added == 0

@@ -15,13 +15,13 @@ regression) always a candidate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .losses import LogisticLoss, sigmoid
-from .model import BoxRegion, Dataset
+from .model import BoxRegion
 from .reformulate import ProblemData
 from .solvers import SolveTrace, solve_cutting_surface, solve_exchange, solve_nominal
 
@@ -75,18 +75,18 @@ def build_regions(dataset):
     return regions
 
 
-def fit_lr(train, theta_radius=10.0, solver_tol=1e-8):
+def fit_lr(train, theta_radius=10.0):
     """Plain logistic regression over the parameter box."""
     _require_both_classes(train)
     data = ProblemData.assemble(train, build_regions(train), radius=1.0,
                                 theta_radius=theta_radius)
-    theta, _, _ = solve_nominal(data, solver_tol=solver_tol)
+    theta, _, _ = solve_nominal(data)
     return FittedModel(theta=theta, radius=0.0, kind="lr", trace=None)
 
 
 def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
-             theta_radius=10.0, solver_tol=1e-8, trace_path=None,
-             drop_cuts=False, alpha=2.0, max_iterations=500, capture_timing=True):
+             theta_radius=10.0, trace_path=None, drop_cuts=False, alpha=2.0,
+             capture_timing=True):
     """Robust logistic regression at a fixed radius.
 
     ``radius=0`` falls back to plain logistic regression so radius grids
@@ -96,19 +96,17 @@ def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
         raise ValueError("radius must be non-negative")
     _require_both_classes(train)
     if radius == 0.0:
-        return fit_lr(train, theta_radius=theta_radius, solver_tol=solver_tol)
+        return fit_lr(train, theta_radius=theta_radius)
     data = ProblemData.assemble(train, build_regions(train), radius=radius,
                                 theta_radius=theta_radius)
     if solver == "cutting_surface":
         point, trace = solve_cutting_surface(
             data, eps, alpha=alpha, drop_cuts=drop_cuts,
-            max_iterations=max_iterations, solver_tol=solver_tol,
             trace_path=trace_path, capture_timing=capture_timing,
         )
     elif solver == "exchange":
         point, trace = solve_exchange(
-            data, eps, max_iterations=max_iterations, solver_tol=solver_tol,
-            trace_path=trace_path, capture_timing=capture_timing,
+            data, eps, trace_path=trace_path, capture_timing=capture_timing,
         )
     else:
         raise ValueError(f"unknown solver {solver!r}")

@@ -165,6 +165,27 @@ def test_solve_exchange_rejects_cut_dropping_flags(tmp_path, capsys):
     assert "--alpha" in captured.err and captured.out == ""
 
 
+def test_solve_rejects_unknown_instance_solver(tmp_path, capsys):
+    instance, payload = solve_instance(tmp_path)
+    payload["solver"] = "exchnage"
+    instance.write_text(json.dumps(payload))
+    code = main(["solve", "--instance", str(instance)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "'exchnage'" in captured.err and captured.out == ""
+
+
+def test_solve_rejects_solver_flag_that_disagrees_with_instance(tmp_path, capsys):
+    instance, payload = solve_instance(tmp_path)
+    payload["solver"] = "cutting_surface"
+    instance.write_text(json.dumps(payload))
+    code = main(["solve", "--instance", str(instance), "--solver", "exchange"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--solver exchange" in captured.err
+    assert "cutting_surface" in captured.err and captured.out == ""
+
+
 def test_experiment_command(tmp_path, capsys):
     data = dataset_csv(tmp_path, seed=29, m=30)
     cfg = ExperimentConfig(dataset_csv=str(data), label_column="label",

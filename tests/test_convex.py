@@ -1,19 +1,26 @@
 """Interior-point kernel against brute-force oracles on small programs."""
 
+import collections
 import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from wassrobust import Scenario
 from wassrobust.convex import (
     ITERATION_LIMIT,
     OPTIMAL,
     ConvexProgram,
     LinearConstraints,
     SoftplusConstraints,
+    _solve_spd,
     solve,
 )
+from wassrobust.reformulate import build_master, master_interior_point
+
+from conftest import box_problem
 
 
 def lp_vertex_optimum(c, coeffs, offsets, lower, upper):
@@ -115,11 +122,12 @@ def test_repeat_solves_are_bitwise_identical():
 
 
 def test_softplus_row_hand_case():
-    # maximize x subject to softplus(x) <= 2: x* = log(e^2 - 1)
-    block = SoftplusConstraints([[1.0]], [0.0], [[0.0]], [-2.0])
-    prog = ConvexProgram(np.array([1.0]), np.array([-5.0]), np.array([5.0]),
-                         [block])
-    report = solve(prog, np.zeros(1))
+    # maximize x0 subject to softplus(x0) - x1 <= 0 with x1 <= 2:
+    # x1* = 2 and x0* = log(e^2 - 1)
+    block = SoftplusConstraints([[1.0, 0.0]], [[0.0, -1.0]])
+    prog = ConvexProgram(np.array([1.0, 0.0]), np.array([-5.0, -5.0]),
+                         np.array([5.0, 2.0]), [block])
+    report = solve(prog, np.array([0.0, 1.0]))
     assert report.status == OPTIMAL
     assert report.objective == pytest.approx(math.log(math.exp(2.0) - 1.0), abs=1e-7)
 
@@ -181,3 +189,36 @@ def test_program_validation():
     with pytest.raises(ValueError):
         ConvexProgram(np.array([1.0, 0.0]), np.full(2, 0.0), np.full(2, 1.0),
                       [LinearConstraints([[1.0]], [0.0])])
+
+
+def test_newton_matrix_that_no_ridge_fixes_raises():
+    with pytest.raises(scipy.linalg.LinAlgError, match=r"size 1x1 .* ridge of 1e-06"):
+        _solve_spd(np.array([[-1.0]]), np.ones(1))
+
+
+def test_each_point_is_evaluated_once():
+    """A master solve asks for each point's row values and Jacobian at
+    most once, and an infeasible trial point gets no Jacobian."""
+    data = box_problem(3, m=12, n=3)
+    feats, labels = data.dataset.features, data.dataset.labels
+    regions = [data.region_for_sample(i) for i in range(data.m)]
+    cuts = [Scenario(feats[i], i, int(labels[i])) for i in range(data.m)]
+    cuts += [Scenario(r.upper, i, int(labels[i])) for i, r in enumerate(regions)]
+    cuts += [Scenario(r.lower, i, int(labels[i])) for i, r in enumerate(regions)]
+    cap = data.derived.objective_cap
+    prog = build_master(data, cuts, cap)
+    values, jacobians = collections.Counter(), collections.Counter()
+
+    def counted(method, counter):
+        def wrapper(x):
+            counter[x.tobytes()] += 1
+            return method(x)
+        return wrapper
+
+    prog.constraint_values = counted(prog.constraint_values, values)
+    prog.constraint_jacobian = counted(prog.constraint_jacobian, jacobians)
+    report = solve(prog, master_interior_point(data, cuts, cap))
+    assert report.status == OPTIMAL
+    assert max(values.values()) == 1
+    assert max(jacobians.values()) == 1
+    assert set(jacobians) < set(values)

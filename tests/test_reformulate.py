@@ -86,9 +86,9 @@ def test_derive_constants_validation():
 def test_assemble_validation():
     ds = Dataset.from_arrays(np.array([[0.0]]), [1])
     regions = {1: BoxRegion(np.array([0.0]), np.array([0.0]), 1)}
-    with pytest.raises(ValueError, match="positive width"):
-        ProblemData.assemble(ds, regions, radius=0.5,
-                             theta_lower=np.zeros(2), theta_upper=np.zeros(2))
+    for theta_radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"theta_radius must be positive, got {theta_radius}"):
+            ProblemData.assemble(ds, regions, radius=0.5, theta_radius=theta_radius)
     with pytest.raises(ValueError, match="dimension"):
         bad = {1: BoxRegion(np.zeros(2), np.ones(2), 1)}
         ProblemData.assemble(ds, bad, radius=0.5)

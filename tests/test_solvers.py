@@ -37,11 +37,12 @@ def test_cut_pool_deduplicates_by_rounded_point():
 def test_cut_pool_drop_allows_readding():
     pool = CutPool()
     s = Scenario(np.array([1.0]), 0, 0)
-    pool.add(s, birth_iteration=3, margin_at_birth=0.5)
-    assert pool.drop_where(lambda cut: cut.birth_iteration == 3) == 1
+    pool.add(s, margin_at_birth=0.5)
+    assert pool.drop_where(lambda cut: cut.margin_at_birth == 0.5) == 1
     assert len(pool) == 0
-    assert pool.add(s, birth_iteration=7)
-    assert pool.cuts()[0].birth_iteration == 7
+    assert pool.add(s, margin_at_birth=0.25)
+    assert pool.drop_where(lambda cut: cut.margin_at_birth == 0.5) == 0
+    assert pool.drop_where(lambda cut: cut.margin_at_birth == 0.25) == 1
 
 
 def test_nominal_on_single_point_instance():
