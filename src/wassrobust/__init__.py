@@ -19,7 +19,7 @@ from .model import (
 )
 from .losses import LogisticLoss
 from .convex import ConvexProgram, SolveReport, solve
-from .reformulate import DerivedConstants, ProblemData, derive_constants
+from .reformulate import CutPool, DerivedConstants, ProblemData, derive_constants
 from .separation import (
     SeparationResult,
     TransportProfile,
@@ -28,7 +28,6 @@ from .separation import (
     transport_profile,
 )
 from .solvers import (
-    CutPool,
     SolveTrace,
     solve_cutting_surface,
     solve_exchange,

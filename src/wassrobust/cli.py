@@ -15,7 +15,10 @@ ignore is an error (exit status 2): ``fit --r0 0`` rejects ``--solver``,
 with the exchange solver rejects ``--drop-cuts`` and ``--alpha``.
 ``solve`` also exits with status 2 when the instance's ``"solver"`` is
 not ``cutting_surface`` or ``exchange``, or when ``--solver`` names the
-other one.
+other one.  Bad input of any other kind (a value the library rejects, an
+unreadable or malformed file, an instance without ``features``,
+``labels`` or ``radius``) prints one line naming the problem and exits
+with status 2.
 """
 
 from __future__ import annotations
@@ -102,6 +105,9 @@ def _region_from_payload(payload, label):
 def _cmd_solve(args):
     with open(args.instance) as fh:
         payload = json.load(fh)
+    missing = [key for key in ("features", "labels", "radius") if key not in payload]
+    if missing:
+        return _error(args, f"instance {args.instance} has no {', '.join(missing)}")
     solver = payload.get("solver", args.solver or "cutting_surface")
     if solver not in SOLVERS:
         return _error(args, f'instance "solver" is {solver!r}; '
@@ -182,7 +188,7 @@ def _parse_theta(text, dim):
         return np.zeros(dim)
     values = [float(v) for v in text.replace(",", " ").split()]
     if len(values) != dim:
-        raise SystemExit(f"--theta needs {dim} values (intercept first), got {len(values)}")
+        raise ValueError(f"--theta needs {dim} values (intercept first), got {len(values)}")
     return np.asarray(values)
 
 
@@ -191,7 +197,7 @@ def _cmd_separate_debug(args):
     regions = build_regions(dataset)
     i = args.sample_index
     if not 0 <= i < dataset.m:
-        raise SystemExit(f"--sample-index out of range (m={dataset.m})")
+        return _error(args, f"--sample-index {i} out of range (m={dataset.m})")
     theta = _parse_theta(args.theta, dataset.n + 1)
     label = int(dataset.labels[i])
     profile = transport_profile(theta, regions[label], dataset.features[i])
@@ -259,7 +265,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        return _error(args, str(exc))
 
 
 if __name__ == "__main__":

@@ -4,15 +4,17 @@ The robust problem is solved through its dual: minimize the averaged
 per-sample multipliers plus radius times the budget multiplier, subject
 to one constraint per (sample, admissible point) pair.  This module
 derives the constants that make that dual well posed (multiplier boxes,
-the strict objective cap, the centering coefficient), and assembles the
-finite master programs the iterative solvers need:
+the strict objective cap, the centering coefficient), keeps the cut
+pool, and assembles from it the finite master programs the iterative
+solvers need:
 
 * the plain master: minimize the dual objective under a finite cut set;
   over the m zero-cost cuts at the observed samples it is the nominal
   problem (no perturbation), whose optimum is the average training loss,
 * the centered master: maximize the feasibility margin ``w`` under the
   same cuts plus a level constraint on the objective,
-* the fully enumerated dual for finite regions, used as an oracle.
+* the fully enumerated dual for finite regions, used as an oracle: the
+  plain master over the pool of every (sample, region point) pair.
 
 Variable layouts, in order:
     master            [theta, multipliers, w, t]
@@ -32,10 +34,11 @@ from .model import Dataset, DualPoint, FiniteRegion, Scenario
 __all__ = [
     "DerivedConstants",
     "ProblemData",
+    "CutPool",
     "derive_constants",
     "build_master",
     "build_exchange_master",
-    "build_enumeration",
+    "enumeration_cuts",
     "master_interior_point",
     "exchange_interior_point",
     "split_master_solution",
@@ -162,53 +165,100 @@ class ProblemData:
         return np.concatenate([np.full(m, 1.0 / m), [self.radius]])
 
 
-def _scenario_is_anchor(data, cut):
-    """Seed cuts sit at the observed sample itself, which may fall
-    outside its class region; those are always admissible because they
-    cost nothing to transport."""
-    xi = data.dataset.features[cut.sample_index]
-    return cut.point.shape == xi.shape and np.allclose(cut.point, xi, atol=1e-12, rtol=0.0)
+class CutPool:
+    """The cuts of one problem, stored as row-aligned arrays.
 
+    Cut j belongs to sample ``samples[j]``, sits at ``points[j]``, lies
+    at L1 distance ``dists[j]`` from that sample's features and was born
+    at master margin ``births[j]``.  A cut is checked once, when it is
+    added.  Two cuts are duplicates when they belong to the same sample
+    and their points agree after rounding to ten decimal places.
+    """
 
-def _validate_cuts(data, cuts):
-    for cut in cuts:
-        if not 0 <= cut.sample_index < data.m:
-            raise ValueError(f"cut sample index {cut.sample_index} out of range")
-        if cut.label != int(data.dataset.labels[cut.sample_index]):
+    def __init__(self, data):
+        self.data = data
+        self.samples = np.empty(0, dtype=int)
+        self.points = np.empty((0, data.dataset.n))
+        self.dists = np.empty(0)
+        self.births = np.empty(0)
+        self._keys = set()
+
+    @staticmethod
+    def _key(sample, point):
+        return (int(sample), tuple(float(v) for v in np.round(point, 10)))
+
+    def add(self, scenario, margin_at_birth=np.inf):
+        """Check and append one cut; returns False for a duplicate."""
+        data = self.data
+        i, point = scenario.sample_index, scenario.point
+        if not 0 <= i < data.m:
+            raise ValueError(f"cut sample index {i} out of range")
+        if scenario.label != int(data.dataset.labels[i]):
             raise ValueError("cut label does not match its sample")
-        region = data.regions[cut.label]
-        if not region.contains(cut.point) and not _scenario_is_anchor(data, cut):
+        if point.shape != (data.dataset.n,):
+            raise ValueError(f"cut point has shape {point.shape}, "
+                             f"the dataset has {data.dataset.n} features")
+        offset = np.abs(point - data.dataset.features[i])
+        # the observed sample itself is admissible even outside its class
+        # region: it costs nothing to transport
+        if not data.regions[scenario.label].contains(point) and not np.all(offset <= 1e-12):
             raise ValueError("cut point lies outside its class region")
+        key = self._key(i, point)
+        if key in self._keys:
+            return False
+        self._keys.add(key)
+        self.samples = np.append(self.samples, i)
+        self.points = np.vstack([self.points, point])
+        self.dists = np.append(self.dists, np.sum(offset))
+        self.births = np.append(self.births, margin_at_birth)
+        return True
+
+    def drop(self, mask):
+        """Remove the cuts where ``mask`` holds; returns how many."""
+        mask = np.asarray(mask, dtype=bool)
+        for i, point in zip(self.samples[mask], self.points[mask]):
+            self._keys.discard(self._key(i, point))
+        keep = ~mask
+        self.samples, self.points = self.samples[keep], self.points[keep]
+        self.dists, self.births = self.dists[keep], self.births[keep]
+        return int(np.count_nonzero(mask))
+
+    def values(self, theta, multipliers):
+        """Each cut's constraint value: its loss minus its sample's
+        multiplier minus the budget multiplier times its distance."""
+        labels = self.data.dataset.labels[self.samples]
+        h = self.data.loss.evaluate_many(theta, self.points, labels)
+        return h - multipliers[self.samples] - multipliers[-1] * self.dists
+
+    def __len__(self):
+        return self.samples.size
 
 
-def _cut_rows(data, cuts, dim, theta_ofs, mult_ofs, w_ofs=None):
-    """Softplus rows for loss cuts in a program of dimension ``dim``."""
+def _cut_rows(data, pool, dim, w_ofs=None):
+    """Softplus rows for the pool's cuts in a program of dimension ``dim``
+    whose variables start with [theta, multipliers]."""
     n_theta = data.theta_size
-    k = len(cuts)
+    k = len(pool)
+    sign = 2.0 * data.dataset.labels[pool.samples] - 1.0
     curves = np.zeros((k, dim))
+    curves[:, 0] = -sign
+    curves[:, 1:n_theta] = -sign[:, None] * pool.points
     linear = np.zeros((k, dim))
-    for j, cut in enumerate(cuts):
-        sign = 2.0 * cut.label - 1.0
-        curves[j, theta_ofs] = -sign
-        curves[j, theta_ofs + 1 : theta_ofs + n_theta] = -sign * cut.point
-        linear[j, mult_ofs + cut.sample_index] = -1.0
-        dist = float(np.sum(np.abs(cut.point - data.dataset.features[cut.sample_index])))
-        linear[j, mult_ofs + data.m] = -dist
-        if w_ofs is not None:
-            linear[j, w_ofs] = data.derived.centering_bound
+    linear[np.arange(k), n_theta + pool.samples] = -1.0
+    linear[:, n_theta + data.m] = -pool.dists
+    if w_ofs is not None:
+        linear[:, w_ofs] = data.derived.centering_bound
     return SoftplusConstraints(curves, linear)
 
 
-def build_master(data, cuts, cap):
-    """Centered master: maximize w under the cut set and objective cap.
+def build_master(data, pool, cap):
+    """Centered master: maximize w under the pool's cuts and objective cap.
 
     Variables are [theta, multipliers, w, t].  ``cap`` is the current
     strict upper bound on the dual objective; it must lie between the
     loss lower bound (below which the program has no feasible point
     with non-negative margin) and the overall objective cap.
     """
-    cuts = list(cuts)
-    _validate_cuts(data, cuts)
     der = data.derived
     if cap < der.loss_lower:
         raise ValueError("objective cap lies below the loss lower bound: "
@@ -236,19 +286,17 @@ def build_master(data, cuts, cap):
     level[1, t_ofs] = -1.0
     level[1, w_ofs] = der.centering_bound
     blocks = [LinearConstraints(level, np.array([-cap, 0.0]))]
-    if cuts:
-        blocks.append(_cut_rows(data, cuts, dim, 0, n_theta, w_ofs))
+    if len(pool):
+        blocks.append(_cut_rows(data, pool, dim, w_ofs))
     return ConvexProgram(objective, lower, upper, blocks)
 
 
-def build_exchange_master(data, cuts):
-    """Plain master: minimize the dual objective under a finite cut set.
+def build_exchange_master(data, pool):
+    """Plain master: minimize the dual objective under the pool's cuts.
 
     Variables are [theta, multipliers]; the solver maximizes, so the
     objective coefficients enter negated.
     """
-    cuts = list(cuts)
-    _validate_cuts(data, cuts)
     n_theta = data.theta_size
     dim = n_theta + data.m + 1
     objective = np.zeros(dim)
@@ -257,37 +305,34 @@ def build_exchange_master(data, cuts):
     lower = np.concatenate([data.theta_lower, mult_lo])
     upper = np.concatenate([data.theta_upper, mult_hi])
     blocks = []
-    if cuts:
-        blocks.append(_cut_rows(data, cuts, dim, 0, n_theta))
+    if len(pool):
+        blocks.append(_cut_rows(data, pool, dim))
     return ConvexProgram(objective, lower, upper, blocks)
 
 
 def enumeration_cuts(data):
-    """Every (sample, region point) pair as a cut; finite regions only.
+    """A pool of every (sample, region point) pair; finite regions only.
 
     Each sample's own observation joins its list when the region does
     not already contain it: staying put is always admissible.
     """
-    cuts = []
-    for i in range(data.m):
-        region = data.region_for_sample(i)
-        if not isinstance(region, FiniteRegion):
-            raise ValueError("full enumeration needs finite regions")
-        label = int(data.dataset.labels[i])
-        for point in region.points:
-            cuts.append(Scenario(point, i, label))
-        if not region.contains(data.dataset.features[i]):
-            cuts.append(Scenario(data.dataset.features[i], i, label))
-    if len(cuts) > ENUMERATION_BUDGET:
+    regions = [data.region_for_sample(i) for i in range(data.m)]
+    if not all(isinstance(region, FiniteRegion) for region in regions):
+        raise ValueError("full enumeration needs finite regions")
+    feats = data.dataset.features
+    atoms = [not region.contains(x) for region, x in zip(regions, feats)]
+    count = sum(len(region.points) for region in regions) + sum(atoms)
+    if count > ENUMERATION_BUDGET:
         raise ValueError(
-            f"enumeration would create {len(cuts)} constraints, "
+            f"enumeration would create {count} constraints, "
             f"budget is {ENUMERATION_BUDGET}"
         )
-    return cuts
-
-
-def build_enumeration(data):
-    return build_exchange_master(data, enumeration_cuts(data))
+    pool = CutPool(data)
+    for i, region in enumerate(regions):
+        label = int(data.dataset.labels[i])
+        for point in list(region.points) + ([feats[i]] if atoms[i] else []):
+            pool.add(Scenario(point, i, label))
+    return pool
 
 
 def _interior_multipliers(data):
@@ -309,21 +354,15 @@ def exchange_interior_point(data):
     return np.concatenate([_interior_theta(data), _interior_multipliers(data)])
 
 
-def master_interior_point(data, cuts, cap):
+def master_interior_point(data, pool, cap):
     """A strictly feasible start for the centered master."""
     der = data.derived
     theta = _interior_theta(data)
     mult = _interior_multipliers(data)
     f_val = float(data.objective_coefficients() @ mult)
-    worst_cut = -np.inf
-    feats = data.dataset.features
-    for cut in cuts:
-        h = data.loss.evaluate(theta, cut.point, cut.label)
-        dist = float(np.sum(np.abs(cut.point - feats[cut.sample_index])))
-        worst_cut = max(worst_cut, h - mult[cut.sample_index] - mult[-1] * dist)
     w_cap = (cap - f_val) / (1.0 + der.centering_bound)
-    if np.isfinite(worst_cut):
-        w_cap = min(w_cap, -worst_cut / der.centering_bound)
+    if len(pool):
+        w_cap = min(w_cap, -np.max(pool.values(theta, mult)) / der.centering_bound)
     w = w_cap - max(1.0, 0.5 * abs(w_cap))
     t = 0.5 * ((f_val + der.centering_bound * w) + (cap - w))
     return np.concatenate([theta, mult, [w, t]])

@@ -30,9 +30,10 @@ import numpy as np
 from . import convex
 from .model import DualPoint, Scenario, objective_f
 from .reformulate import (
-    build_enumeration,
+    CutPool,
     build_exchange_master,
     build_master,
+    enumeration_cuts,
     exchange_interior_point,
     master_interior_point,
     split_dual_solution,
@@ -41,8 +42,6 @@ from .reformulate import (
 from .separation import best_violation, separate_exact
 
 __all__ = [
-    "Cut",
-    "CutPool",
     "IterationRecord",
     "SolveTrace",
     "solve_nominal",
@@ -52,53 +51,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class Cut:
-    scenario: Scenario
-    margin_at_birth: float
-
-
-class CutPool:
-    """Ordered cut collection with duplicate detection.
-
-    Two cuts are duplicates when they belong to the same sample and
-    their points agree after rounding to ten decimal places.
-    """
-
-    def __init__(self):
-        self._cuts = []
-        self._keys = set()
-
-    @staticmethod
-    def _key(scenario):
-        rounded = np.round(scenario.point, 10)
-        return (scenario.sample_index, tuple(float(v) for v in rounded))
-
-    def add(self, scenario, margin_at_birth=np.inf):
-        key = self._key(scenario)
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        self._cuts.append(Cut(scenario, margin_at_birth))
-        return True
-
-    def scenarios(self):
-        return [cut.scenario for cut in self._cuts]
-
-    def drop_where(self, predicate):
-        """Remove cuts for which predicate(cut) holds; returns the count."""
-        keep, dropped = [], 0
-        for cut in self._cuts:
-            if predicate(cut):
-                self._keys.discard(self._key(cut.scenario))
-                dropped += 1
-            else:
-                keep.append(cut)
-        self._cuts = keep
-        return dropped
-
-    def __len__(self):
-        return len(self._cuts)
+# version of the JSON-lines layout ``SolveTrace.write_jsonl`` writes
+TRACE_SCHEMA = 1
 
 
 @dataclass
@@ -112,6 +66,8 @@ class IterationRecord:
     cuts_dropped: int
     cut_count: int
     best_objective: float | None
+    newton_steps: int
+    kkt_residual: float
     master_seconds: float
     separation_seconds: float
 
@@ -145,10 +101,14 @@ class SolveTrace:
         return out
 
     def write_jsonl(self, path):
+        """One JSON object per iteration, then a "done" line; every line
+        carries the schema version ``TRACE_SCHEMA``."""
         with open(path, "w") as fh:
             for record in self.records:
-                fh.write(json.dumps({"event": "iteration", **asdict(record)}) + "\n")
-            fh.write(json.dumps({"event": "done", **self.summary()}) + "\n")
+                line = {"schema": TRACE_SCHEMA, "event": "iteration", **asdict(record)}
+                fh.write(json.dumps(line) + "\n")
+            line = {"schema": TRACE_SCHEMA, "event": "done", **self.summary()}
+            fh.write(json.dumps(line) + "\n")
 
 
 # outer iterations before a solver reports ``iteration_limit``
@@ -165,10 +125,12 @@ class _Clock:
         return time.perf_counter() if self.enabled else 0.0
 
 
-def _atom_scenarios(data):
-    """One zero-cost scenario per sample: the observation itself."""
-    return [Scenario(data.dataset.features[i], i, int(data.dataset.labels[i]))
-            for i in range(data.m)]
+def _atom_pool(data):
+    """One zero-cost cut per sample: the observation itself."""
+    pool = CutPool(data)
+    for i, (point, label) in enumerate(zip(data.dataset.features, data.dataset.labels)):
+        pool.add(Scenario(point, i, int(label)))
+    return pool
 
 
 def solve_nominal(data):
@@ -179,7 +141,7 @@ def solve_nominal(data):
     optimum is the average loss.  The value is that loss evaluated at
     theta, so the budget multiplier's residue does not enter it.
     """
-    program = build_exchange_master(data, _atom_scenarios(data))
+    program = build_exchange_master(data, _atom_pool(data))
     report = convex.solve(program, exchange_interior_point(data))
     if report.status != convex.OPTIMAL:
         raise RuntimeError(f"nominal problem failed to solve: {report.status}")
@@ -195,7 +157,7 @@ def solve_full_enumeration(data):
     Only for finite regions within the enumeration budget; serves as the
     ground-truth oracle for the iterative solvers.
     """
-    program = build_enumeration(data)
+    program = build_exchange_master(data, enumeration_cuts(data))
     report = convex.solve(program, exchange_interior_point(data))
     if report.status != convex.OPTIMAL:
         raise RuntimeError(f"enumeration failed to solve: {report.status}")
@@ -216,12 +178,12 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
     clock = _Clock(capture_timing)
     start = clock.now()
     trace = SolveTrace(algorithm="exchange")
-    pool = CutPool()
+    pool = CutPool(data)
     x0 = exchange_interior_point(data)
     point = None
     for k in range(MAX_ITERATIONS + 1):
         t0 = clock.now()
-        program = build_exchange_master(data, pool.scenarios())
+        program = build_exchange_master(data, pool)
         report = convex.solve(program, x0)
         t1 = clock.now()
         if report.status != convex.OPTIMAL:
@@ -241,7 +203,8 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
             iteration=k, margin=None, cap=None,
             objective=-report.objective, violation=sep.violation,
             cuts_added=added, cuts_dropped=0, cut_count=len(pool),
-            best_objective=None,
+            best_objective=None, newton_steps=report.iterations,
+            kkt_residual=report.kkt_residual,
             master_seconds=t1 - t0, separation_seconds=t2 - t1,
         ))
         if sep.violation <= 0.5 * eps:
@@ -291,9 +254,7 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
     theta0, _, _ = solve_nominal(data)
     trace.master_seconds += clock.now() - t0
 
-    pool = CutPool()
-    for scenario in _atom_scenarios(data):
-        pool.add(scenario)
+    pool = _atom_pool(data)
 
     incumbent = DualPoint(theta0, np.zeros(data.m + 1))
     cap = der.objective_cap
@@ -301,9 +262,8 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
 
     for k in range(1, max_iterations + 1):
         t0 = clock.now()
-        scenarios = pool.scenarios()
-        program = build_master(data, scenarios, cap)
-        hint = master_interior_point(data, scenarios, cap)
+        program = build_master(data, pool, cap)
+        hint = master_interior_point(data, pool, cap)
         report = convex.solve(program, hint)
         t1 = clock.now()
         trace.master_seconds += t1 - t0
@@ -317,6 +277,7 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
                 objective=objective_f(point, data.radius), violation=None,
                 cuts_added=0, cuts_dropped=0, cut_count=len(pool),
                 best_objective=cap if certified else None,
+                newton_steps=report.iterations, kkt_residual=report.kkt_residual,
                 master_seconds=t1 - t0, separation_seconds=0.0,
             ))
             trace.status = "optimal"
@@ -347,25 +308,16 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
             # added above, so removing rows that are strictly slack at
             # this iterate cannot enlarge the next margin
             if drop_cuts:
-                feats = data.dataset.features
-                bound = der.centering_bound
-
-                def stale(cut):
-                    if not cut.margin_at_birth >= alpha * margin:
-                        return False
-                    s = cut.scenario
-                    h = data.loss.evaluate(point.theta, s.point, s.label)
-                    dist = float(np.sum(np.abs(s.point - feats[s.sample_index])))
-                    g = h - point.multipliers[s.sample_index] - point.multipliers[-1] * dist
-                    return g + bound * margin < 0.0
-
-                dropped = pool.drop_where(stale)
+                g = pool.values(point.theta, point.multipliers)
+                dropped = pool.drop((pool.births >= alpha * margin)
+                                    & (g + der.centering_bound * margin < 0.0))
 
         trace.records.append(IterationRecord(
             iteration=k, margin=margin, cap=cap,
             objective=objective_f(point, data.radius), violation=worst,
             cuts_added=added, cuts_dropped=dropped, cut_count=len(pool),
             best_objective=cap if certified else None,
+            newton_steps=report.iterations, kkt_residual=report.kkt_residual,
             master_seconds=t1 - t0, separation_seconds=t2 - t1,
         ))
         if stalled:

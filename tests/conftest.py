@@ -44,6 +44,14 @@ def finite_problem(seed, m=5, n=2, extra_points=4, radius=0.1,
                                    theta_radius=theta_radius)
 
 
+def cut_pool(data, scenarios):
+    """A cut pool holding ``scenarios``, added in order."""
+    pool = wr.CutPool(data)
+    for scenario in scenarios:
+        pool.add(scenario)
+    return pool
+
+
 def random_dual_point(data, seed):
     """Strictly interior multiplier draw with a bounded random theta."""
     rng = np.random.default_rng(seed)

@@ -238,14 +238,54 @@ def test_separate_debug_writes_csv_file(tmp_path, capsys):
     assert len(rows) > 1
 
 
-def test_separate_debug_rejects_bad_inputs(tmp_path):
+def test_separate_debug_rejects_bad_inputs(tmp_path, capsys):
     data = dataset_csv(tmp_path, seed=41, m=10)
-    with pytest.raises(SystemExit):
-        main(["separate-debug", "--data", str(data), "--label-column", "label",
-              "--sample-index", "99"])
-    with pytest.raises(SystemExit):
-        main(["separate-debug", "--data", str(data), "--label-column", "label",
-              "--sample-index", "0", "--theta", "1.0,2.0"])
+    code = main(["separate-debug", "--data", str(data), "--label-column", "label",
+                 "--sample-index", "99"])
+    assert code == 2
+    assert "--sample-index 99 out of range (m=10)" in capsys.readouterr().err
+    code = main(["separate-debug", "--data", str(data), "--label-column", "label",
+                 "--sample-index", "0", "--theta", "1.0,2.0"])
+    assert code == 2
+    assert "--theta needs 3 values (intercept first), got 2" in capsys.readouterr().err
+
+
+FIT = ["fit", "--data", "{csv}", "--label-column", "label"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (FIT + ["--theta-radius", "0"], "theta_radius must be positive, got 0.0"),
+    (["fit", "--data", "{bad_csv}", "--label-column", "label"],
+     "bad.csv:3: non-numeric field"),
+    (["fit", "--data", "{missing}", "--label-column", "label"],
+     "No such file or directory"),
+    (["solve", "--instance", "{no_radius}"], "no_radius.json has no radius"),
+    (["solve", "--instance", "{negative_radius}"], "radius must be positive"),
+    (FIT + ["--eps", "-1"], "eps must be positive"),
+    (FIT + ["--r0", "-1"], "radius must be non-negative"),
+    (["separate-debug", "--data", "{csv}", "--label-column", "label",
+      "--sample-index", "9"], "--sample-index 9 out of range (m=4)"),
+], ids=["theta-radius-0", "non-numeric-field", "missing-csv", "instance-without-radius",
+        "negative-radius", "negative-eps", "negative-r0", "sample-index-9"])
+def test_bad_input_exits_2_naming_the_problem(tmp_path, capsys, argv, message):
+    csv_path = dataset_csv(tmp_path, seed=43, m=4)
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("x0,x1,label\n0.5,1.0,1\nabc,0.0,0\n")
+    _, payload = solve_instance(tmp_path)
+    paths = {"csv": csv_path, "bad_csv": bad_csv, "missing": tmp_path / "absent.csv"}
+    for name, radius in (("no_radius", None), ("negative_radius", -1.0)):
+        instance = {key: value for key, value in payload.items() if key != "radius"}
+        if radius is not None:
+            instance["radius"] = radius
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(instance))
+    out = tmp_path / "out.file"
+    args = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"wassrobust {args[0]}: error: ")
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_unknown_command_exits(capsys):

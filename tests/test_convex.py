@@ -20,7 +20,7 @@ from wassrobust.convex import (
 )
 from wassrobust.reformulate import build_master, master_interior_point
 
-from conftest import box_problem
+from conftest import box_problem, cut_pool
 
 
 def lp_vertex_optimum(c, coeffs, offsets, lower, upper):
@@ -205,8 +205,9 @@ def test_each_point_is_evaluated_once():
     cuts = [Scenario(feats[i], i, int(labels[i])) for i in range(data.m)]
     cuts += [Scenario(r.upper, i, int(labels[i])) for i, r in enumerate(regions)]
     cuts += [Scenario(r.lower, i, int(labels[i])) for i, r in enumerate(regions)]
+    pool = cut_pool(data, cuts)
     cap = data.derived.objective_cap
-    prog = build_master(data, cuts, cap)
+    prog = build_master(data, pool, cap)
     values, jacobians = collections.Counter(), collections.Counter()
 
     def counted(method, counter):
@@ -217,7 +218,7 @@ def test_each_point_is_evaluated_once():
 
     prog.constraint_values = counted(prog.constraint_values, values)
     prog.constraint_jacobian = counted(prog.constraint_jacobian, jacobians)
-    report = solve(prog, master_interior_point(data, cuts, cap))
+    report = solve(prog, master_interior_point(data, pool, cap))
     assert report.status == OPTIMAL
     assert max(values.values()) == 1
     assert max(jacobians.values()) == 1

@@ -1,0 +1,24 @@
+"""The demos run to completion against the current API.
+
+``04_experiment_protocol.py`` is left out: it runs the full repeated
+experiment and takes about 24 s.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ["01_robust_vs_plain.py", "02_solver_trace.py", "03_transport_profile.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

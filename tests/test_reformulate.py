@@ -1,4 +1,4 @@
-"""Derived constants and the three program builders."""
+"""Derived constants, the cut pool and the program builders."""
 
 import math
 
@@ -8,18 +8,19 @@ import scipy.optimize
 
 from wassrobust import (
     BoxRegion,
+    CutPool,
     Dataset,
     FiniteRegion,
     LogisticLoss,
     ProblemData,
     Scenario,
+    constraint_g,
     derive_constants,
     objective_f,
 )
 from wassrobust import convex
 from wassrobust.solvers import solve_nominal
 from wassrobust.reformulate import (
-    build_enumeration,
     build_exchange_master,
     build_master,
     enumeration_cuts,
@@ -29,7 +30,7 @@ from wassrobust.reformulate import (
     split_master_solution,
 )
 
-from conftest import box_problem
+from conftest import box_problem, cut_pool, random_dual_point
 
 
 def one_point_problem(radius=1.0, theta_radius=10.0):
@@ -117,10 +118,10 @@ def test_master_hand_optimum_single_atom_cut():
     """
     data = one_point_problem()
     der = data.derived
-    cut = Scenario(np.array([0.0]), 0, 1)
+    pool = cut_pool(data, [Scenario(np.array([0.0]), 0, 1)])
     cap = der.objective_cap
-    program = build_master(data, [cut], cap)
-    report = convex.solve(program, x0=master_interior_point(data, [cut], cap))
+    program = build_master(data, pool, cap)
+    report = convex.solve(program, x0=master_interior_point(data, pool, cap))
     assert report.status == convex.OPTIMAL
     expected = (cap - der.loss_lower) / (1.0 + 2.0 * der.centering_bound)
     assert report.objective == pytest.approx(expected, rel=1e-6)
@@ -131,8 +132,8 @@ def test_master_hand_optimum_single_atom_cut():
 
 def test_exchange_hand_optimum_single_atom_cut():
     data = one_point_problem()
-    cut = Scenario(np.array([0.0]), 0, 1)
-    program = build_exchange_master(data, [cut])
+    pool = cut_pool(data, [Scenario(np.array([0.0]), 0, 1)])
+    program = build_exchange_master(data, pool)
     report = convex.solve(program, x0=exchange_interior_point(data))
     assert report.status == convex.OPTIMAL
     point = split_dual_solution(data, report.solution)
@@ -144,11 +145,11 @@ def test_exchange_hand_optimum_single_atom_cut():
 
 def test_master_cap_validation():
     data = one_point_problem()
-    cut = Scenario(np.array([0.0]), 0, 1)
+    pool = cut_pool(data, [Scenario(np.array([0.0]), 0, 1)])
     with pytest.raises(ValueError, match="below the loss lower bound"):
-        build_master(data, [cut], data.derived.loss_lower - 0.5)
+        build_master(data, pool, data.derived.loss_lower - 0.5)
     with pytest.raises(ValueError, match="exceeds"):
-        build_master(data, [cut], data.derived.objective_cap + 0.5)
+        build_master(data, pool, data.derived.objective_cap + 0.5)
 
 
 def test_cut_validation_and_anchor_exemption():
@@ -156,34 +157,25 @@ def test_cut_validation_and_anchor_exemption():
     labels = data.dataset.labels
     i = 0
     region = data.region_for_sample(i)
+    pool = CutPool(data)
     good = Scenario(region.clip(data.dataset.features[i] + 100.0), i, int(labels[i]))
-    build_exchange_master(data, [good])
+    assert pool.add(good)
     outside = Scenario(region.upper + 1.0, i, int(labels[i]))
     with pytest.raises(ValueError, match="outside"):
-        build_exchange_master(data, [outside])
+        pool.add(outside)
     wrong_label = Scenario(region.clip(np.zeros(2)), i, 1 - int(labels[i]))
     with pytest.raises(ValueError, match="label"):
-        build_exchange_master(data, [wrong_label])
+        pool.add(wrong_label)
     with pytest.raises(ValueError, match="out of range"):
-        build_exchange_master(data, [Scenario(np.zeros(2), 99, 0)])
+        pool.add(Scenario(np.zeros(2), 99, 0))
+    with pytest.raises(ValueError, match="shape"):
+        pool.add(Scenario(np.zeros(3), i, int(labels[i])))
+    assert len(pool) == 1
     # the observed sample itself is fine even when it sits outside its box
     feats = data.dataset.features
     for i in range(data.m):
-        anchor = Scenario(feats[i], i, int(labels[i]))
-        build_exchange_master(data, [anchor])
-
-
-def test_duplicate_cut_changes_nothing():
-    data = box_problem(5, m=8, n=2)
-    feats = data.dataset.features
-    labels = data.dataset.labels
-    cuts = [Scenario(feats[i], i, int(labels[i])) for i in range(4)]
-    base = convex.solve(build_exchange_master(data, cuts),
-                        x0=exchange_interior_point(data))
-    doubled = convex.solve(build_exchange_master(data, cuts + [cuts[0]]),
-                           x0=exchange_interior_point(data))
-    assert base.status == doubled.status == convex.OPTIMAL
-    assert abs(base.objective - doubled.objective) <= 1e-9
+        assert pool.add(Scenario(feats[i], i, int(labels[i])))
+    assert len(pool) == 1 + data.m
 
 
 def test_nominal_hand_instances():
@@ -233,16 +225,17 @@ def test_interior_points_are_strictly_feasible():
         data = box_problem(seed + 60, m=10, n=2)
         feats = data.dataset.features
         labels = data.dataset.labels
-        cuts = [Scenario(feats[i], i, int(labels[i])) for i in range(data.m)]
+        pool = cut_pool(data, [Scenario(feats[i], i, int(labels[i]))
+                               for i in range(data.m)])
 
-        prog = build_exchange_master(data, cuts)
+        prog = build_exchange_master(data, pool)
         x0 = exchange_interior_point(data)
         assert np.max(prog.constraint_values(x0)) < 0
         assert np.all(x0 > prog.lower) and np.all(x0 < prog.upper)
 
         cap = data.derived.objective_cap
-        progm = build_master(data, cuts, cap)
-        xm = master_interior_point(data, cuts, cap)
+        progm = build_master(data, pool, cap)
+        xm = master_interior_point(data, pool, cap)
         assert np.max(progm.constraint_values(xm)) < 0
         finite_lo = np.isfinite(progm.lower)
         finite_hi = np.isfinite(progm.upper)
@@ -255,17 +248,49 @@ def test_enumeration_cuts_cover_atoms_and_respect_budget():
     regions = {0: FiniteRegion(np.array([[0.5]]), 0),
                1: FiniteRegion(np.array([[1.0], [2.0]]), 1)}
     data = ProblemData.assemble(ds, regions, radius=0.1)
-    cuts = enumeration_cuts(data)
+    pool = enumeration_cuts(data)
     # sample 0: region point 0.5 plus its own atom 0.0; sample 1: region only
-    got = sorted((c.sample_index, float(c.point[0])) for c in cuts)
-    assert got == [(0, 0.0), (0, 0.5), (1, 1.0), (1, 2.0)]
-    build_enumeration(data)
+    got = sorted(zip(pool.samples.tolist(), pool.points[:, 0].tolist(),
+                     pool.dists.tolist()))
+    assert got == [(0, 0.0, 0.0), (0, 0.5, 0.5), (1, 1.0, 0.0), (1, 2.0, 1.0)]
+    build_exchange_master(data, pool)
 
     big = {0: FiniteRegion(np.ones((10001, 1)) * 0.5, 0),
            1: FiniteRegion(np.array([[1.0]]), 1)}
     data_big = ProblemData.assemble(ds, big, radius=0.1)
-    with pytest.raises(ValueError, match="budget|enumeration"):
+    # 10,001 + 1 region points and sample 0's atom, counted before any cut is built
+    with pytest.raises(ValueError, match="create 10003 constraints, budget is 10000"):
         enumeration_cuts(data_big)
+
+
+def test_master_rows_match_constraint_g():
+    """Each cut row of both masters, at random points, against
+    ``constraint_g``, which shares no code with the row builder."""
+    rng = np.random.default_rng(5)
+    for seed in range(4):
+        data = box_problem(seed + 70, m=8, n=3)
+        feats, labels = data.dataset.features, data.dataset.labels
+        cuts = []
+        for i in range(data.m):
+            region = data.region_for_sample(i)
+            corner = np.where(rng.random(data.dataset.n) < 0.5, region.lower, region.upper)
+            inside = rng.uniform(region.lower, region.upper)
+            cuts += [Scenario(p, i, int(labels[i])) for p in (feats[i], corner, inside)]
+        pool = cut_pool(data, cuts)
+        assert len(pool) == len(cuts)
+        (exchange_rows,) = build_exchange_master(data, pool).blocks
+        _, master_rows = build_master(data, pool, data.derived.objective_cap).blocks
+        for k in range(5):
+            x = random_dual_point(data, 100 * seed + k)
+            w = rng.normal()
+            g = np.array([constraint_g(x, c.sample_index, c, data.loss, data.dataset)
+                          for c in cuts])
+            assert np.allclose(pool.values(x.theta, x.multipliers), g, rtol=0.0, atol=1e-12)
+            vec = np.concatenate([x.theta, x.multipliers])
+            assert np.allclose(exchange_rows.values(vec), g, rtol=0.0, atol=1e-12)
+            got = master_rows.values(np.concatenate([vec, [w, rng.normal()]]))
+            assert np.allclose(got, g + data.derived.centering_bound * w,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_split_round_trips():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wassrobust import (
     BoxRegion,
@@ -21,8 +23,17 @@ from wassrobust import (
 from conftest import box_problem, finite_problem
 
 
+def pool_problem():
+    """Samples 0 and 1 in class 1, sample 2 in class 0; both regions are
+    the box [-2, 2]^2."""
+    ds = Dataset.from_arrays(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]), [1, 1, 0])
+    regions = {label: BoxRegion(np.full(2, -2.0), np.full(2, 2.0), label)
+               for label in (0, 1)}
+    return ProblemData.assemble(ds, regions, radius=0.5)
+
+
 def test_cut_pool_deduplicates_by_rounded_point():
-    pool = CutPool()
+    pool = CutPool(pool_problem())
     a = Scenario(np.array([0.5, 1.0]), 0, 1)
     assert pool.add(a)
     assert not pool.add(Scenario(np.array([0.5, 1.0]), 0, 1))
@@ -35,14 +46,66 @@ def test_cut_pool_deduplicates_by_rounded_point():
 
 
 def test_cut_pool_drop_allows_readding():
-    pool = CutPool()
-    s = Scenario(np.array([1.0]), 0, 0)
+    pool = CutPool(pool_problem())
+    s = Scenario(np.array([1.0, 1.0]), 2, 0)
     pool.add(s, margin_at_birth=0.5)
-    assert pool.drop_where(lambda cut: cut.margin_at_birth == 0.5) == 1
+    assert pool.drop(pool.births == 0.5) == 1
     assert len(pool) == 0
     assert pool.add(s, margin_at_birth=0.25)
-    assert pool.drop_where(lambda cut: cut.margin_at_birth == 0.5) == 0
-    assert pool.drop_where(lambda cut: cut.margin_at_birth == 0.25) == 1
+    assert pool.drop(pool.births == 0.5) == 0
+    assert pool.drop(pool.births == 0.25) == 1
+
+
+_POOL_DATA = box_problem(6, m=6, n=2)  # both class boxes have positive width
+# an add picks (sample, grid cell, birth margin): cell c is the point
+# (c // 3, c % 3) / 2 of the sample's class box, so repeats are common
+_POOL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(0, _POOL_DATA.m - 1), st.integers(0, 8),
+              st.floats(0.0, 1.0)),
+    st.tuples(st.just("drop"), st.integers(0, 2**30)),
+), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POOL_OPS)
+def test_cut_pool_arrays_stay_aligned(ops):
+    data = _POOL_DATA
+    feats, labels = data.dataset.features, data.dataset.labels
+
+    def scenario(i, cell):
+        region = data.region_for_sample(i)
+        frac = np.array([cell // 3, cell % 3]) / 2.0
+        return Scenario(region.lower + frac * (region.upper - region.lower), i,
+                        int(labels[i]))
+
+    pool = CutPool(data)
+    rows = []  # (sample, cell, birth) of each pooled cut, in order
+    for op in ops:
+        if op[0] == "add":
+            _, i, cell, birth = op
+            fresh = all((i, cell) != row[:2] for row in rows)
+            assert pool.add(scenario(i, cell), margin_at_birth=birth) == fresh
+            if fresh:
+                rows.append((i, cell, birth))
+        else:
+            mask = np.array([(op[1] >> j) & 1 for j in range(len(rows))], dtype=bool)
+            assert pool.drop(mask) == mask.sum()
+            rows = [row for row, gone in zip(rows, mask) if not gone]
+        k = len(rows)
+        assert len(pool) == k
+        assert pool.points.shape == (k, 2)
+        assert pool.samples.tolist() == [row[0] for row in rows]
+        assert pool.births.tolist() == [row[2] for row in rows]
+        expected = [scenario(i, cell).point for i, cell, _ in rows]
+        assert np.array_equal(pool.points, np.reshape(expected, (k, 2)))
+        l1 = np.abs(pool.points - feats[pool.samples]).sum(axis=1)
+        assert pool.dists.shape == (k,)
+        assert np.allclose(pool.dists, l1, rtol=0.0, atol=1e-12)
+    # every dropped cut can be added again
+    pool.drop(np.ones(len(rows), dtype=bool))
+    assert len(pool) == 0
+    for i, cell, birth in rows:
+        assert pool.add(scenario(i, cell), margin_at_birth=birth)
 
 
 def test_nominal_on_single_point_instance():
@@ -193,10 +256,14 @@ def test_trace_jsonl_round_trip(tmp_path):
     point, trace = solve_cutting_surface(data, 1e-5, trace_path=str(path))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == trace.iterations + 1
+    assert all(line["schema"] == 1 for line in lines)
     for rec, line in zip(trace.records, lines):
         assert line["event"] == "iteration"
         assert line["iteration"] == rec.iteration
         assert line["cut_count"] == rec.cut_count
+        assert line["newton_steps"] == rec.newton_steps > 0
+        assert line["kkt_residual"] == rec.kkt_residual
+        assert 0.0 <= rec.kkt_residual <= 1e-6
     done = lines[-1]
     assert done["event"] == "done"
     assert done["status"] == trace.status
