@@ -18,7 +18,7 @@ from .model import (
     objective_f,
 )
 from .losses import LogisticLoss
-from .convex import ConvexProgram, SolveReport, solve
+from .convex import SolveReport, solve
 from .reformulate import CutPool, DerivedConstants, ProblemData, derive_constants
 from .separation import (
     SeparationResult,

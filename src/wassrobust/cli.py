@@ -98,6 +98,10 @@ def _cmd_fit(args):
 def _region_from_payload(payload, label):
     if "points" in payload:
         return FiniteRegion(np.asarray(payload["points"], dtype=float), label)
+    missing = [f'"{key}"' for key in ("lower", "upper") if key not in payload]
+    if missing:
+        raise ValueError(f'region {label} needs "points" or "lower" and "upper"; '
+                         f"it has no {' or '.join(missing)}")
     return BoxRegion(np.asarray(payload["lower"], dtype=float),
                      np.asarray(payload["upper"], dtype=float), label)
 

@@ -1,10 +1,13 @@
-"""Interior-point solver for smooth convex programs over boxes.
+"""Interior-point solver for the master programs of the cutting schemes.
 
-Programs have the form
+Both masters share one shape.  Over the variables [theta, s, beta] (the
+plain master) or [theta, s, beta, w, t] (the centered master) they
 
     maximize   c . x
-    subject to g_j(x) <= 0        (smooth convex rows, grouped in blocks)
-               lower <= x <= upper (entries may be infinite)
+    subject to level @ x + level_offsets <= 0         (centered master only)
+               softplus(curves[j] . theta) - s[samples[j]]
+                   - dists[j] * beta + w_coeff * w <= 0      (one row per cut)
+               lower <= x <= upper                    (entries may be infinite)
 
 The solver follows the log-barrier central path, driven in primal-dual
 form: Newton steps on the perturbed optimality system with one
@@ -16,7 +19,9 @@ tolerances near 1e-8 in double precision; a pure primal barrier loses
 those digits in its merit function once the barrier weight is large.
 The barrier weight decreases by a fixed factor of 10 per step.
 
-Constraint blocks supply values, Jacobians, and weighted Hessians.
+A cut row touches theta through its curve, one s entry, beta and w, so
+``MasterProgram`` never forms the dense Jacobian: it supplies J^T lam,
+J dx and the Newton matrix from the cut arrays.
 
 Everything here is deterministic: identical inputs produce identical
 reports, bit for bit.
@@ -29,12 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .losses import sigmoid, softplus
-
 __all__ = [
-    "LinearConstraints",
-    "SoftplusConstraints",
-    "ConvexProgram",
+    "MasterProgram",
     "SolveReport",
     "solve",
     "OPTIMAL",
@@ -45,88 +46,59 @@ OPTIMAL = "optimal"
 ITERATION_LIMIT = "iteration_limit"
 
 
-class LinearConstraints:
-    """Rows ``coeffs @ x + offsets <= 0``."""
+class _Scores:
+    """The cut scores z of one point and exp(-|z|).  Their sigmoid is
+    formed from that same exp on first use: only points whose Jacobian
+    is used need it."""
 
-    def __init__(self, coeffs, offsets):
-        self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        self.offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-        if self.coeffs.shape[0] != self.offsets.size:
-            raise ValueError("row count mismatch between coeffs and offsets")
-
-    @property
-    def rows(self):
-        return self.offsets.size
+    def __init__(self, z, e):
+        self.z, self.e, self._sigmoid = z, e, None
 
     @property
-    def dim(self):
-        return self.coeffs.shape[1]
-
-    def values(self, x):
-        return self.coeffs @ x + self.offsets
-
-    def jacobian(self, x):
-        return self.coeffs
-
-    def curvature(self, x, weights):
-        return None
+    def sigmoid(self):
+        if self._sigmoid is None:
+            self._sigmoid = np.where(self.z >= 0.0, 1.0, self.e) / (1.0 + self.e)
+        return self._sigmoid
 
 
-class SoftplusConstraints:
-    """Rows ``softplus(curve @ x) + linear @ x <= 0``.
+class MasterProgram:
+    """A master program read from its cut arrays; the objective is maximized.
 
-    Each row couples one softplus of a linear score with an extra linear
-    term; this is exactly the shape of a loss-based cut.
+    Cut j has the score vector ``curves[j]`` over theta (n_theta entries),
+    the s entry ``samples[j]`` and the beta coefficient ``-dists[j]``.
+    The centered master gives every cut the w coefficient ``w_coeff``
+    and adds the two dense ``level`` rows, which come first.  Without
+    ``w_coeff`` the layout is [theta, s, beta]; with it, [theta, s, beta,
+    w, t].
     """
 
-    def __init__(self, curves, linear):
-        self.curves = np.atleast_2d(np.asarray(curves, dtype=float))
-        self.linear = np.atleast_2d(np.asarray(linear, dtype=float))
-        if self.curves.shape != self.linear.shape:
-            raise ValueError("shape mismatch between curve and linear parts")
-
-    @property
-    def rows(self):
-        return self.curves.shape[0]
-
-    @property
-    def dim(self):
-        return self.curves.shape[1]
-
-    def values(self, x):
-        return softplus(self.curves @ x) + self.linear @ x
-
-    def jacobian(self, x):
-        sig = sigmoid(self.curves @ x)
-        return sig[:, None] * self.curves + self.linear
-
-    def curvature(self, x, weights):
-        sig = sigmoid(self.curves @ x)
-        w = weights * sig * (1.0 - sig)
-        return (self.curves * w[:, None]).T @ self.curves
-
-
-@dataclass
-class ConvexProgram:
-    """A smooth convex program over a box; the objective is maximized."""
-
-    objective: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    blocks: list
-
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        d = self.objective.size
-        if self.lower.shape != (d,) or self.upper.shape != (d,):
-            raise ValueError("box bounds must match the objective dimension")
-        if np.any(self.lower >= self.upper):
-            raise ValueError("box must have positive width in every dimension")
-        for block in self.blocks:
-            if getattr(block, "dim", d) != d:
-                raise ValueError("constraint block dimension mismatch")
+    def __init__(self, objective, lower, upper, curves, samples, dists,
+                 w_coeff=None, level=None, level_offsets=None):
+        self.objective, self.lower, self.upper = objective, lower, upper
+        self.curves, self.samples = curves, samples
+        dim, k = objective.size, samples.size
+        n_theta = curves.shape[1]
+        if w_coeff is None:
+            level, level_offsets = np.zeros((0, dim)), np.zeros(0)
+        self.level, self.level_offsets = level, level_offsets
+        self.m = m = dim - n_theta - (1 if w_coeff is None else 3)
+        self._theta, self._s, self._rest = (slice(0, n_theta), slice(n_theta, n_theta + m),
+                                            slice(n_theta + m, dim))
+        self._s_cols = n_theta + samples
+        # the border is every variable but s: theta, then beta, w, t
+        border = np.r_[0:n_theta, n_theta + m : dim]
+        self._border_block = np.ix_(border, border)
+        # flat positions in the (m, dim) rows of s: each cut's border
+        # columns, then its own s column
+        self._s_bins = np.concatenate([(samples[:, None] * dim + border).ravel(),
+                                       samples * dim + self._s_cols])
+        self._diag = np.diag_indices(dim)
+        # each cut's row over the border; the theta part depends on x
+        self._border_rows = np.zeros((k, border.size))
+        self._border_rows[:, n_theta] = -dists
+        if w_coeff is not None:
+            self._border_rows[:, n_theta + 1] = w_coeff
+        self._tail = self._border_rows[:, n_theta:]
 
     @property
     def dim(self):
@@ -134,28 +106,59 @@ class ConvexProgram:
 
     @property
     def constraint_rows(self):
-        return sum(block.rows for block in self.blocks)
+        return self.level_offsets.size + self.samples.size
 
-    def constraint_values(self, x):
-        if not self.blocks:
-            return np.empty(0)
-        return np.concatenate([block.values(x) for block in self.blocks])
+    def evaluate(self, x):
+        """(row values, cut scores) at ``x``."""
+        z = self.curves @ x[self._theta]
+        e = np.exp(-np.abs(z))
+        cuts = np.maximum(z, 0.0) + np.log1p(e) \
+            + (self._tail @ x[self._rest] - x[self._s_cols])
+        if self.level_offsets.size:
+            cuts = np.concatenate([self.level @ x + self.level_offsets, cuts])
+        return cuts, _Scores(z, e)
 
-    def constraint_jacobian(self, x):
-        if not self.blocks:
-            return np.empty((0, self.dim))
-        return np.vstack([block.jacobian(x) for block in self.blocks])
+    def transpose_times(self, scores, lam):
+        """J^T lam, for the Jacobian J at the point with cut scores ``scores``."""
+        r = self.level_offsets.size
+        lam_cut = lam[r:]
+        out = np.concatenate([self.curves.T @ (lam_cut * scores.sigmoid),
+                              -np.bincount(self.samples, lam_cut, minlength=self.m),
+                              self._tail.T @ lam_cut])
+        return self.level.T @ lam[:r] + out if r else out
 
-    def weighted_curvature(self, x, weights):
-        """sum_j weights_j * hessian(g_j), accumulated across blocks."""
-        total = None
-        ofs = 0
-        for block in self.blocks:
-            part = block.curvature(x, weights[ofs : ofs + block.rows])
-            ofs += block.rows
-            if part is not None:
-                total = part if total is None else total + part
-        return total
+    def times(self, scores, dx):
+        """J dx, for the Jacobian J at the point with cut scores ``scores``."""
+        cuts = scores.sigmoid * (self.curves @ dx[self._theta]) + self._tail @ dx[self._rest] \
+            - dx[self._s_cols]
+        return np.concatenate([self.level @ dx, cuts]) if self.level_offsets.size else cuts
+
+    def newton_matrix(self, scores, lam, weights, box_diag):
+        """J^T diag(weights) J + sum_j lam_j hess(g_j) + diag(box_diag).
+
+        The level rows enter densely.  Each cut adds its border row's
+        outer product and its curvature to the border block, and its
+        Jacobian row, scaled by -weight, to the row of its s entry; the
+        columns of s mirror those rows.
+        """
+        r = self.level_offsets.size
+        th, s = self._theta, self._s
+        sig = scores.sigmoid
+        w_cut = weights[r:]
+        rows = self._border_rows
+        np.multiply(sig[:, None], self.curves, out=rows[:, th])
+        weighted = rows * w_cut[:, None]
+        block = rows.T @ weighted
+        block[th, th] += (self.curves.T * (lam[r:] * sig * (1.0 - sig))) @ self.curves
+        hess = np.zeros((self.dim, self.dim))
+        hess[self._border_block] = block
+        hess[s] = np.bincount(self._s_bins, np.concatenate([-weighted.ravel(), w_cut]),
+                              minlength=self.m * self.dim).reshape(self.m, -1)
+        hess[:, s] = hess[s].T
+        if r:
+            hess += (self.level.T * weights[:r]) @ self.level
+        hess[self._diag] += box_diag
+        return hess
 
 
 @dataclass
@@ -165,6 +168,8 @@ class SolveReport:
     status: str
     kkt_residual: float
     iterations: int
+    # Cholesky retries with a ridge on the diagonal, summed over the steps
+    ridges: int
 
 
 _RIDGE_TRIES = 8
@@ -174,25 +179,26 @@ _SHRINK = 0.1
 
 def _solve_spd(hess, rhs):
     """Solve hess @ d = rhs for a (near) positive definite hess; a failed
-    Cholesky factorization is retried with a growing ridge on the diagonal."""
+    Cholesky factorization is retried with a growing ridge on the diagonal.
+    Returns d and the number of retries."""
     n = hess.shape[0]
     scale = max(1.0, float(np.trace(hess)) / n)
     ridges = [0.0] + [scale * 10.0 ** (k - 12) for k in range(_RIDGE_TRIES - 1)]
-    for ridge in ridges:
+    for tries, ridge in enumerate(ridges):
         H = hess if ridge == 0.0 else hess + ridge * np.eye(n)
         try:
             factor = scipy.linalg.cho_factor(H, check_finite=False)
         except scipy.linalg.LinAlgError:
             continue
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False), tries
     raise scipy.linalg.LinAlgError(
         f"Newton matrix of size {n}x{n} is not positive definite, "
         f"even with a ridge of {ridges[-1]:.3g} on its diagonal")
 
 
 def _check_start(program, x):
-    """The constraint values at ``x``; raise ValueError naming the first
-    bound or row that ``x`` does not satisfy strictly."""
+    """``program.evaluate(x)``; raise ValueError naming the first bound or
+    row that ``x`` does not satisfy strictly."""
     if x.shape != (program.dim,):
         raise ValueError(f"start point has shape {x.shape}, expected ({program.dim},)")
     outside = np.flatnonzero(~((program.lower < x) & (x < program.upper)))
@@ -200,39 +206,42 @@ def _check_start(program, x):
         j = int(outside[0])
         raise ValueError(f"start point is not strictly inside the box: x[{j}] = {x[j]} "
                          f"for bounds [{program.lower[j]}, {program.upper[j]}]")
-    g = program.constraint_values(x)
+    g, scores = program.evaluate(x)
     bad = np.flatnonzero(~(g < 0.0))
     if bad.size:
         raise ValueError(f"start point is not strictly feasible: constraint row "
                          f"{int(bad[0])} has value {g[bad[0]]}, which must be negative")
-    return g
+    return g, scores
 
 
-def _pd_solve(program, tol, x, g, count, max_iters):
-    """Primal-dual interior steps from a strictly feasible x with row values g.
+def _pd_solve(program, tol, x, g, scores, count, max_iters):
+    """Primal-dual interior steps from a strictly feasible x with row values g
+    and cut scores ``scores``.
 
     ``count`` is the number of log terms: rows plus finite bounds.
-    Returns (x, status, kkt_residual, iterations).  Terminates when both
-    the complementarity sum and the dual residual norm drop below half
-    the tolerance; their sum is the reported optimality measure.
+    Returns (x, status, kkt_residual, iterations, ridges).  Terminates
+    when both the complementarity sum and the dual residual norm drop
+    below half the tolerance; their sum is the reported optimality
+    measure.
 
     Each point is evaluated once.  A trial point gets its row values,
-    and its Jacobian only once a trial has been strictly feasible; the
-    accepted trial's values and Jacobian carry into the next step.
+    and J^T lam only once a trial has been strictly feasible; the
+    accepted trial's evaluation carries into the next step.
     """
     c = program.objective
     lo, hi = program.lower, program.upper
     lo_idx = np.flatnonzero(np.isfinite(lo))
     hi_idx = np.flatnonzero(np.isfinite(hi))
     dim = program.dim
+    ridges = 0
 
     def slacks(x, g):
         return -g, x[lo_idx] - lo[lo_idx], hi[hi_idx] - x[hi_idx]
 
-    def dual_residual(jac, lam_row, lam_lo, lam_hi):
-        r = -c + jac.T @ lam_row
-        np.subtract.at(r, lo_idx, lam_lo)
-        np.add.at(r, hi_idx, lam_hi)
+    def dual_residual(scores, lam_row, lam_lo, lam_hi):
+        r = program.transpose_times(scores, lam_row) - c
+        r[lo_idx] -= lam_lo
+        r[hi_idx] += lam_hi
         return r
 
     def residual_norm(r_dual, s_row, s_lo, s_hi, lam_row, lam_lo, lam_hi, mu):
@@ -241,35 +250,32 @@ def _pd_solve(program, tol, x, g, count, max_iters):
             lam_lo * s_lo - mu,
             lam_hi * s_hi - mu,
         ])
-        return float(np.sqrt(np.sum(r_dual**2) + np.sum(r_cent**2)))
+        return float(np.sqrt((r_dual**2).sum() + (r_cent**2).sum()))
 
     s_row, s_lo, s_hi = slacks(x, g)
     lam_row, lam_lo, lam_hi = 1.0 / s_row, 1.0 / s_lo, 1.0 / s_hi
-    jac = program.constraint_jacobian(x)
-    r_dual = dual_residual(jac, lam_row, lam_lo, lam_hi)
+    r_dual = dual_residual(scores, lam_row, lam_lo, lam_hi)
 
     for it in range(1, max_iters + 1):
         gap = float(s_row @ lam_row + s_lo @ lam_lo + s_hi @ lam_hi)
         dual_norm = float(np.linalg.norm(r_dual))
         if gap <= 0.5 * tol and dual_norm <= 0.5 * tol:
-            return x, OPTIMAL, gap + dual_norm, it - 1
+            return x, OPTIMAL, gap + dual_norm, it - 1, ridges
         mu = max(_SHRINK * gap / count, 1e-300)
 
-        hess = (jac * (lam_row / s_row)[:, None]).T @ jac
-        curv = program.weighted_curvature(x, lam_row)
-        if curv is not None:
-            hess += curv
-        diag = np.zeros(dim)
-        np.add.at(diag, lo_idx, lam_lo / s_lo)
-        np.add.at(diag, hi_idx, lam_hi / s_hi)
-        hess[np.diag_indices(dim)] += diag
+        box_diag = np.zeros(dim)
+        box_diag[lo_idx] = lam_lo / s_lo
+        box_diag[hi_idx] += lam_hi / s_hi
+        hess = program.newton_matrix(scores, lam_row, lam_row / s_row, box_diag)
 
-        rhs = c - jac.T @ (mu / s_row)
-        np.add.at(rhs, lo_idx, mu / s_lo)
-        np.subtract.at(rhs, hi_idx, mu / s_hi)
-        dx = _solve_spd(hess, rhs)
+        rhs = c - program.transpose_times(scores, mu / s_row)
+        rhs[lo_idx] += mu / s_lo
+        rhs[hi_idx] -= mu / s_hi
+        dx, tries = _solve_spd(hess, rhs)
+        ridges += tries
 
-        dlam_row = (mu - lam_row * s_row) / s_row + (lam_row / s_row) * (jac @ dx)
+        dlam_row = (mu - lam_row * s_row) / s_row \
+            + (lam_row / s_row) * program.times(scores, dx)
         dlam_lo = (mu - lam_lo * s_lo) / s_lo - (lam_lo / s_lo) * dx[lo_idx]
         dlam_hi = (mu - lam_hi * s_hi) / s_hi + (lam_hi / s_hi) * dx[hi_idx]
 
@@ -278,8 +284,8 @@ def _pd_solve(program, tol, x, g, count, max_iters):
         for vec, dvec in ((lam_row, dlam_row), (lam_lo, dlam_lo), (lam_hi, dlam_hi),
                           (s_lo, dx[lo_idx]), (s_hi, -dx[hi_idx])):
             neg = dvec < 0
-            if np.any(neg):
-                alpha = min(alpha, 0.99 * float(np.min(-vec[neg] / dvec[neg])))
+            if neg.any():
+                alpha = min(alpha, 0.99 * float((-vec[neg] / dvec[neg]).min()))
         # halve the step until the rows are strictly negative and the
         # residual norm falls; the rows are convex and x is strictly
         # feasible, so once a trial is feasible every shorter one is too
@@ -287,13 +293,12 @@ def _pd_solve(program, tol, x, g, count, max_iters):
         feasible = False
         while alpha > 1e-14:
             x_new = x + alpha * dx
-            g_new = program.constraint_values(x_new)
-            feasible = feasible or bool(np.all(g_new < 0.0))
+            g_new, scores_new = program.evaluate(x_new)
+            feasible = feasible or bool((g_new < 0.0).all())
             if feasible:
-                jac_new = program.constraint_jacobian(x_new)
                 lams_new = (lam_row + alpha * dlam_row, lam_lo + alpha * dlam_lo,
                             lam_hi + alpha * dlam_hi)
-                r_new = dual_residual(jac_new, *lams_new)
+                r_new = dual_residual(scores_new, *lams_new)
                 slacks_new = slacks(x_new, g_new)
                 if residual_norm(r_new, *slacks_new, *lams_new, mu) \
                         <= (1.0 - 0.01 * alpha) * base:
@@ -302,12 +307,12 @@ def _pd_solve(program, tol, x, g, count, max_iters):
         else:
             # stuck at numerical precision; report what we have
             return x, (OPTIMAL if gap + dual_norm <= tol else ITERATION_LIMIT), \
-                gap + dual_norm, it
-        x, jac, r_dual = x_new, jac_new, r_new
+                gap + dual_norm, it, ridges
+        x, scores, r_dual = x_new, scores_new, r_new
         s_row, s_lo, s_hi = slacks_new
         lam_row, lam_lo, lam_hi = lams_new
     gap = float(s_row @ lam_row + s_lo @ lam_lo + s_hi @ lam_hi)
-    return x, ITERATION_LIMIT, gap, max_iters
+    return x, ITERATION_LIMIT, gap, max_iters, ridges
 
 
 def solve(program, x0, tol=1e-8, max_newton=200):
@@ -322,9 +327,8 @@ def solve(program, x0, tol=1e-8, max_newton=200):
         raise ValueError("tol must be positive")
     count = (program.constraint_rows + int(np.sum(np.isfinite(program.lower)))
              + int(np.sum(np.isfinite(program.upper))))
-    if count == 0:
-        raise ValueError("program has no constraints or finite bounds: unbounded")
     x = np.asarray(x0, dtype=float)
-    g = _check_start(program, x)
-    x, status, kkt, iters = _pd_solve(program, tol, x, g, count, max_newton)
-    return SolveReport(x, float(program.objective @ x), status, kkt, iters)
+    g, scores = _check_start(program, x)
+    x, status, kkt, iters, ridges = _pd_solve(program, tol, x, g, scores, count,
+                                              max_newton)
+    return SolveReport(x, float(program.objective @ x), status, kkt, iters, ridges)

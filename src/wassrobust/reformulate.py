@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexProgram, LinearConstraints, SoftplusConstraints
+from .convex import MasterProgram
 from .losses import LogisticLoss
 from .model import Dataset, DualPoint, FiniteRegion, Scenario
 
@@ -54,7 +54,6 @@ class DerivedConstants:
 
     loss_lower / loss_upper     range of the loss over parameters and regions
     grad_bound                  strict bound on the loss gradient norm in theta
-    transport_diameter          largest L1 move any sample's region allows
     centering_bound             Lipschitz-type constant used by the centered master
     objective_cap               strict upper bound on the optimal dual value
     multiplier_upper            upper box bound for the per-sample multipliers
@@ -66,7 +65,6 @@ class DerivedConstants:
     loss_lower: float
     loss_upper: float
     grad_bound: float
-    transport_diameter: float
     centering_bound: float
     objective_cap: float
     multiplier_upper: float
@@ -101,7 +99,6 @@ def derive_constants(dataset, regions, loss, radius, theta_lower, theta_upper):
         loss_lower=float(lo),
         loss_upper=float(hi),
         grad_bound=float(grad_bound),
-        transport_diameter=float(diameter),
         centering_bound=float(centering),
         objective_cap=float(hi + 1.0),
         multiplier_upper=float((m + 1) * hi - m * lo),
@@ -234,21 +231,12 @@ class CutPool:
         return self.samples.size
 
 
-def _cut_rows(data, pool, dim, w_ofs=None):
-    """Softplus rows for the pool's cuts in a program of dimension ``dim``
-    whose variables start with [theta, multipliers]."""
-    n_theta = data.theta_size
-    k = len(pool)
+def _curves(data, pool):
+    """Each cut's score vector over theta: the loss of cut j is
+    softplus(curves[j] . theta)."""
     sign = 2.0 * data.dataset.labels[pool.samples] - 1.0
-    curves = np.zeros((k, dim))
-    curves[:, 0] = -sign
-    curves[:, 1:n_theta] = -sign[:, None] * pool.points
-    linear = np.zeros((k, dim))
-    linear[np.arange(k), n_theta + pool.samples] = -1.0
-    linear[:, n_theta + data.m] = -pool.dists
-    if w_ofs is not None:
-        linear[:, w_ofs] = data.derived.centering_bound
-    return SoftplusConstraints(curves, linear)
+    ones = np.ones((len(pool), 1))
+    return np.concatenate([ones, pool.points], axis=1) * -sign[:, None]
 
 
 def build_master(data, pool, cap):
@@ -285,10 +273,9 @@ def build_master(data, pool, cap):
     level[1, n_theta : n_theta + m + 1] = data.objective_coefficients()
     level[1, t_ofs] = -1.0
     level[1, w_ofs] = der.centering_bound
-    blocks = [LinearConstraints(level, np.array([-cap, 0.0]))]
-    if len(pool):
-        blocks.append(_cut_rows(data, pool, dim, w_ofs))
-    return ConvexProgram(objective, lower, upper, blocks)
+    return MasterProgram(objective, lower, upper, _curves(data, pool), pool.samples,
+                         pool.dists, w_coeff=der.centering_bound, level=level,
+                         level_offsets=np.array([-cap, 0.0]))
 
 
 def build_exchange_master(data, pool):
@@ -304,10 +291,8 @@ def build_exchange_master(data, pool):
     mult_lo, mult_hi = data.multiplier_box()
     lower = np.concatenate([data.theta_lower, mult_lo])
     upper = np.concatenate([data.theta_upper, mult_hi])
-    blocks = []
-    if len(pool):
-        blocks.append(_cut_rows(data, pool, dim))
-    return ConvexProgram(objective, lower, upper, blocks)
+    return MasterProgram(objective, lower, upper, _curves(data, pool), pool.samples,
+                         pool.dists)
 
 
 def enumeration_cuts(data):

@@ -52,7 +52,7 @@ __all__ = [
 
 
 # version of the JSON-lines layout ``SolveTrace.write_jsonl`` writes
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 
 
 @dataclass
@@ -68,6 +68,8 @@ class IterationRecord:
     best_objective: float | None
     newton_steps: int
     kkt_residual: float
+    # Cholesky retries with a ridge in the master solve
+    ridges: int
     master_seconds: float
     separation_seconds: float
 
@@ -204,7 +206,7 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
             objective=-report.objective, violation=sep.violation,
             cuts_added=added, cuts_dropped=0, cut_count=len(pool),
             best_objective=None, newton_steps=report.iterations,
-            kkt_residual=report.kkt_residual,
+            kkt_residual=report.kkt_residual, ridges=report.ridges,
             master_seconds=t1 - t0, separation_seconds=t2 - t1,
         ))
         if sep.violation <= 0.5 * eps:
@@ -278,6 +280,7 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
                 cuts_added=0, cuts_dropped=0, cut_count=len(pool),
                 best_objective=cap if certified else None,
                 newton_steps=report.iterations, kkt_residual=report.kkt_residual,
+                ridges=report.ridges,
                 master_seconds=t1 - t0, separation_seconds=0.0,
             ))
             trace.status = "optimal"
@@ -318,6 +321,7 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
             cuts_added=added, cuts_dropped=dropped, cut_count=len(pool),
             best_objective=cap if certified else None,
             newton_steps=report.iterations, kkt_residual=report.kkt_residual,
+            ridges=report.ridges,
             master_seconds=t1 - t0, separation_seconds=t2 - t1,
         ))
         if stalled:

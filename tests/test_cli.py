@@ -261,22 +261,31 @@ FIT = ["fit", "--data", "{csv}", "--label-column", "label"]
      "No such file or directory"),
     (["solve", "--instance", "{no_radius}"], "no_radius.json has no radius"),
     (["solve", "--instance", "{negative_radius}"], "radius must be positive"),
+    (["solve", "--instance", "{no_upper}"],
+     'region 1 needs "points" or "lower" and "upper"; it has no "upper"'),
+    (["solve", "--instance", "{empty_region}"],
+     'region 0 needs "points" or "lower" and "upper"; it has no "lower" or "upper"'),
     (FIT + ["--eps", "-1"], "eps must be positive"),
     (FIT + ["--r0", "-1"], "radius must be non-negative"),
     (["separate-debug", "--data", "{csv}", "--label-column", "label",
       "--sample-index", "9"], "--sample-index 9 out of range (m=4)"),
 ], ids=["theta-radius-0", "non-numeric-field", "missing-csv", "instance-without-radius",
-        "negative-radius", "negative-eps", "negative-r0", "sample-index-9"])
+        "negative-radius", "region-without-upper", "region-without-points-or-lower",
+        "negative-eps", "negative-r0", "sample-index-9"])
 def test_bad_input_exits_2_naming_the_problem(tmp_path, capsys, argv, message):
     csv_path = dataset_csv(tmp_path, seed=43, m=4)
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("x0,x1,label\n0.5,1.0,1\nabc,0.0,0\n")
     _, payload = solve_instance(tmp_path)
     paths = {"csv": csv_path, "bad_csv": bad_csv, "missing": tmp_path / "absent.csv"}
-    for name, radius in (("no_radius", None), ("negative_radius", -1.0)):
-        instance = {key: value for key, value in payload.items() if key != "radius"}
-        if radius is not None:
-            instance["radius"] = radius
+    instances = {
+        "no_radius": {key: value for key, value in payload.items() if key != "radius"},
+        "negative_radius": {**payload, "radius": -1.0},
+        "no_upper": {**payload, "regions": {**payload["regions"],
+                                            "1": {"lower": [-2.0, -2.0]}}},
+        "empty_region": {**payload, "regions": {**payload["regions"], "0": {}}},
+    }
+    for name, instance in instances.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(instance))
     out = tmp_path / "out.file"

@@ -1,194 +1,182 @@
-"""Interior-point kernel against brute-force oracles on small programs."""
+"""Interior-point kernel on small master programs, against oracles that
+share no code with the program."""
 
-import collections
-import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
-from wassrobust import Scenario
-from wassrobust.convex import (
-    ITERATION_LIMIT,
-    OPTIMAL,
-    ConvexProgram,
-    LinearConstraints,
-    SoftplusConstraints,
-    _solve_spd,
-    solve,
+from wassrobust import BoxRegion, CutPool, Dataset, DualPoint, ProblemData, Scenario
+from wassrobust import constraint_g, objective_f
+from wassrobust.convex import ITERATION_LIMIT, OPTIMAL, _solve_spd, solve
+from wassrobust.reformulate import (
+    build_exchange_master,
+    build_master,
+    exchange_interior_point,
+    master_interior_point,
 )
-from wassrobust.reformulate import build_master, master_interior_point
 
 from conftest import box_problem, cut_pool
 
 
-def lp_vertex_optimum(c, coeffs, offsets, lower, upper):
-    """Brute-force LP maximum of c.x s.t. coeffs@x+offsets<=0 over a box.
-
-    Enumerates all basic points (d-subsets of the stacked constraint rows)
-    and keeps the best feasible one.
-    """
-    d = c.size
-    eye = np.eye(d)
-    G = np.vstack([coeffs, eye, -eye])
-    h = np.concatenate([-offsets, upper, -lower])
-    best = None
-    for rows in itertools.combinations(range(G.shape[0]), d):
-        A = G[list(rows)]
-        try:
-            x = np.linalg.solve(A, h[list(rows)])
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(G @ x <= h + 1e-9):
-            val = float(c @ x)
-            if best is None or val > best:
-                best = val
-    return best
-
-
-def random_lp(seed, d=5, rows=8):
-    """Random LP over the box [-3, 3]^d with a strictly feasible ``inner``."""
+def corner_cuts(data, seed):
+    """Each sample's own point and one random corner of its class box."""
     rng = np.random.default_rng(seed)
-    c = rng.normal(size=d)
-    coeffs = rng.normal(size=(rows, d))
-    lower = np.full(d, -3.0)
-    upper = np.full(d, 3.0)
-    inner = rng.uniform(-1.0, 1.0, size=d)
-    offsets = -(coeffs @ inner) - rng.uniform(0.1, 1.0, size=rows)
-    return c, coeffs, offsets, lower, upper, inner
+    feats, labels = data.dataset.features, data.dataset.labels
+    cuts = []
+    for i in range(data.m):
+        region = data.region_for_sample(i)
+        corner = np.where(rng.random(data.dataset.n) < 0.5, region.lower, region.upper)
+        cuts += [Scenario(feats[i], i, int(labels[i])), Scenario(corner, i, int(labels[i]))]
+    return cuts
 
 
-def test_single_linear_row_hand_case():
-    prog = ConvexProgram(np.array([1.0]), np.array([-5.0]), np.array([5.0]),
-                         [LinearConstraints([[1.0]], [-1.0])])
-    report = solve(prog, np.zeros(1))
+def small_masters(seed, cuts=None):
+    """(data, cuts, [(plain master, start), (centered master, start)]);
+    ``cuts`` are those the pool kept, in its order."""
+    data = box_problem(seed, m=6, n=2)
+    pool = CutPool(data)
+    cuts = [c for c in (corner_cuts(data, seed) if cuts is None else cuts) if pool.add(c)]
+    cap = data.derived.objective_cap
+    return data, cuts, [(build_exchange_master(data, pool), exchange_interior_point(data)),
+                        (build_master(data, pool, cap), master_interior_point(data, pool, cap))]
+
+
+def test_level_rows_hand_case():
+    # over no cuts the centered master keeps its two linear level rows,
+    # t + w <= cap and f - t + B w <= 0, with w and t unbounded: the
+    # multipliers sit at their lower corner, f = loss_lower, and
+    # w* = (cap - loss_lower) / (1 + B)
+    data = box_problem(1, m=6, n=2)
+    der = data.derived
+    pool = CutPool(data)
+    cap = der.objective_cap
+    report = solve(build_master(data, pool, cap), master_interior_point(data, pool, cap))
     assert report.status == OPTIMAL
-    assert report.objective == pytest.approx(1.0, abs=1e-7)
+    assert report.objective == pytest.approx(
+        (cap - der.loss_lower) / (1.0 + der.centering_bound), abs=1e-7)
     assert report.kkt_residual <= 1e-8
 
 
 def test_box_only_optimum_hits_the_corner():
-    c = np.array([2.0, -1.0, 0.5])
-    prog = ConvexProgram(c, np.full(3, -1.0), np.full(3, 4.0), [])
-    report = solve(prog, np.zeros(3))
+    # over no cuts the plain master minimizes the dual objective over the
+    # multiplier box alone: every multiplier at its lower bound
+    data = box_problem(2, m=6, n=2)
+    report = solve(build_exchange_master(data, CutPool(data)), exchange_interior_point(data))
     assert report.status == OPTIMAL
-    assert np.allclose(report.solution, [4.0, -1.0, 4.0], atol=1e-6)
-
-
-def test_lp_sweep_matches_vertex_enumeration():
-    for seed in range(20):
-        c, coeffs, offsets, lower, upper, inner = random_lp(seed)
-        expected = lp_vertex_optimum(c, coeffs, offsets, lower, upper)
-        prog = ConvexProgram(c, lower, upper,
-                             [LinearConstraints(coeffs, offsets)])
-        report = solve(prog, inner)
-        assert report.status == OPTIMAL
-        assert report.objective == pytest.approx(expected, abs=1e-7)
-        vals = prog.constraint_values(report.solution)
-        assert np.max(vals) <= 1e-10
-        assert np.all(report.solution >= lower - 1e-10)
-        assert np.all(report.solution <= upper + 1e-10)
-
-
-def test_adding_a_row_never_improves_the_optimum():
-    for seed in range(10):
-        c, coeffs, offsets, lower, upper, inner = random_lp(seed + 100, rows=6)
-        full = solve(ConvexProgram(c, lower, upper,
-                                   [LinearConstraints(coeffs, offsets)]), inner)
-        part = solve(ConvexProgram(c, lower, upper,
-                                   [LinearConstraints(coeffs[:3], offsets[:3])]), inner)
-        assert full.status == OPTIMAL and part.status == OPTIMAL
-        assert full.objective <= part.objective + 1e-7
-
-
-def test_halving_tolerance_is_consistent():
-    for seed in (0, 1, 2):
-        c, coeffs, offsets, lower, upper, inner = random_lp(seed + 200)
-        prog = ConvexProgram(c, lower, upper,
-                             [LinearConstraints(coeffs, offsets)])
-        v1 = solve(prog, inner, tol=1e-6).objective
-        v2 = solve(prog, inner, tol=5e-7).objective
-        assert abs(v1 - v2) <= 1e-6
-
-
-def test_repeat_solves_are_bitwise_identical():
-    c, coeffs, offsets, lower, upper, inner = random_lp(7)
-    prog = ConvexProgram(c, lower, upper, [LinearConstraints(coeffs, offsets)])
-    a = solve(prog, inner)
-    b = solve(prog, inner)
-    assert np.array_equal(a.solution, b.solution)
-    assert a.objective == b.objective
+    lower, _ = data.multiplier_box()
+    assert np.allclose(report.solution[data.theta_size:], lower, atol=1e-6)
 
 
 def test_softplus_row_hand_case():
-    # maximize x0 subject to softplus(x0) - x1 <= 0 with x1 <= 2:
-    # x1* = 2 and x0* = log(e^2 - 1)
-    block = SoftplusConstraints([[1.0, 0.0]], [[0.0, -1.0]])
-    prog = ConvexProgram(np.array([1.0, 0.0]), np.array([-5.0, -5.0]),
-                         np.array([5.0, 2.0]), [block])
-    report = solve(prog, np.array([0.0, 1.0]))
+    # one sample at x = 1 (label 1) and one cut at x = -1, two away:
+    # softplus(-t0 + t1) - s - 2 beta <= 0 over t in [-2, 2]^2.  The best
+    # theta gives softplus(-4); beta buys s down to its lower bound
+    # softplus(-6) at half a unit per unit of s, which pays at radius 0.5
+    ds = Dataset.from_arrays(np.array([[1.0]]), [1])
+    regions = {1: BoxRegion(np.array([-1.0]), np.array([2.0]), 1)}
+    data = ProblemData.assemble(ds, regions, radius=0.5, theta_radius=2.0)
+    pool = cut_pool(data, [Scenario(np.array([-1.0]), 0, 1)])
+    report = solve(build_exchange_master(data, pool), exchange_interior_point(data))
     assert report.status == OPTIMAL
-    assert report.objective == pytest.approx(math.log(math.exp(2.0) - 1.0), abs=1e-7)
+    low, row = math.log1p(math.exp(-6.0)), math.log1p(math.exp(-4.0))
+    assert -report.objective == pytest.approx(low + 0.25 * (row - low), abs=1e-7)
+
+
+def test_small_masters_match_slsqp():
+    """Plain masters against SLSQP on the same problem written from
+    ``objective_f`` and ``constraint_g``."""
+    for seed in range(5):
+        data, cuts, [(program, x0), _] = small_masters(seed)
+        report = solve(program, x0)
+        assert report.status == OPTIMAL
+        n_theta, loss, ds = data.theta_size, data.loss, data.dataset
+
+        def point(v):
+            return DualPoint(v[:n_theta], v[n_theta:])
+
+        rows = [{"type": "ineq", "fun": lambda v, c=c: -constraint_g(
+            point(v), c.sample_index, c, loss, ds)} for c in cuts]
+        mult_lo, mult_hi = data.multiplier_box()
+        bounds = list(zip(np.concatenate([data.theta_lower, mult_lo]),
+                          np.concatenate([data.theta_upper, mult_hi])))
+        ref = scipy.optimize.minimize(lambda v: objective_f(point(v), data.radius), x0,
+                                      method="SLSQP", bounds=bounds, constraints=rows,
+                                      options={"ftol": 1e-14, "maxiter": 1000})
+        assert ref.success
+        assert -report.objective == pytest.approx(ref.fun, abs=1e-6)
+        got = point(report.solution)
+        assert max(constraint_g(got, c.sample_index, c, loss, ds) for c in cuts) <= 1e-10
+
+
+def test_adding_a_row_never_improves_the_optimum():
+    for seed in range(4):
+        data, cuts, masters = small_masters(10 + seed)
+        _, _, part = small_masters(10 + seed, cuts=cuts[: len(cuts) // 2])
+        for (full_prog, full_x0), (part_prog, part_x0) in zip(masters, part):
+            full, fewer = solve(full_prog, full_x0), solve(part_prog, part_x0)
+            assert full.status == OPTIMAL and fewer.status == OPTIMAL
+            assert full.objective <= fewer.objective + 1e-7
+
+
+def test_halving_tolerance_is_consistent():
+    for seed in (20, 21, 22):
+        for program, x0 in small_masters(seed)[2]:
+            v1 = solve(program, x0, tol=1e-6).objective
+            v2 = solve(program, x0, tol=5e-7).objective
+            assert abs(v1 - v2) <= 1e-6
+
+
+def test_repeat_solves_are_bitwise_identical():
+    for program, x0 in small_masters(7)[2]:
+        a, b = solve(program, x0), solve(program, x0)
+        assert np.array_equal(a.solution, b.solution)
+        assert a.objective == b.objective
 
 
 def test_infeasible_program_is_reported():
-    # x <= -1 against the box [0, 2]: every start inside the box breaks row 0
-    prog = ConvexProgram(np.array([1.0]), np.array([0.0]), np.array([2.0]),
-                         [LinearConstraints([[1.0]], [1.0])])
-    for start in (0.5, 1.0, 1.5):
-        with pytest.raises(ValueError,
-                           match=f"constraint row 0 has value {start + 1.0}"):
-            solve(prog, [start])
+    # a start on the wrong side of a row is reported by that row
+    data, cuts, [(plain, x_plain), (centered, x_centered)] = small_masters(3)
+    n_theta, cap = data.theta_size, data.derived.objective_cap
+    for excess in (0.5, 1.0, 2.0):
+        x = x_centered.copy()
+        x[-1] = cap + excess - x[-2]
+        with pytest.raises(ValueError, match=f"constraint row 0 has value {excess}"):
+            solve(centered, x)
+    # sample 0's own point is cut 0; at theta = 0 its loss is log 2
+    x = x_plain.copy()
+    x[n_theta] = 0.25
+    with pytest.raises(ValueError, match="constraint row 0 has value 0.44"):
+        solve(plain, x)
 
 
 def test_start_that_is_not_strictly_feasible_is_rejected():
-    # x0 <= 1 and x1 <= 2 over the box [0, 3]^2
-    prog = ConvexProgram(np.array([1.0, 1.0]), np.zeros(2), np.full(2, 3.0),
-                         [LinearConstraints(np.eye(2), [-1.0, -2.0])])
-    assert solve(prog, [0.5, 0.5]).objective == pytest.approx(3.0, abs=1e-7)
-    with pytest.raises(ValueError, match=r"x\[0\] = 0\.0 for bounds \[0\.0, 3\.0\]"):
-        solve(prog, [0.0, 0.5])
-    with pytest.raises(ValueError, match=r"x\[1\] = 4\.0 for bounds \[0\.0, 3\.0\]"):
-        solve(prog, [0.5, 4.0])
+    data, _, [(program, x0), _] = small_masters(4)
+    assert solve(program, x0).status == OPTIMAL
+    lo, hi = program.lower, program.upper
+    s0 = data.theta_size
+    for j, value in ((0, lo[0]), (s0, hi[s0]), (s0 + 1, lo[s0 + 1] - 1.0)):
+        x = x0.copy()
+        x[j] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"x[{j}] = {value} for bounds [{lo[j]}, {hi[j]}]")):
+            solve(program, x)
+    x = x0.copy()
+    x[0] = np.nan
     with pytest.raises(ValueError, match=r"x\[0\] = nan"):
-        solve(prog, [np.nan, 0.5])
-    with pytest.raises(ValueError, match="constraint row 1 has value 0.5"):
-        solve(prog, [0.5, 2.5])
-    with pytest.raises(ValueError, match="constraint row 0 has value 0.0"):
-        solve(prog, [1.0, 2.5])
+        solve(program, x)
     with pytest.raises(ValueError, match="shape"):
-        solve(prog, [0.5])
-
-
-def test_half_infinite_box():
-    prog = ConvexProgram(np.array([1.0]), np.array([-np.inf]), np.array([3.0]), [])
-    report = solve(prog, np.zeros(1))
-    assert report.status == OPTIMAL
-    assert report.objective == pytest.approx(3.0, abs=1e-7)
-
-
-def test_unconstrained_nonzero_objective_is_rejected():
-    prog = ConvexProgram(np.array([1.0]), np.array([-np.inf]), np.array([np.inf]), [])
-    with pytest.raises(ValueError):
-        solve(prog, np.zeros(1))
+        solve(program, x0[:-1])
 
 
 def test_iteration_cap_is_honest():
-    c, coeffs, offsets, lower, upper, inner = random_lp(13)
-    prog = ConvexProgram(c, lower, upper, [LinearConstraints(coeffs, offsets)])
-    report = solve(prog, inner, max_newton=1)
-    assert report.status == ITERATION_LIMIT
-
-
-def test_program_validation():
-    with pytest.raises(ValueError):
-        ConvexProgram(np.array([1.0]), np.array([2.0]), np.array([2.0]), [])
-    with pytest.raises(ValueError):
-        LinearConstraints([[1.0, 0.0]], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        ConvexProgram(np.array([1.0, 0.0]), np.full(2, 0.0), np.full(2, 1.0),
-                      [LinearConstraints([[1.0]], [0.0])])
+    for program, x0 in small_masters(13)[2]:
+        report = solve(program, x0, max_newton=1)
+        assert report.status == ITERATION_LIMIT
+        assert report.iterations == 1
 
 
 def test_newton_matrix_that_no_ridge_fixes_raises():
@@ -196,9 +184,66 @@ def test_newton_matrix_that_no_ridge_fixes_raises():
         _solve_spd(np.array([[-1.0]]), np.ones(1))
 
 
+def dense_rows(data, cuts, x, centered):
+    """Jacobian, values and curvature weights of every row at ``x``, from
+    the closed form: cut j of sample i at point p has the value
+    softplus(a . theta) - s_i - |p - x_i|_1 beta (+ B w) with
+    a = -(2y - 1) (1, p); its gradient in theta is sigmoid(a . theta) a
+    and its Hessian sigmoid (1 - sigmoid) a a^T."""
+    n_theta, m = data.theta_size, data.m
+    jac, curv = [], []
+    if centered:
+        w, t = n_theta + m + 1, n_theta + m + 2
+        level = np.zeros((2, x.size))
+        level[0, [w, t]] = 1.0
+        level[1, n_theta : n_theta + m] = 1.0 / m
+        level[1, n_theta + m] = data.radius
+        level[1, t] = -1.0
+        level[1, w] = data.derived.centering_bound
+        jac += list(level)
+        curv += [np.zeros((n_theta, n_theta))] * 2
+    for c in cuts:
+        i = c.sample_index
+        a = -(2.0 * c.label - 1.0) * np.concatenate([[1.0], c.point])
+        sig = 1.0 / (1.0 + math.exp(-float(a @ x[:n_theta])))
+        row = np.zeros(x.size)
+        row[:n_theta] = sig * a
+        row[n_theta + i] = -1.0
+        row[n_theta + m] = -np.abs(c.point - data.dataset.features[i]).sum()
+        if centered:
+            row[n_theta + m + 1] = data.derived.centering_bound
+        jac.append(row)
+        curv.append(sig * (1.0 - sig) * np.outer(a, a))
+    return np.array(jac), curv
+
+
+def test_newton_matrix_matches_dense_closed_form():
+    rng = np.random.default_rng(3)
+    for seed in range(3):
+        data, cuts, masters = small_masters(30 + seed)
+        n_theta = data.theta_size
+        for centered, (program, _) in enumerate(masters):
+            lower = np.where(np.isfinite(program.lower), program.lower, -5.0)
+            upper = np.minimum(np.where(np.isfinite(program.upper), program.upper, 5.0),
+                               lower + 20.0)
+            for _ in range(4):
+                x = rng.uniform(lower, upper)
+                rows = program.constraint_rows
+                lam, weights = rng.uniform(0.1, 5.0, rows), rng.uniform(0.1, 5.0, rows)
+                box = rng.uniform(0.0, 3.0, program.dim)
+                jac, curv = dense_rows(data, cuts, x, centered)
+                expected = jac.T @ (weights[:, None] * jac) + np.diag(box)
+                expected[:n_theta, :n_theta] += sum(l * h for l, h in zip(lam, curv))
+                _, scores = program.evaluate(x)
+                got = program.newton_matrix(scores, lam, weights, box)
+                assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+                jt = program.transpose_times(scores, lam)
+                assert np.abs(jt - jac.T @ lam).max() <= 1e-10 * np.abs(jac.T @ lam).max()
+
+
 def test_each_point_is_evaluated_once():
-    """A master solve asks for each point's row values and Jacobian at
-    most once, and an infeasible trial point gets no Jacobian."""
+    """A master solve evaluates each point once, and only points inside
+    the feasible set have their Jacobian used."""
     data = box_problem(3, m=12, n=3)
     feats, labels = data.dataset.features, data.dataset.labels
     regions = [data.region_for_sample(i) for i in range(data.m)]
@@ -208,18 +253,23 @@ def test_each_point_is_evaluated_once():
     pool = cut_pool(data, cuts)
     cap = data.derived.objective_cap
     prog = build_master(data, pool, cap)
-    values, jacobians = collections.Counter(), collections.Counter()
+    evaluated, feasible, used = {}, {}, set()
+    evaluate, transpose_times = prog.evaluate, prog.transpose_times
 
-    def counted(method, counter):
-        def wrapper(x):
-            counter[x.tobytes()] += 1
-            return method(x)
-        return wrapper
+    def counted_evaluate(x):
+        evaluated[x.tobytes()] = evaluated.get(x.tobytes(), 0) + 1
+        g, scores = evaluate(x)
+        feasible[id(scores)] = (bool(np.all(g < 0.0)), scores)
+        return g, scores
 
-    prog.constraint_values = counted(prog.constraint_values, values)
-    prog.constraint_jacobian = counted(prog.constraint_jacobian, jacobians)
+    def recorded_transpose_times(scores, lam):
+        used.add(id(scores))
+        return transpose_times(scores, lam)
+
+    prog.evaluate = counted_evaluate
+    prog.transpose_times = recorded_transpose_times
     report = solve(prog, master_interior_point(data, pool, cap))
     assert report.status == OPTIMAL
-    assert max(values.values()) == 1
-    assert max(jacobians.values()) == 1
-    assert set(jacobians) < set(values)
+    assert max(evaluated.values()) == 1
+    assert used and all(feasible[key][0] for key in used)
+    assert len(used) < len(evaluated)

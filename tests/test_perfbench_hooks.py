@@ -1,0 +1,71 @@
+"""The benchmark's per-layer hooks still find the library's layer boundaries.
+
+``perfbench/tracing.py`` skips a target it cannot find, so a refactor that
+drops one would only show as a missing span in a benchmark run.  The
+module is imported from its file and left as it is.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from wassrobust import solvers
+from wassrobust.reformulate import build_master, master_interior_point
+
+from conftest import box_problem
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (owner, attribute) of every target behind the convex.*, reformulate.build,
+# reformulate.interior_point and separation.* rows that resolves today
+REQUIRED = {
+    ("wassrobust.convex", "solve"),
+    ("wassrobust.solvers", "build_master"),
+    ("wassrobust.solvers", "build_exchange_master"),
+    ("wassrobust.solvers", "master_interior_point"),
+    ("wassrobust.solvers", "separate_exact"),
+    ("wassrobust.separation", "separate_exact"),
+    ("wassrobust.solvers", "best_violation"),
+    ("wassrobust.separation", "best_violation"),
+}
+
+
+def test_layer_targets_resolve():
+    tracing = load_tracing()
+    rows = ("convex.", "reformulate.build", "reformulate.interior_point", "separation.")
+    behind_rows = {(path, attr) for path, attr, name, _ in tracing.TARGETS
+                   if name.startswith(rows)}
+    assert REQUIRED <= behind_rows
+    with tracing.traced(tracing.Tracer()) as installed:
+        assert REQUIRED <= set(installed)
+
+
+def test_solve_spans_carry_steps_dim_and_rows():
+    tracing = load_tracing()
+    data = box_problem(5, m=6, n=2)
+    pool = solvers._atom_pool(data)
+    cap = data.derived.objective_cap
+    program = build_master(data, pool, cap)
+    x0 = master_interior_point(data, pool, cap)
+    report = solvers.convex.solve(program, x0)
+    assert tracing._describe_solve((program, x0), report) == {
+        "steps": report.iterations, "optimal": True,
+        "dim": program.dim, "rows": program.constraint_rows}
+
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer), tracer.operation(0):
+        solvers.solve_cutting_surface(data, 1e-5)
+    solves = [s for s in tracer.spans if s.name == "convex.solve"]
+    assert solves
+    for span in solves:
+        assert span.attrs["steps"] > 0
+        # the plain master [theta, s, beta] or the centered one, with w and t
+        assert span.attrs["dim"] - (data.theta_size + data.m + 1) in (0, 2)
+        assert span.attrs["rows"] >= data.m

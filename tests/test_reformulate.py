@@ -49,7 +49,7 @@ def test_derived_constants_hand_instance():
     assert der.loss_lower == pytest.approx(c1, abs=1e-15)
     assert der.loss_upper == pytest.approx(c2, abs=1e-15)
     assert der.grad_bound == pytest.approx(1.0 + 1e-6, abs=1e-12)
-    assert der.transport_diameter == 0.0
+    assert data.regions[1].max_l1_distance_from(data.dataset.features[0]) == 0.0
     # radius branch wins: sqrt(1 + 1 + 1) over sqrt(grad^2 + 0 + 1)
     assert der.centering_bound == pytest.approx(math.sqrt(3.0), abs=1e-12)
     assert der.objective_cap == pytest.approx(c2 + 1.0, abs=1e-12)
@@ -68,7 +68,7 @@ def test_centering_bound_takes_the_larger_branch():
     der = data.derived
     grad = math.sqrt(1.0 + 16.0) + 1e-6
     diam = 8.0  # farthest box point from the sample at 0
-    assert der.transport_diameter == diam
+    assert max(regions[1].max_l1_distance_from(x) for x in ds.features) == diam
     assert der.centering_bound == pytest.approx(math.sqrt(grad**2 + diam**2 + 1.0),
                                                 abs=1e-12)
 
@@ -230,13 +230,13 @@ def test_interior_points_are_strictly_feasible():
 
         prog = build_exchange_master(data, pool)
         x0 = exchange_interior_point(data)
-        assert np.max(prog.constraint_values(x0)) < 0
+        assert np.max(prog.evaluate(x0)[0]) < 0
         assert np.all(x0 > prog.lower) and np.all(x0 < prog.upper)
 
         cap = data.derived.objective_cap
         progm = build_master(data, pool, cap)
         xm = master_interior_point(data, pool, cap)
-        assert np.max(progm.constraint_values(xm)) < 0
+        assert np.max(progm.evaluate(xm)[0]) < 0
         finite_lo = np.isfinite(progm.lower)
         finite_hi = np.isfinite(progm.upper)
         assert np.all(xm[finite_lo] > progm.lower[finite_lo])
@@ -278,8 +278,8 @@ def test_master_rows_match_constraint_g():
             cuts += [Scenario(p, i, int(labels[i])) for p in (feats[i], corner, inside)]
         pool = cut_pool(data, cuts)
         assert len(pool) == len(cuts)
-        (exchange_rows,) = build_exchange_master(data, pool).blocks
-        _, master_rows = build_master(data, pool, data.derived.objective_cap).blocks
+        exchange = build_exchange_master(data, pool)
+        master = build_master(data, pool, data.derived.objective_cap)
         for k in range(5):
             x = random_dual_point(data, 100 * seed + k)
             w = rng.normal()
@@ -287,8 +287,9 @@ def test_master_rows_match_constraint_g():
                           for c in cuts])
             assert np.allclose(pool.values(x.theta, x.multipliers), g, rtol=0.0, atol=1e-12)
             vec = np.concatenate([x.theta, x.multipliers])
-            assert np.allclose(exchange_rows.values(vec), g, rtol=0.0, atol=1e-12)
-            got = master_rows.values(np.concatenate([vec, [w, rng.normal()]]))
+            assert np.allclose(exchange.evaluate(vec)[0], g, rtol=0.0, atol=1e-12)
+            # the centered master's two level rows come first
+            got = master.evaluate(np.concatenate([vec, [w, rng.normal()]]))[0][2:]
             assert np.allclose(got, g + data.derived.centering_bound * w,
                                rtol=0.0, atol=1e-12)
 
