@@ -34,6 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .losses import softplus_and_sigmoid
+
 __all__ = [
     "MasterProgram",
     "SolveReport",
@@ -46,42 +48,32 @@ OPTIMAL = "optimal"
 ITERATION_LIMIT = "iteration_limit"
 
 
-class _Scores:
-    """The cut scores z of one point and exp(-|z|).  Their sigmoid is
-    formed from that same exp on first use: only points whose Jacobian
-    is used need it."""
-
-    def __init__(self, z, e):
-        self.z, self.e, self._sigmoid = z, e, None
-
-    @property
-    def sigmoid(self):
-        if self._sigmoid is None:
-            self._sigmoid = np.where(self.z >= 0.0, 1.0, self.e) / (1.0 + self.e)
-        return self._sigmoid
-
-
 class MasterProgram:
     """A master program read from its cut arrays; the objective is maximized.
 
     Cut j has the score vector ``curves[j]`` over theta (n_theta entries),
     the s entry ``samples[j]`` and the beta coefficient ``-dists[j]``.
-    The centered master gives every cut the w coefficient ``w_coeff``
-    and adds the two dense ``level`` rows, which come first.  Without
-    ``w_coeff`` the layout is [theta, s, beta]; with it, [theta, s, beta,
-    w, t].
+    ``centered`` is None for the plain master, over [theta, s, beta].
+    For the centered master, over [theta, s, beta, w, t], it is
+    (w_coeff, level, level_offsets): every cut gets the w coefficient
+    ``w_coeff``, and the two dense ``level`` rows come first.  The plain
+    master has zero level rows.
     """
 
-    def __init__(self, objective, lower, upper, curves, samples, dists,
-                 w_coeff=None, level=None, level_offsets=None):
+    def __init__(self, objective, lower, upper, curves, samples, dists, centered=None):
         self.objective, self.lower, self.upper = objective, lower, upper
         self.curves, self.samples = curves, samples
-        dim, k = objective.size, samples.size
-        n_theta = curves.shape[1]
-        if w_coeff is None:
+        dim, n_theta = objective.size, curves.shape[1]
+        if centered is None:
             level, level_offsets = np.zeros((0, dim)), np.zeros(0)
+            tail = [-dists]
+        else:
+            w_coeff, level, level_offsets = centered
+            tail = [-dists, np.full(samples.size, w_coeff), np.zeros(samples.size)]
         self.level, self.level_offsets = level, level_offsets
-        self.m = m = dim - n_theta - (1 if w_coeff is None else 3)
+        # each cut's coefficients on beta, then w and t
+        self._tail = np.column_stack(tail)
+        self.m = m = dim - n_theta - (1 if centered is None else 3)
         self._theta, self._s, self._rest = (slice(0, n_theta), slice(n_theta, n_theta + m),
                                             slice(n_theta + m, dim))
         self._s_cols = n_theta + samples
@@ -93,12 +85,6 @@ class MasterProgram:
         self._s_bins = np.concatenate([(samples[:, None] * dim + border).ravel(),
                                        samples * dim + self._s_cols])
         self._diag = np.diag_indices(dim)
-        # each cut's row over the border; the theta part depends on x
-        self._border_rows = np.zeros((k, border.size))
-        self._border_rows[:, n_theta] = -dists
-        if w_coeff is not None:
-            self._border_rows[:, n_theta + 1] = w_coeff
-        self._tail = self._border_rows[:, n_theta:]
 
     @property
     def dim(self):
@@ -109,31 +95,29 @@ class MasterProgram:
         return self.level_offsets.size + self.samples.size
 
     def evaluate(self, x):
-        """(row values, cut scores) at ``x``."""
-        z = self.curves @ x[self._theta]
-        e = np.exp(-np.abs(z))
-        cuts = np.maximum(z, 0.0) + np.log1p(e) \
-            + (self._tail @ x[self._rest] - x[self._s_cols])
-        if self.level_offsets.size:
-            cuts = np.concatenate([self.level @ x + self.level_offsets, cuts])
-        return cuts, _Scores(z, e)
+        """(row values, sigmoid of the cut scores) at ``x``."""
+        soft, sig = softplus_and_sigmoid(self.curves @ x[self._theta])
+        cuts = soft + (self._tail @ x[self._rest] - x[self._s_cols])
+        return np.concatenate([self.level @ x + self.level_offsets, cuts]), sig
 
-    def transpose_times(self, scores, lam):
-        """J^T lam, for the Jacobian J at the point with cut scores ``scores``."""
+    def transpose_times(self, sig, lam):
+        """J^T lam, for the Jacobian J at the point whose cut scores have
+        the sigmoid ``sig``."""
         r = self.level_offsets.size
         lam_cut = lam[r:]
-        out = np.concatenate([self.curves.T @ (lam_cut * scores.sigmoid),
-                              -np.bincount(self.samples, lam_cut, minlength=self.m),
-                              self._tail.T @ lam_cut])
-        return self.level.T @ lam[:r] + out if r else out
+        return self.level.T @ lam[:r] + np.concatenate([
+            self.curves.T @ (lam_cut * sig),
+            -np.bincount(self.samples, lam_cut, minlength=self.m),
+            self._tail.T @ lam_cut])
 
-    def times(self, scores, dx):
-        """J dx, for the Jacobian J at the point with cut scores ``scores``."""
-        cuts = scores.sigmoid * (self.curves @ dx[self._theta]) + self._tail @ dx[self._rest] \
+    def times(self, sig, dx):
+        """J dx, for the Jacobian J at the point whose cut scores have the
+        sigmoid ``sig``."""
+        cuts = sig * (self.curves @ dx[self._theta]) + self._tail @ dx[self._rest] \
             - dx[self._s_cols]
-        return np.concatenate([self.level @ dx, cuts]) if self.level_offsets.size else cuts
+        return np.concatenate([self.level @ dx, cuts])
 
-    def newton_matrix(self, scores, lam, weights, box_diag):
+    def newton_matrix(self, sig, lam, weights, box_diag):
         """J^T diag(weights) J + sum_j lam_j hess(g_j) + diag(box_diag).
 
         The level rows enter densely.  Each cut adds its border row's
@@ -143,10 +127,8 @@ class MasterProgram:
         """
         r = self.level_offsets.size
         th, s = self._theta, self._s
-        sig = scores.sigmoid
         w_cut = weights[r:]
-        rows = self._border_rows
-        np.multiply(sig[:, None], self.curves, out=rows[:, th])
+        rows = np.concatenate([sig[:, None] * self.curves, self._tail], axis=1)
         weighted = rows * w_cut[:, None]
         block = rows.T @ weighted
         block[th, th] += (self.curves.T * (lam[r:] * sig * (1.0 - sig))) @ self.curves
@@ -155,8 +137,7 @@ class MasterProgram:
         hess[s] = np.bincount(self._s_bins, np.concatenate([-weighted.ravel(), w_cut]),
                               minlength=self.m * self.dim).reshape(self.m, -1)
         hess[:, s] = hess[s].T
-        if r:
-            hess += (self.level.T * weights[:r]) @ self.level
+        hess += (self.level.T * weights[:r]) @ self.level
         hess[self._diag] += box_diag
         return hess
 
@@ -206,17 +187,17 @@ def _check_start(program, x):
         j = int(outside[0])
         raise ValueError(f"start point is not strictly inside the box: x[{j}] = {x[j]} "
                          f"for bounds [{program.lower[j]}, {program.upper[j]}]")
-    g, scores = program.evaluate(x)
+    g, sig = program.evaluate(x)
     bad = np.flatnonzero(~(g < 0.0))
     if bad.size:
         raise ValueError(f"start point is not strictly feasible: constraint row "
                          f"{int(bad[0])} has value {g[bad[0]]}, which must be negative")
-    return g, scores
+    return g, sig
 
 
-def _pd_solve(program, tol, x, g, scores, count, max_iters):
+def _pd_solve(program, tol, x, g, sig, count, max_iters):
     """Primal-dual interior steps from a strictly feasible x with row values g
-    and cut scores ``scores``.
+    and ``sig``, the sigmoid of its cut scores.
 
     ``count`` is the number of log terms: rows plus finite bounds.
     Returns (x, status, kkt_residual, iterations, ridges).  Terminates
@@ -238,8 +219,8 @@ def _pd_solve(program, tol, x, g, scores, count, max_iters):
     def slacks(x, g):
         return -g, x[lo_idx] - lo[lo_idx], hi[hi_idx] - x[hi_idx]
 
-    def dual_residual(scores, lam_row, lam_lo, lam_hi):
-        r = program.transpose_times(scores, lam_row) - c
+    def dual_residual(sig, lam_row, lam_lo, lam_hi):
+        r = program.transpose_times(sig, lam_row) - c
         r[lo_idx] -= lam_lo
         r[hi_idx] += lam_hi
         return r
@@ -254,7 +235,7 @@ def _pd_solve(program, tol, x, g, scores, count, max_iters):
 
     s_row, s_lo, s_hi = slacks(x, g)
     lam_row, lam_lo, lam_hi = 1.0 / s_row, 1.0 / s_lo, 1.0 / s_hi
-    r_dual = dual_residual(scores, lam_row, lam_lo, lam_hi)
+    r_dual = dual_residual(sig, lam_row, lam_lo, lam_hi)
 
     for it in range(1, max_iters + 1):
         gap = float(s_row @ lam_row + s_lo @ lam_lo + s_hi @ lam_hi)
@@ -266,16 +247,16 @@ def _pd_solve(program, tol, x, g, scores, count, max_iters):
         box_diag = np.zeros(dim)
         box_diag[lo_idx] = lam_lo / s_lo
         box_diag[hi_idx] += lam_hi / s_hi
-        hess = program.newton_matrix(scores, lam_row, lam_row / s_row, box_diag)
+        hess = program.newton_matrix(sig, lam_row, lam_row / s_row, box_diag)
 
-        rhs = c - program.transpose_times(scores, mu / s_row)
+        rhs = c - program.transpose_times(sig, mu / s_row)
         rhs[lo_idx] += mu / s_lo
         rhs[hi_idx] -= mu / s_hi
         dx, tries = _solve_spd(hess, rhs)
         ridges += tries
 
         dlam_row = (mu - lam_row * s_row) / s_row \
-            + (lam_row / s_row) * program.times(scores, dx)
+            + (lam_row / s_row) * program.times(sig, dx)
         dlam_lo = (mu - lam_lo * s_lo) / s_lo - (lam_lo / s_lo) * dx[lo_idx]
         dlam_hi = (mu - lam_hi * s_hi) / s_hi + (lam_hi / s_hi) * dx[hi_idx]
 
@@ -293,12 +274,12 @@ def _pd_solve(program, tol, x, g, scores, count, max_iters):
         feasible = False
         while alpha > 1e-14:
             x_new = x + alpha * dx
-            g_new, scores_new = program.evaluate(x_new)
+            g_new, sig_new = program.evaluate(x_new)
             feasible = feasible or bool((g_new < 0.0).all())
             if feasible:
                 lams_new = (lam_row + alpha * dlam_row, lam_lo + alpha * dlam_lo,
                             lam_hi + alpha * dlam_hi)
-                r_new = dual_residual(scores_new, *lams_new)
+                r_new = dual_residual(sig_new, *lams_new)
                 slacks_new = slacks(x_new, g_new)
                 if residual_norm(r_new, *slacks_new, *lams_new, mu) \
                         <= (1.0 - 0.01 * alpha) * base:
@@ -308,7 +289,7 @@ def _pd_solve(program, tol, x, g, scores, count, max_iters):
             # stuck at numerical precision; report what we have
             return x, (OPTIMAL if gap + dual_norm <= tol else ITERATION_LIMIT), \
                 gap + dual_norm, it, ridges
-        x, scores, r_dual = x_new, scores_new, r_new
+        x, sig, r_dual = x_new, sig_new, r_new
         s_row, s_lo, s_hi = slacks_new
         lam_row, lam_lo, lam_hi = lams_new
     gap = float(s_row @ lam_row + s_lo @ lam_lo + s_hi @ lam_hi)
@@ -328,7 +309,7 @@ def solve(program, x0, tol=1e-8, max_newton=200):
     count = (program.constraint_rows + int(np.sum(np.isfinite(program.lower)))
              + int(np.sum(np.isfinite(program.upper))))
     x = np.asarray(x0, dtype=float)
-    g, scores = _check_start(program, x)
-    x, status, kkt, iters, ridges = _pd_solve(program, tol, x, g, scores, count,
+    g, sig = _check_start(program, x)
+    x, status, kkt, iters, ridges = _pd_solve(program, tol, x, g, sig, count,
                                               max_newton)
     return SolveReport(x, float(program.objective @ x), status, kkt, iters, ridges)

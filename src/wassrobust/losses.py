@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LogisticLoss", "sigmoid", "softplus"]
+__all__ = ["LogisticLoss", "sigmoid", "softplus", "softplus_and_sigmoid"]
 
 
 def softplus(z):
@@ -22,13 +22,14 @@ def softplus(z):
 
 def sigmoid(z):
     """1 / (1 + exp(-z)) computed without overflow."""
+    return softplus_and_sigmoid(z)[1]
+
+
+def softplus_and_sigmoid(z):
+    """softplus(z) and its derivative sigmoid(z), sharing one exp."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.maximum(z, 0.0) + np.log1p(e), np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 class LogisticLoss:

@@ -274,8 +274,8 @@ def build_master(data, pool, cap):
     level[1, t_ofs] = -1.0
     level[1, w_ofs] = der.centering_bound
     return MasterProgram(objective, lower, upper, _curves(data, pool), pool.samples,
-                         pool.dists, w_coeff=der.centering_bound, level=level,
-                         level_offsets=np.array([-cap, 0.0]))
+                         pool.dists,
+                         centered=(der.centering_bound, level, np.array([-cap, 0.0])))
 
 
 def build_exchange_master(data, pool):

@@ -184,8 +184,8 @@ def test_criterion_07_gradients_match_finite_differences():
         )
         for _ in range(10):
             x = lower + rng.uniform(0.2, 0.8, size=lower.size) * (upper - lower)
-            _, scores = program.evaluate(x)
-            jac = np.array([program.times(scores, e) for e in np.eye(x.size)]).T
+            _, sig = program.evaluate(x)
+            jac = np.array([program.times(sig, e) for e in np.eye(x.size)]).T
             fd = fd_jacobian(lambda v: program.evaluate(v)[0], x)
             rel = np.abs(fd - jac).max() / max(1.0, np.abs(jac).max())
             assert rel <= 1e-6

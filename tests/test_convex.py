@@ -154,7 +154,7 @@ def test_infeasible_program_is_reported():
 
 
 def test_start_that_is_not_strictly_feasible_is_rejected():
-    data, _, [(program, x0), _] = small_masters(4)
+    data, cuts, [(program, x0), (centered, x_centered)] = small_masters(4)
     assert solve(program, x0).status == OPTIMAL
     lo, hi = program.lower, program.upper
     s0 = data.theta_size
@@ -170,6 +170,19 @@ def test_start_that_is_not_strictly_feasible_is_rejected():
         solve(program, x)
     with pytest.raises(ValueError, match="shape"):
         solve(program, x0[:-1])
+    # w = 0 and t = cap put the level row t + w <= cap exactly on its bound
+    x = x_centered.copy()
+    x[-2:] = 0.0, data.derived.objective_cap
+    with pytest.raises(ValueError, match=r"constraint row 0 has value 0\.0,"):
+        solve(centered, x)
+    # sample 1's own point is its first cut; at theta = 0 its loss is
+    # log 2, so s_1 = 0.25 breaks that row and leaves sample 0's rows
+    row = next(j for j, c in enumerate(cuts) if c.sample_index == 1)
+    assert row >= 1 and np.array_equal(cuts[row].point, data.dataset.features[1])
+    x = x0.copy()
+    x[s0 + 1] = 0.25
+    with pytest.raises(ValueError, match=f"constraint row {row} has value 0.4431"):
+        solve(program, x)
 
 
 def test_iteration_cap_is_honest():
@@ -234,10 +247,10 @@ def test_newton_matrix_matches_dense_closed_form():
                 jac, curv = dense_rows(data, cuts, x, centered)
                 expected = jac.T @ (weights[:, None] * jac) + np.diag(box)
                 expected[:n_theta, :n_theta] += sum(l * h for l, h in zip(lam, curv))
-                _, scores = program.evaluate(x)
-                got = program.newton_matrix(scores, lam, weights, box)
+                _, sig = program.evaluate(x)
+                got = program.newton_matrix(sig, lam, weights, box)
                 assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
-                jt = program.transpose_times(scores, lam)
+                jt = program.transpose_times(sig, lam)
                 assert np.abs(jt - jac.T @ lam).max() <= 1e-10 * np.abs(jac.T @ lam).max()
 
 
@@ -258,13 +271,13 @@ def test_each_point_is_evaluated_once():
 
     def counted_evaluate(x):
         evaluated[x.tobytes()] = evaluated.get(x.tobytes(), 0) + 1
-        g, scores = evaluate(x)
-        feasible[id(scores)] = (bool(np.all(g < 0.0)), scores)
-        return g, scores
+        g, sig = evaluate(x)
+        feasible[id(sig)] = (bool(np.all(g < 0.0)), sig)
+        return g, sig
 
-    def recorded_transpose_times(scores, lam):
-        used.add(id(scores))
-        return transpose_times(scores, lam)
+    def recorded_transpose_times(sig, lam):
+        used.add(id(sig))
+        return transpose_times(sig, lam)
 
     prog.evaluate = counted_evaluate
     prog.transpose_times = recorded_transpose_times
