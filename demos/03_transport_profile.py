@@ -7,6 +7,11 @@ cost D(u) needed to move the sample to some region point achieving u.
 D is piecewise linear and convex with at most 2n+1 breakpoints, so the
 oracle only inspects the breakpoints instead of the whole box.
 
+Every sample shares theta, so the profiles of a whole block of samples
+come from one sweep: ``transport_profile`` takes the block and returns
+one row of breakpoints per sample, and ``separate`` maximizes every
+listed sample's constraint at once.
+
 The tables below print D for one sample and then show how the worst
 scenario moves as the transport price (the budget multiplier) changes:
 a high price pins the scenario at the sample itself, a low price lets it
@@ -20,7 +25,7 @@ from wassrobust import (
     Dataset,
     ProblemData,
     DualPoint,
-    separate_exact,
+    separate,
     transport_profile,
 )
 
@@ -37,14 +42,17 @@ def main():
 
     theta = np.array([0.3, 1.2, -0.7])
     i = 0
-    profile = transport_profile(theta, regions[int(labels[i])], features[i])
+    # one block: the profiles of every sample of sample i's class
+    block = np.flatnonzero(labels == labels[i])
+    profile = transport_profile(theta, regions[int(labels[i])], features[block])
+    row = int(np.flatnonzero(block == i)[0])
 
     print(f"sample {i} at {features[i]}, label {labels[i]}, theta {theta}")
     print(f"link value at the sample itself: "
           f"{theta[0] + features[i] @ theta[1:]:.4f}")
     print()
     print(f"{'link value u':>14} {'cheapest L1 cost D(u)':>22}")
-    for u, c in zip(profile.breakpoints, profile.costs):
+    for u, c in zip(profile.breakpoints[row], profile.costs[row]):
         print(f"{u:>14.4f} {c:>22.4f}")
     print()
 
@@ -53,14 +61,15 @@ def main():
     for price in (4.0, 1.0, 0.25, 0.05):
         mult = np.concatenate([np.full(dataset.m, lower[0] + 0.05), [price]])
         x = DualPoint(theta, mult)
-        res = separate_exact(x, i, data)
-        dist = np.abs(res.scenario.point - features[i]).sum()
-        print(f"{price:>8.2f} {np.round(res.scenario.point, 4)!s:>24} "
-              f"{dist:>10.4f} {res.violation:>11.4f}")
+        # one sweep over all samples; row i is sample i's worst scenario
+        points, violations = separate(x, data, np.arange(dataset.m))
+        dist = np.abs(points[i] - features[i]).sum()
+        print(f"{price:>8.2f} {np.round(points[i], 4)!s:>24} "
+              f"{dist:>10.4f} {violations[i]:>11.4f}")
     print()
-    print("the kinks of D sit where a coordinate of the witness path hits a")
-    print("box face; the oracle walks exactly these kinks, which is why it")
-    print("is exact and needs no grid")
+    print("the kinks of D sit where the witness puts one more coordinate on")
+    print("a box face; the oracle scores exactly these kinks, which is why")
+    print("it is exact and needs no grid")
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .separation import (
     SeparationResult,
     TransportProfile,
     best_violation,
+    separate,
     separate_exact,
     transport_profile,
 )

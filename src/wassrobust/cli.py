@@ -5,14 +5,18 @@ Subcommands:
 * ``fit``             train a plain or robust logistic model from a CSV
 * ``solve``           solve a raw robust instance described in JSON
 * ``experiment``      run the repeated train/test comparison harness
-* ``separate-debug``  dump one sample's transport profile
+* ``separate-debug``  dump one sample's transport profile, with repeated
+                      breakpoints dropped
 
 ``experiment`` takes ``--seed`` for its train/test splits and folds;
 ``fit``, ``solve`` and ``experiment`` take ``--eps``, ``--trace``,
 ``--drop-cuts`` and ``--alpha``.  A flag that the chosen path would
 ignore is an error (exit status 2): ``fit --r0 0`` rejects ``--solver``,
-``--eps``, ``--trace``, ``--drop-cuts`` and ``--alpha``, and ``solve``
-with the exchange solver rejects ``--drop-cuts`` and ``--alpha``.
+``--eps``, ``--trace``, ``--drop-cuts`` and ``--alpha``; all three
+commands reject ``--drop-cuts`` and ``--alpha`` when the exchange solver
+runs (chosen by ``--solver``, the instance or the experiment config), and
+``--alpha`` when no cuts are dropped (neither ``--drop-cuts`` nor the
+config's ``drop_cuts``).
 ``solve`` also exits with status 2 when the instance's ``"solver"`` is
 not ``cutting_surface`` or ``exchange``, or when ``--solver`` names the
 other one.  Bad input of any other kind (a value the library rejects, an
@@ -35,12 +39,9 @@ from .model import BoxRegion, Dataset, FiniteRegion, objective_f
 from .reformulate import ProblemData
 from .separation import transport_profile
 from .solvers import solve_cutting_surface, solve_exchange
-from .wrlr import build_regions, fit_lr, fit_wrlr, save_model
+from .wrlr import SOLVERS, build_regions, fit_lr, fit_wrlr, save_model
 
 __all__ = ["main"]
-
-
-SOLVERS = ("cutting_surface", "exchange")
 
 
 # Solver flags default to None, so that a flag given on the command line
@@ -73,12 +74,27 @@ def _reject(args, flags, reason):
     return _error(args, f"{names} {reason}")
 
 
+def _idle_cut_flags(args, solver, drop_cuts):
+    """(flags, reason) for the cut-dropping flags that would not take
+    effect, or None: the exchange solver keeps every cut, and ``--alpha``
+    only acts when cuts are dropped."""
+    flags = _given(drop_cuts=args.drop_cuts, alpha=args.alpha)
+    if solver == "exchange" and flags:
+        return flags, "only apply to the cutting_surface solver"
+    if "alpha" in flags and not drop_cuts:
+        return {"alpha": args.alpha}, "only applies with --drop-cuts"
+    return None
+
+
 def _cmd_fit(args):
     flags = _given(solver=args.solver, eps=args.eps, trace=args.trace,
                    drop_cuts=args.drop_cuts, alpha=args.alpha)
     if args.r0 == 0.0 and flags:
         return _reject(args, flags, "only apply to a robust fit, and --r0 0 "
                        "fits plain logistic regression")
+    idle = _idle_cut_flags(args, args.solver, args.drop_cuts)
+    if idle:
+        return _reject(args, *idle)
     train = Dataset.from_csv(args.data, args.label_column)
     if args.r0 == 0.0:
         model = fit_lr(train, theta_radius=args.theta_radius)
@@ -119,6 +135,9 @@ def _cmd_solve(args):
     if args.solver not in (None, solver):
         return _error(args, f"--solver {args.solver} disagrees with the "
                       f'instance "solver" {solver}')
+    idle = _idle_cut_flags(args, solver, args.drop_cuts)
+    if idle:
+        return _reject(args, *idle)
     dataset = Dataset.from_arrays(np.asarray(payload["features"], dtype=float),
                                   np.asarray(payload["labels"]))
     if "regions" in payload:
@@ -131,14 +150,12 @@ def _cmd_solve(args):
         theta_radius=float(payload.get("theta_radius", 10.0)),
     )
     eps = 1e-5 if args.eps is None else args.eps
-    cut_flags = _given(drop_cuts=args.drop_cuts, alpha=args.alpha)
     if solver == "exchange":
-        if cut_flags:
-            return _reject(args, cut_flags, "only apply to the cutting_surface solver")
         point, trace = solve_exchange(data, eps, trace_path=args.trace)
     else:
-        point, trace = solve_cutting_surface(data, eps, trace_path=args.trace,
-                                             **cut_flags)
+        point, trace = solve_cutting_surface(
+            data, eps, trace_path=args.trace,
+            **_given(drop_cuts=args.drop_cuts, alpha=args.alpha))
     if point is None:
         print(f"solve failed: {trace.status}", file=sys.stderr)
         return 1
@@ -164,6 +181,9 @@ def _cmd_solve(args):
 
 def _cmd_experiment(args):
     config = ExperimentConfig.from_json(args.config)
+    idle = _idle_cut_flags(args, config.solver, args.drop_cuts or config.drop_cuts)
+    if idle:
+        return _reject(args, *idle)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -204,17 +224,19 @@ def _cmd_separate_debug(args):
         return _error(args, f"--sample-index {i} out of range (m={dataset.m})")
     theta = _parse_theta(args.theta, dataset.n + 1)
     label = int(dataset.labels[i])
-    profile = transport_profile(theta, regions[label], dataset.features[i])
+    profile = transport_profile(theta, regions[label], dataset.features[i:i + 1])
+    # a move along a coordinate already on its face repeats a breakpoint
+    scores, costs = profile.breakpoints[0], profile.costs[0]
+    keep = np.diff(scores, prepend=np.nan) != 0.0
     rows = [["score", "transport_cost"]]
-    rows += [[repr(float(u)), repr(float(c))]
-             for u, c in zip(profile.breakpoints, profile.costs)]
+    rows += [[repr(float(u)), repr(float(c))] for u, c in zip(scores[keep], costs[keep])]
     if args.out:
         with open(args.out, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
     else:
         csv.writer(sys.stdout).writerows(rows)
-    print(f"sample {i} (label {label}): {profile.breakpoints.size} breakpoints, "
-          f"entry cost {profile.base_cost}", file=sys.stderr)
+    print(f"sample {i} (label {label}): {keep.sum()} breakpoints, "
+          f"entry cost {profile.base_cost[0]}", file=sys.stderr)
     return 0
 
 
@@ -251,7 +273,7 @@ def build_parser():
     p_exp.add_argument("--eps", type=float, default=None)
     p_exp.add_argument("--trace", default=None, metavar="DIR",
                        help="directory for per-repetition trace files")
-    p_exp.add_argument("--drop-cuts", action="store_true")
+    p_exp.add_argument("--drop-cuts", action="store_true", default=None)
     p_exp.add_argument("--alpha", type=float, default=None)
     p_exp.set_defaults(func=_cmd_experiment)
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .losses import softplus_and_sigmoid
 
@@ -167,11 +168,11 @@ def _solve_spd(hess, rhs):
     ridges = [0.0] + [scale * 10.0 ** (k - 12) for k in range(_RIDGE_TRIES - 1)]
     for tries, ridge in enumerate(ridges):
         H = hess if ridge == 0.0 else hess + ridge * np.eye(n)
-        try:
-            factor = scipy.linalg.cho_factor(H, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            continue
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False), tries
+        # LAPACK directly: cho_factor/cho_solve's argument checks cost
+        # more than the factorization of a small matrix
+        factor, info = dpotrf(H, clean=0)
+        if info == 0:
+            return dpotrs(factor, rhs)[0], tries
     raise scipy.linalg.LinAlgError(
         f"Newton matrix of size {n}x{n} is not positive definite, "
         f"even with a ridge of {ridges[-1]:.3g} on its diagonal")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from .model import Dataset
-from .wrlr import auc, fit_lr, fit_wrlr, predict_score, select_r0
+from .wrlr import SOLVERS, auc, fit_lr, fit_wrlr, predict_score, select_r0
 
 __all__ = [
     "ExperimentConfig",
@@ -70,6 +70,11 @@ class ExperimentConfig:
             raise ValueError("train_size must be at least 2")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"solver must be one of {', '.join(SOLVERS)}, "
+                             f"got {self.solver!r}")
+        if self.drop_cuts and self.solver == "exchange":
+            raise ValueError("drop_cuts only applies to the cutting_surface solver")
 
     @classmethod
     def from_json(cls, path):

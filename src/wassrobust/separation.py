@@ -1,4 +1,4 @@
-"""Separation oracles: find the admissible point a sample's constraint
+"""Separation oracle: find the admissible point each sample's constraint
 violates most.
 
 For generalized linear losses over box regions the search reduces to
@@ -9,7 +9,12 @@ largest |theta_j| first, then the next, and so on.  The constraint value
 phi(u) - multiplier_i - budget * cost(u) is convex in u on each linear
 piece of the cost, so its maximum over the box sits at a breakpoint of
 the cost profile.  That yields an exact oracle with at most 2n + 1
-candidate scores.  Finite regions are searched by enumeration.
+candidate scores.
+
+Every sample shares theta, so the coordinate order is the same for all
+of them: one argsort and row-wise cumulative sums build the breakpoints
+of a whole block of samples at once.  Finite regions are searched by
+enumeration over one sample-by-point distance matrix.
 """
 
 from __future__ import annotations
@@ -20,13 +25,8 @@ import numpy as np
 
 from .model import BoxRegion, FiniteRegion, Scenario
 
-__all__ = [
-    "TransportProfile",
-    "SeparationResult",
-    "transport_profile",
-    "separate_exact",
-    "best_violation",
-]
+__all__ = ["TransportProfile", "SeparationResult", "transport_profile", "separate",
+           "separate_exact", "best_violation"]
 
 
 @dataclass(frozen=True)
@@ -39,59 +39,44 @@ class SeparationResult:
 
 @dataclass(frozen=True)
 class TransportProfile:
-    """Cheapest L1 transport cost to reach each achievable score.
+    """Cheapest L1 transport cost to reach each achievable score, for a
+    block of r samples.
 
-    ``breakpoints`` are scores in increasing order; ``costs`` are the
-    matching minimal L1 distances from the reference point (including
-    the cost of entering the box when the reference lies outside it).
-    The profile is piecewise linear and convex between breakpoints, and
-    zero at the reference's own score when the reference is inside.
+    Row k of ``breakpoints`` holds sample k's scores in increasing order:
+    n' moves down, the anchor's score, n' moves up, where n' is the number
+    of nonzero weights; ``costs`` are the matching minimal L1 distances
+    from the reference point (including the cost of entering the box when
+    the reference lies outside it).  A move along a coordinate that
+    already sits on its face has zero length and repeats a breakpoint.
+    ``anchor`` is each reference clipped to the box, and ``base_cost`` its
+    distance from the reference.
     """
 
     breakpoints: np.ndarray
     costs: np.ndarray
     anchor: np.ndarray
-    base_cost: float
-    _up_moves: tuple
-    _down_moves: tuple
+    base_cost: np.ndarray
+    # position of each coordinate in the move order (n for a zero weight)
+    _rank: np.ndarray
+    # the face each coordinate reaches when the score rises, and falls
+    _up_face: np.ndarray
+    _down_face: np.ndarray
 
-    def cost(self, u):
-        """Minimal transport cost to reach score(s) ``u``; inf outside range."""
-        u = np.asarray(u, dtype=float)
-        out = np.interp(u, self.breakpoints, self.costs, left=np.inf, right=np.inf)
-        return float(out) if out.ndim == 0 else out
-
-    @property
-    def score_range(self):
-        return float(self.breakpoints[0]), float(self.breakpoints[-1])
-
-    def witness(self, u):
-        """A point of the box achieving score ``u`` at minimal cost."""
-        x = self.anchor.copy()
-        remaining = u - self._anchor_score
-        moves = self._up_moves if remaining >= 0 else self._down_moves
-        remaining = abs(remaining)
-        for coord, direction, span, slope in moves:
-            take = min(remaining, span)
-            x[coord] += direction * take * slope
-            remaining -= take
-            if remaining <= 0:
-                break
-        if remaining > 1e-9 * (1.0 + abs(u)):
-            raise ValueError(f"score {u} is outside the achievable range")
-        return x
-
-    @property
-    def _anchor_score(self):
-        # breakpoints holds [down..., anchor, up...]; anchor index = len(down moves)
-        return float(self.breakpoints[len(self._down_moves)])
+    def witness(self, columns):
+        """Each row's box point at its breakpoint ``columns[k]``: the first
+        j coordinates of the move order sit on their faces, the rest at
+        the anchor."""
+        moves = np.asarray(columns) - (self.breakpoints.shape[1] - 1) // 2
+        face = np.where((moves > 0)[:, None], self._up_face, self._down_face)
+        return np.where(self._rank < np.abs(moves)[:, None], face, self.anchor)
 
 
-def transport_profile(theta, region, reference):
-    """Build the score-versus-cost profile for one sample.
+def transport_profile(theta, region, references):
+    """Build the score-versus-cost profiles of a block of samples.
 
     ``theta`` is the full parameter vector (intercept first); ``region``
-    is the sample's class box; ``reference`` is the observed point.
+    is the samples' class box; ``references`` is the (r, n) block of
+    observed points.
     """
     if not isinstance(region, BoxRegion):
         raise TypeError("transport profiles need a box region")
@@ -99,115 +84,87 @@ def transport_profile(theta, region, reference):
     weights = theta[1:]
     if weights.size != region.dimension:
         raise ValueError("theta dimension does not match the region")
-    reference = np.asarray(reference, dtype=float)
-    anchor = region.clip(reference)
-    base = float(np.sum(np.abs(anchor - reference)))
-    anchor_u = float(theta[0] + weights @ anchor)
+    references = np.asarray(references, dtype=float)
+    anchor = region.clip(references)
+    base = np.sum(np.abs(anchor - references), axis=1)
+    anchor_u = theta[0] + np.einsum("ij,j->i", anchor, weights)
 
     # spend transport on the steepest coordinates first; ties by index
-    order = sorted(range(weights.size), key=lambda j: (-abs(weights[j]), j))
+    order = np.argsort(-np.abs(weights), kind="stable")
+    order = order[weights[order] != 0.0]
+    rank = np.full(weights.size, weights.size)
+    rank[order] = np.arange(order.size)
+    rises = weights > 0.0
+    up_face = np.where(rises, region.upper, region.lower)
+    down_face = np.where(rises, region.lower, region.upper)
 
-    def collect(upward):
-        moves = []
-        for j in order:
-            wj = weights[j]
-            if wj == 0.0:
-                continue
-            goes_up = wj > 0.0
-            if upward == goes_up:
-                head = region.upper[j] - anchor[j]
-                direction = 1.0
-            else:
-                head = anchor[j] - region.lower[j]
-                direction = -1.0
-            if head <= 0.0:
-                continue
-            span = abs(wj) * head  # score gained over this move
-            moves.append((j, direction, span, 1.0 / abs(wj)))
-        return tuple(moves)
-
-    up_moves = collect(True)
-    down_moves = collect(False)
-
-    bps = [anchor_u]
-    costs = [base]
-    u = anchor_u
-    c = base
-    for _, _, span, slope in up_moves:
-        u += span
-        c += span * slope
-        bps.append(u)
-        costs.append(c)
-    lo_bps, lo_costs = [], []
-    u = anchor_u
-    c = base
-    for _, _, span, slope in down_moves:
-        u -= span
-        c += span * slope
-        lo_bps.append(u)
-        lo_costs.append(c)
-    breakpoints = np.array(lo_bps[::-1] + bps)
-    cost_arr = np.array(lo_costs[::-1] + costs)
-    return TransportProfile(breakpoints, cost_arr, anchor, base, up_moves, down_moves)
+    # each move's length, and the score it gains at |theta_j| per unit
+    up = np.abs(up_face[order] - anchor[:, order])
+    down = np.abs(anchor[:, order] - down_face[order])
+    steep = np.abs(weights[order])
+    rise_u = np.cumsum(np.column_stack([anchor_u, steep * up]), axis=1)
+    rise_c = np.cumsum(np.column_stack([base, up]), axis=1)
+    fall_u = np.cumsum(np.column_stack([anchor_u, -steep * down]), axis=1)
+    fall_c = np.cumsum(np.column_stack([base, down]), axis=1)
+    breakpoints = np.hstack([fall_u[:, :0:-1], rise_u])
+    costs = np.hstack([fall_c[:, :0:-1], rise_c])
+    return TransportProfile(breakpoints, costs, anchor, base, rank, up_face, down_face)
 
 
-def _atom_result(x, i, data):
-    """The sample's own observation as a zero-cost scenario.
+def separate(x, data, samples):
+    """Globally maximize each listed sample's constraint over its region.
 
-    The observed point is always admissible even when it falls outside
-    its class region: keeping the training mass where it was costs no
-    transport budget.  Without this candidate the robust value could
-    dip below the plain training value.
+    Returns the (r, n) maximizing points and their (r,) constraint values.
+    Box regions use the transport-profile reduction and finite regions
+    are enumerated.  The sample's own observation is a candidate too:
+    keeping the training mass where it was costs no transport budget, so
+    it wins when it is strictly better than every region point.  Each
+    violation is the constraint value re-evaluated at its point, so it
+    agrees with ``constraint_g`` to machine precision, and its bits do
+    not depend on which samples share the block.
     """
-    label = int(data.dataset.labels[i])
-    point = data.dataset.features[i]
-    h = data.loss.evaluate(x.theta, point, label)
-    violation = h - float(x.multipliers[i])
-    return SeparationResult(Scenario(point, i, label), violation)
+    samples = np.asarray(samples, dtype=int)
+    refs = data.dataset.features[samples]
+    labels = data.dataset.labels[samples]
+    mult = x.multipliers[samples]
+    budget = x.multipliers[-1]
+    points = np.empty_like(refs)
+    for label in np.unique(labels):
+        rows = labels == label
+        region = data.regions[int(label)]
+        if isinstance(region, FiniteRegion):
+            pts = region.points
+            dists = np.sum(np.abs(pts - refs[rows, None, :]), axis=2)
+            values = data.loss.link_loss(data.loss.link(x.theta, pts), label)
+            g = values - mult[rows, None] - budget * dists
+            points[rows] = pts[np.argmax(g, axis=1)]
+        else:
+            profile = transport_profile(x.theta, region, refs[rows])
+            values = data.loss.link_loss(profile.breakpoints, label)
+            g = values - mult[rows, None] - budget * profile.costs
+            points[rows] = profile.witness(np.argmax(g, axis=1))
+
+    def loss(pts):
+        # a row-wise reduction: a matrix-vector product's bits depend on the block
+        return data.loss.link_loss(x.theta[0] + np.einsum("ij,j->i", pts, x.theta[1:]),
+                                   labels)
+
+    violations = loss(points) - mult - budget * np.sum(np.abs(points - refs), axis=1)
+    atoms = loss(refs) - mult
+    stay = atoms > violations
+    points[stay] = refs[stay]
+    return points, np.where(stay, atoms, violations)
 
 
-def _prefer(region_best, atom):
-    return atom if atom.violation > region_best.violation else region_best
-
-
-def _finite_best(x, i, data, region):
-    """Exact search over a finite region by enumeration."""
-    label = int(data.dataset.labels[i])
-    pts = region.points
-    u = data.loss.link(x.theta, pts)
-    values = data.loss.link_loss(u, label)
-    dists = np.sum(np.abs(pts - data.dataset.features[i]), axis=1)
-    g = values - x.multipliers[i] - x.multipliers[-1] * dists
-    k = int(np.argmax(g))
-    best = SeparationResult(Scenario(pts[k], i, label), float(g[k]))
-    return _prefer(best, _atom_result(x, i, data))
+def _result(data, i, point, violation):
+    return SeparationResult(Scenario(point, i, int(data.dataset.labels[i])),
+                            float(violation))
 
 
 def separate_exact(x, i, data):
-    """Globally maximize sample ``i``'s constraint over its region.
-
-    Box regions use the transport-profile reduction; finite regions are
-    enumerated.  The returned violation is the constraint value
-    re-evaluated at the witness point, so it agrees with
-    ``constraint_g`` to machine precision.
-    """
-    region = data.region_for_sample(i)
-    if isinstance(region, FiniteRegion):
-        return _finite_best(x, i, data, region)
-    label = int(data.dataset.labels[i])
-    profile = transport_profile(x.theta, region, data.dataset.features[i])
-    values = data.loss.link_loss(profile.breakpoints, label)
-    g = values - x.multipliers[i] - x.multipliers[-1] * profile.costs
-    k = int(np.argmax(g))
-    # the walk can overshoot a box face by one ulp; clip it back
-    point = region.clip(profile.witness(float(profile.breakpoints[k])))
-    # re-evaluate at the witness so the reported violation is the
-    # constraint value itself, not the profile's prediction of it
-    h = data.loss.evaluate(x.theta, point, label)
-    dist = float(np.sum(np.abs(point - data.dataset.features[i])))
-    violation = h - float(x.multipliers[i]) - float(x.multipliers[-1]) * dist
-    best = SeparationResult(Scenario(point, i, label), violation)
-    return _prefer(best, _atom_result(x, i, data))
+    """``separate`` for sample ``i`` alone, as a ``SeparationResult``."""
+    points, violations = separate(x, data, [i])
+    return _result(data, i, points[0], violations[0])
 
 
 def best_violation(x, data):
@@ -215,9 +172,6 @@ def best_violation(x, data):
 
     Ties pick the smallest sample index.
     """
-    best = separate_exact(x, 0, data)
-    for i in range(1, data.m):
-        res = separate_exact(x, i, data)
-        if res.violation > best.violation:
-            best = res
-    return best
+    points, violations = separate(x, data, np.arange(data.m))
+    i = int(np.argmax(violations))
+    return _result(data, i, points[i], violations[i])

@@ -39,7 +39,7 @@ from .reformulate import (
     split_dual_solution,
     split_master_solution,
 )
-from .separation import best_violation, separate_exact
+from .separation import best_violation, separate
 
 __all__ = [
     "IterationRecord",
@@ -227,10 +227,6 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
     return point, trace
 
 
-def _sweep(x, data):
-    return [separate_exact(x, i, data) for i in range(data.m)]
-
-
 def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
                           max_iterations=MAX_ITERATIONS, trace_path=None,
                           capture_timing=True):
@@ -257,6 +253,7 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
     trace.master_seconds += clock.now() - t0
 
     pool = _atom_pool(data)
+    all_samples = np.arange(data.m)
 
     incumbent = DualPoint(theta0, np.zeros(data.m + 1))
     cap = der.objective_cap
@@ -286,19 +283,19 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
             trace.status = "optimal"
             break
 
-        results = _sweep(point, data)
+        points, violations = separate(point, data, all_samples)
         t2 = clock.now()
         trace.separation_seconds += t2 - t1
         trace.oracle_calls += data.m
-        worst = max(res.violation for res in results)
+        worst = float(violations.max())
 
         added = 0
         dropped = 0
         stalled = False
         if worst > eps:
-            for res in results:
-                if res.violation > 0.0:
-                    added += int(pool.add(res.scenario, margin_at_birth=margin))
+            for i in np.flatnonzero(violations > 0.0):
+                scenario = Scenario(points[i], i, int(data.dataset.labels[i]))
+                added += int(pool.add(scenario, margin_at_birth=margin))
             # every violated cut already known: the master cannot move
             # further at this precision
             stalled = added == 0
@@ -332,10 +329,10 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
 
     # certify whatever we return by a full sweep at the incumbent
     t0 = clock.now()
-    final = _sweep(incumbent, data)
+    _, final = separate(incumbent, data, all_samples)
     trace.separation_seconds += clock.now() - t0
     trace.oracle_calls += data.m
-    trace.final_violation = max(res.violation for res in final)
+    trace.final_violation = float(final.max())
     if trace.status == "optimal" and trace.final_violation > eps:
         trace.status = "uncertified"
     trace.wall_seconds = clock.now() - start

@@ -84,6 +84,10 @@ def fit_lr(train, theta_radius=10.0):
     return FittedModel(theta=theta, radius=0.0, kind="lr", trace=None)
 
 
+# the semi-infinite solvers ``fit_wrlr`` can run
+SOLVERS = ("cutting_surface", "exchange")
+
+
 def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
              theta_radius=10.0, trace_path=None, drop_cuts=False, alpha=2.0,
              capture_timing=True):

@@ -1,5 +1,7 @@
 """Shared instance factories and brute-force oracles for the test suite."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,27 @@ def grid_max_violation(x, i, data, points_per_dim=101, include_atom=True):
     pts = np.stack([g.ravel() for g in mesh], axis=1)
     if include_atom:
         pts = np.vstack([pts, data.dataset.features[i][None, :]])
+    return _best_of(x, i, data, pts)
+
+
+def vertex_max_violation(x, i, data):
+    """Exact max of g_i over the sample's box and its own observation.
+
+    On each sign cell of point - sample the L1 distance is linear, so g_i
+    is convex there and peaks at a vertex of the cell: every coordinate
+    at its lower bound, at the sample clipped to the box, or at its upper
+    bound.  Enumerates those 3^n points plus the observation; shares no
+    code with the separation module.  Returns (value, argmax point).
+    """
+    region = data.region_for_sample(i)
+    ref = data.dataset.features[i]
+    levels = zip(region.lower, np.clip(ref, region.lower, region.upper), region.upper)
+    pts = np.array(list(itertools.product(*levels)) + [ref])
+    return _best_of(x, i, data, pts)
+
+
+def _best_of(x, i, data, pts):
+    """(max of g_i over the rows of ``pts``, its first argmax)."""
     theta = x.theta
     u = theta[0] + pts @ theta[1:]
     label = int(data.dataset.labels[i])

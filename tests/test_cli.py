@@ -297,6 +297,35 @@ def test_bad_input_exits_2_naming_the_problem(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (FIT + ["--out", "{out}", "--solver", "exchange", "--drop-cuts", "--alpha", "3"], {},
+     "--drop-cuts, --alpha only apply to the cutting_surface solver"),
+    (FIT + ["--out", "{out}", "--alpha", "3"], {}, "--alpha only applies with --drop-cuts"),
+    (["solve", "--instance", "{instance}", "--out", "{out}", "--alpha", "3"], {},
+     "--alpha only applies with --drop-cuts"),
+    (["experiment", "--config", "{config}", "--csv-out", "{out}", "--drop-cuts",
+      "--alpha", "5"], {"solver": "exchange"},
+     "--drop-cuts, --alpha only apply to the cutting_surface solver"),
+    (["experiment", "--config", "{config}", "--csv-out", "{out}", "--alpha", "5"], {},
+     "--alpha only applies with --drop-cuts"),
+], ids=["fit-exchange", "fit-alpha-alone", "solve-alpha-alone", "experiment-exchange",
+        "experiment-alpha-alone"])
+def test_cut_flags_that_would_not_take_effect_exit_2(tmp_path, capsys, argv, config,
+                                                    message):
+    csv_path = dataset_csv(tmp_path, seed=43, m=12)
+    instance, _ = solve_instance(tmp_path)
+    cfg = ExperimentConfig(dataset_csv=str(csv_path), label_column="label",
+                           train_size=8, repetitions=1, **config)
+    cfg_path = tmp_path / "config.json"
+    cfg.to_json(cfg_path)
+    out = tmp_path / "out.file"
+    paths = {"csv": csv_path, "instance": instance, "config": cfg_path, "out": out}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"wassrobust {argv[0]}: error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_unknown_command_exits(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -89,6 +89,15 @@ def test_config_round_trip_and_validation(tmp_path):
         ExperimentConfig.from_json(path)
 
 
+def test_config_rejects_unknown_solver_and_idle_cut_dropping():
+    base = dict(dataset_csv="d.csv", label_column="label", train_size=20)
+    with pytest.raises(ValueError, match="got 'exchnage'"):
+        ExperimentConfig(**base, solver="exchnage")
+    with pytest.raises(ValueError, match="drop_cuts only applies to the cutting_surface"):
+        ExperimentConfig(**base, solver="exchange", drop_cuts=True)
+    assert ExperimentConfig(**base, solver="exchange").drop_cuts is False
+
+
 def test_zero_radius_grid_makes_both_models_identical(tmp_path):
     csv_path = experiment_csv(tmp_path)
     cfg = ExperimentConfig(dataset_csv=str(csv_path), label_column="label",

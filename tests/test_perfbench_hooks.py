@@ -30,7 +30,6 @@ REQUIRED = {
     ("wassrobust.solvers", "build_master"),
     ("wassrobust.solvers", "build_exchange_master"),
     ("wassrobust.solvers", "master_interior_point"),
-    ("wassrobust.solvers", "separate_exact"),
     ("wassrobust.separation", "separate_exact"),
     ("wassrobust.solvers", "best_violation"),
     ("wassrobust.separation", "best_violation"),

@@ -1,9 +1,9 @@
 """Transport profiles and the separation oracles against brute force."""
 
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wassrobust import (
     BoxRegion,
@@ -11,25 +11,31 @@ from wassrobust import (
     DualPoint,
     FiniteRegion,
     ProblemData,
+    Scenario,
     constraint_g,
+    separate,
     separate_exact,
     transport_profile,
     best_violation,
 )
 
-from conftest import box_problem, finite_problem, grid_max_violation, random_dual_point
+from conftest import (
+    box_problem,
+    finite_problem,
+    grid_max_violation,
+    random_dual_point,
+    vertex_max_violation,
+)
 
 
 def test_profile_single_coordinate_hand_case():
     box = BoxRegion(np.array([-1.0]), np.array([1.0]), 1)
-    prof = transport_profile(np.array([0.0, 1.0]), box, np.array([0.0]))
-    assert np.allclose(prof.breakpoints, [-1.0, 0.0, 1.0])
-    assert np.allclose(prof.costs, [1.0, 0.0, 1.0])
-    assert prof.base_cost == 0.0
-    assert prof.cost(0.5) == pytest.approx(0.5, abs=1e-15)
-    assert prof.cost(0.0) == 0.0
-    assert math.isinf(prof.cost(1.5))
-    assert prof.score_range == (-1.0, 1.0)
+    prof = transport_profile(np.array([0.0, 1.0]), box, np.array([[0.0], [0.5]]))
+    assert np.array_equal(prof.breakpoints, [[-1.0, 0.0, 1.0], [-1.0, 0.5, 1.0]])
+    assert np.array_equal(prof.costs, [[1.0, 0.0, 1.0], [1.5, 0.0, 0.5]])
+    assert np.array_equal(prof.base_cost, [0.0, 0.0])
+    assert np.array_equal(prof.witness([0, 2]), [[-1.0], [1.0]])
+    assert np.array_equal(prof.witness([1, 1]), [[0.0], [0.5]])
 
 
 def test_profile_zero_cost_at_own_score():
@@ -39,25 +45,28 @@ def test_profile_zero_cost_at_own_score():
         lo = rng.normal(size=n)
         hi = lo + rng.uniform(0.2, 2.0, size=n)
         box = BoxRegion(lo, hi, 0)
-        ref = rng.uniform(lo, hi)
+        refs = rng.uniform(lo, hi, size=(4, n))
         theta = rng.normal(size=n + 1)
-        prof = transport_profile(theta, box, ref)
-        own = theta[0] + ref @ theta[1:]
-        assert prof.cost(own) == pytest.approx(0.0, abs=1e-9)
-        assert np.allclose(prof.anchor, ref)
-        assert prof.base_cost == 0.0
+        prof = transport_profile(theta, box, refs)
+        middle = prof.breakpoints.shape[1] // 2
+        own = theta[0] + refs @ theta[1:]
+        assert np.allclose(prof.breakpoints[:, middle], own, rtol=0, atol=1e-12)
+        assert np.array_equal(prof.costs[:, middle], np.zeros(4))
+        assert np.array_equal(prof.anchor, refs)
+        assert np.array_equal(prof.base_cost, np.zeros(4))
 
 
 def test_profile_outside_reference_pays_entry_cost():
     box = BoxRegion(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 1)
-    ref = np.array([2.0, -0.5])
+    ref = np.array([[2.0, -0.5]])
     theta = np.array([0.0, 1.0, 2.0])
     prof = transport_profile(theta, box, ref)
-    assert np.allclose(prof.anchor, [1.0, 0.0])
-    assert prof.base_cost == pytest.approx(1.5, abs=1e-15)
-    assert prof.cost(prof.breakpoints[0]) >= prof.base_cost - 1e-15
-    anchor_score = theta[0] + prof.anchor @ theta[1:]
-    assert prof.cost(anchor_score) == pytest.approx(1.5, abs=1e-12)
+    assert np.array_equal(prof.anchor, [[1.0, 0.0]])
+    assert prof.base_cost[0] == pytest.approx(1.5, abs=1e-15)
+    assert np.all(prof.costs >= prof.base_cost[0] - 1e-15)
+    anchor_score = theta[0] + prof.anchor[0] @ theta[1:]
+    assert prof.breakpoints[0, 2] == pytest.approx(anchor_score, abs=1e-15)
+    assert prof.costs[0, 2] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_profile_shape_and_convexity():
@@ -67,17 +76,18 @@ def test_profile_shape_and_convexity():
         lo = rng.normal(size=n)
         hi = lo + rng.uniform(0.0, 2.0, size=n)
         box = BoxRegion(lo, hi, 0)
-        ref = rng.normal(size=n) * 0.5 + 0.5 * (lo + hi)
+        refs = rng.normal(size=(3, n)) * 0.5 + 0.5 * (lo + hi)
         theta = rng.normal(size=n + 1)
         theta[1 + rng.integers(0, n)] = 0.0  # a dead coordinate is fine
-        prof = transport_profile(theta, box, ref)
-        bp, cs = prof.breakpoints, prof.costs
-        assert bp.size <= 2 * n + 1
-        assert np.all(np.diff(bp) >= -1e-12)
-        assert np.all(cs >= -1e-12)
-        seg = np.diff(bp) > 1e-12
-        slopes = np.diff(cs)[seg] / np.diff(bp)[seg]
-        assert np.all(np.diff(slopes) >= -1e-9)  # convex: slopes non-decreasing
+        prof = transport_profile(theta, box, refs)
+        live = int(np.count_nonzero(theta[1:]))
+        assert prof.breakpoints.shape == prof.costs.shape == (3, 2 * live + 1)
+        for bp, cs in zip(prof.breakpoints, prof.costs):
+            assert np.all(np.diff(bp) >= -1e-12)
+            assert np.all(cs >= -1e-12)
+            seg = np.diff(bp) > 1e-12
+            slopes = np.diff(cs)[seg] / np.diff(bp)[seg]
+            assert np.all(np.diff(slopes) >= -1e-9)  # convex: slopes non-decreasing
 
 
 def test_witness_achieves_score_and_cost():
@@ -87,28 +97,100 @@ def test_witness_achieves_score_and_cost():
         lo = rng.normal(size=n)
         hi = lo + rng.uniform(0.1, 2.0, size=n)
         box = BoxRegion(lo, hi, 1)
-        ref = rng.uniform(lo - 0.5, hi + 0.5)
+        refs = rng.uniform(lo - 0.5, hi + 0.5, size=(3, n))
         theta = rng.normal(size=n + 1)
-        prof = transport_profile(theta, box, ref)
-        lo_u, hi_u = prof.score_range
-        for u in np.linspace(lo_u, hi_u, 9):
-            x = prof.witness(u)
-            assert box.contains(x, tol=1e-9)
-            score = theta[0] + x @ theta[1:]
-            assert score == pytest.approx(u, abs=1e-9 * (1 + abs(u)))
-            assert np.abs(x - ref).sum() == pytest.approx(prof.cost(u), abs=1e-9)
-        with pytest.raises(ValueError):
-            prof.witness(hi_u + 1.0 + 0.1 * abs(hi_u))
+        prof = transport_profile(theta, box, refs)
+        for column in range(prof.breakpoints.shape[1]):
+            points = prof.witness(np.full(3, column))
+            for k, point in enumerate(points):
+                assert box.contains(point, tol=0.0)
+                u = prof.breakpoints[k, column]
+                score = theta[0] + point @ theta[1:]
+                assert score == pytest.approx(u, abs=1e-9 * (1 + abs(u)))
+                cost = np.abs(point - refs[k]).sum()
+                assert cost == pytest.approx(prof.costs[k, column], abs=1e-9)
 
 
 def test_profile_constant_score_when_weights_vanish():
     box = BoxRegion(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), 0)
     theta = np.array([0.7, 0.0, 0.0])
-    prof = transport_profile(theta, box, np.array([0.5, 1.0]))
-    assert prof.breakpoints.size == 1
-    assert prof.breakpoints[0] == pytest.approx(0.7)
-    assert prof.costs[0] == 0.0
-    assert np.allclose(prof.witness(0.7), [0.5, 1.0])
+    prof = transport_profile(theta, box, np.array([[0.5, 1.0]]))
+    assert prof.breakpoints.shape == (1, 1)
+    assert prof.breakpoints[0, 0] == pytest.approx(0.7)
+    assert prof.costs[0, 0] == 0.0
+    assert np.array_equal(prof.witness([0]), [[0.5, 1.0]])
+
+
+@st.composite
+def box_instances(draw):
+    """Up to five samples in up to four dimensions, with class boxes that
+    need not hold the samples, and a dual point with some zero weights."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+
+    def vector(size, values):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)))
+
+    features = vector(m * n, st.floats(-3.0, 3.0)).reshape(m, n)
+    labels = vector(m, st.integers(0, 1))
+    regions = {}
+    for label in (0, 1):
+        lower = vector(n, st.floats(-2.0, 2.0))
+        regions[label] = BoxRegion(lower, lower + vector(n, st.floats(0.0, 2.0)), label)
+    theta = vector(n + 1, st.just(0.0) | st.floats(-3.0, 3.0))
+    mult = np.append(vector(m, st.floats(-2.0, 5.0)), draw(st.floats(0.0, 3.0)))
+    data = ProblemData.assemble(Dataset.from_arrays(features, labels), regions, radius=0.1)
+    return data, DualPoint(theta, mult)
+
+
+def assert_matches_oracle(x, data, points, violations, oracle):
+    for i in range(data.m):
+        best, _ = oracle(x, i, data)
+        assert abs(violations[i] - best) <= 1e-12
+        scenario = Scenario(points[i], i, int(data.dataset.labels[i]))
+        again = constraint_g(x, i, scenario, data.loss, data.dataset)
+        assert abs(violations[i] - again) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_instances())
+def test_sweep_matches_vertex_enumeration(instance):
+    data, x = instance
+    points, violations = separate(x, data, np.arange(data.m))
+    assert points.shape == (data.m, data.dataset.n)
+    for i in range(data.m):
+        assert data.region_for_sample(i).contains(points[i], tol=0.0) \
+            or np.array_equal(points[i], data.dataset.features[i])
+    assert_matches_oracle(x, data, points, violations, vertex_max_violation)
+
+
+def test_sweep_mixes_a_finite_and_a_box_region():
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(8, 3))
+    labels = np.array([0, 1, 0, 1, 1, 0, 0, 1])
+    regions = {0: FiniteRegion(features[labels == 0][:2] + rng.normal(size=(2, 3)), 0),
+               1: BoxRegion(np.full(3, -1.0), np.full(3, 1.5), 1)}
+    data = ProblemData.assemble(Dataset.from_arrays(features, labels), regions, radius=0.2)
+
+    def enumerate_finite(x, i, data):
+        pts = list(data.region_for_sample(i).points) + [data.dataset.features[i]]
+        return max(constraint_g(x, i, Scenario(p, i, int(data.dataset.labels[i])),
+                                data.loss, data.dataset) for p in pts), None
+
+    def oracle(x, i, data):
+        if isinstance(data.region_for_sample(i), FiniteRegion):
+            return enumerate_finite(x, i, data)
+        return vertex_max_violation(x, i, data)
+
+    for seed in range(10):
+        x = random_dual_point(data, seed)
+        points, violations = separate(x, data, np.arange(data.m))
+        assert_matches_oracle(x, data, points, violations, oracle)
+        # a row's bits do not depend on the block it is separated in
+        for i in range(data.m):
+            alone = separate(x, data, [i])
+            assert np.array_equal(alone[0][0], points[i])
+            assert alone[1][0] == violations[i]
 
 
 def test_exact_matches_grid_oracle():
