@@ -7,6 +7,9 @@ Subcommands:
 * ``experiment``      run the repeated train/test comparison harness
 * ``separate-debug``  dump one sample's transport profile, with repeated
                       breakpoints dropped
+* ``trace-summary``   summarise a ``--trace`` file: status, iterations,
+                      master and separation seconds, Newton steps per
+                      master, the worst KKT residual, cuts and ridges
 
 ``experiment`` takes ``--seed`` for its train/test splits and folds;
 ``fit``, ``solve`` and ``experiment`` take ``--eps``, ``--trace``,
@@ -22,7 +25,8 @@ not ``cutting_surface`` or ``exchange``, or when ``--solver`` names the
 other one.  Bad input of any other kind (a value the library rejects, an
 unreadable or malformed file, an instance without ``features``,
 ``labels`` or ``radius``) prints one line naming the problem and exits
-with status 2.
+with status 2.  ``trace-summary`` exits with status 2 on a line whose
+``schema`` it does not read, naming that schema.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .harness import ExperimentConfig, emit_results, run_experiment
 from .model import BoxRegion, Dataset, FiniteRegion, objective_f
 from .reformulate import ProblemData
 from .separation import transport_profile
-from .solvers import solve_cutting_surface, solve_exchange
+from .solvers import TRACE_SCHEMA, solve_cutting_surface, solve_exchange
 from .wrlr import SOLVERS, build_regions, fit_lr, fit_wrlr, save_model
 
 __all__ = ["main"]
@@ -240,6 +244,33 @@ def _cmd_separate_debug(args):
     return 0
 
 
+def _cmd_trace_summary(args):
+    with open(args.path) as fh:
+        lines = [json.loads(text) for text in fh if text.strip()]
+    for line in lines:
+        if line.get("schema") != TRACE_SCHEMA:
+            return _error(args, f"{args.path} has trace schema {line.get('schema')!r}; "
+                          f"this version reads schema {TRACE_SCHEMA}")
+    records = [line for line in lines if line["event"] == "iteration"]
+    done = next((line for line in lines if line["event"] == "done"), None)
+    if done is None:
+        return _error(args, f"{args.path} has no \"done\" line")
+    steps = [r["newton_steps"] for r in records]
+    summary = {
+        "status": done["status"],
+        "iterations": done["iterations"],
+        "master_seconds": done["master_seconds"],
+        "separation_seconds": done["separation_seconds"],
+        "newton_steps_per_master": sum(steps) / len(steps) if steps else None,
+        "worst_kkt_residual": max((r["kkt_residual"] for r in records), default=None),
+        "cuts": done["cut_count"],
+        "ridges": sum(r["ridges"] for r in records),
+    }
+    for name, value in summary.items():
+        print(f"{name} {value!r}")
+    return 0
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wassrobust",
@@ -286,6 +317,10 @@ def build_parser():
                        help="parameter vector, intercept first (default zeros)")
     p_dbg.add_argument("--out", default=None, help="breakpoint CSV path (default stdout)")
     p_dbg.set_defaults(func=_cmd_separate_debug)
+
+    p_sum = sub.add_parser("trace-summary", help="summarise a solver trace file")
+    p_sum.add_argument("path", help="JSON-lines trace written by --trace")
+    p_sum.set_defaults(func=_cmd_trace_summary)
     return parser
 
 

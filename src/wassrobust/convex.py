@@ -20,8 +20,11 @@ those digits in its merit function once the barrier weight is large.
 The barrier weight decreases by a fixed factor of 10 per step.
 
 A cut row touches theta through its curve, one s entry, beta and w, so
-``MasterProgram`` never forms the dense Jacobian: it supplies J^T lam,
-J dx and the Newton matrix from the cut arrays.
+``MasterProgram`` never forms the dense Jacobian: it supplies J^T lam
+and J dx from the cut arrays, and its Newton step eliminates the m
+sample multipliers s, whose block is diagonal over the cut rows, and
+factors only the complement over the border [theta, beta, w, t], of
+size n_theta + 1 or n_theta + 3.
 
 Everything here is deterministic: identical inputs produce identical
 reports, bit for bit.
@@ -79,13 +82,11 @@ class MasterProgram:
                                             slice(n_theta + m, dim))
         self._s_cols = n_theta + samples
         # the border is every variable but s: theta, then beta, w, t
-        border = np.r_[0:n_theta, n_theta + m : dim]
-        self._border_block = np.ix_(border, border)
-        # flat positions in the (m, dim) rows of s: each cut's border
-        # columns, then its own s column
-        self._s_bins = np.concatenate([(samples[:, None] * dim + border).ravel(),
-                                       samples * dim + self._s_cols])
-        self._diag = np.diag_indices(dim)
+        self._border = border = np.r_[0:n_theta, n_theta + m : dim]
+        self._diag = np.diag_indices(border.size)
+        # flat positions of each cut's border entries in an (m, border) array
+        self._bins = (samples[:, None] * border.size + np.arange(border.size)).ravel()
+        self._level_s, self._level_b = level[:, self._s], level[:, border]
 
     @property
     def dim(self):
@@ -118,29 +119,60 @@ class MasterProgram:
             - dx[self._s_cols]
         return np.concatenate([self.level @ dx, cuts])
 
-    def newton_matrix(self, sig, lam, weights, box_diag):
-        """J^T diag(weights) J + sum_j lam_j hess(g_j) + diag(box_diag).
+    def newton_solve(self, sig, lam, weights, box_diag, rhs):
+        """Solve H dx = rhs for the Newton matrix
+        H = J^T diag(weights) J + sum_j lam_j hess(g_j) + diag(box_diag).
 
-        The level rows enter densely.  Each cut adds its border row's
-        outer product and its curvature to the border block, and its
-        Jacobian row, scaled by -weight, to the row of its s entry; the
-        columns of s mirror those rows.
+        Over the cut rows the s block of H is diagonal,
+        D_i = box_diag(s_i) + the weights of sample i's cuts, so s is
+        eliminated and only the complement over the border [theta, beta,
+        w, t] is factored: S0 = A - C^T D^-1 C, with A the border block
+        and C the s-border block of the cut rows.  With c_i = -C_i / D_i,
+        sample i's weighted row sum over D_i, S0 is the sum of the
+        positive terms w_j (b_j - c_i)(b_j - c_i)^T over cut rows b_j and
+        box_diag(s_i) c_i c_i^T over samples, so a large weight cancels
+        nothing.  The level rows L = [L_s, L_b], with weights Q, add the
+        positive rank-r term Lt kappa^-1 Lt^T, where
+        Lt = L_b^T - C^T D^-1 L_s^T and kappa = Q^-1 + L_s D^-1 L_s^T is
+        diagonal because level row 0 has no s part; their multiplier
+        y = Q L dx is recovered after the border.  Returns (dx, ridge
+        retries of the complement's factorization).
         """
         r = self.level_offsets.size
-        th, s = self._theta, self._s
-        w_cut = weights[r:]
+        n_theta = self.curves.shape[1]
+        w_cut, d_box = weights[r:], box_diag[self._s]
         rows = np.concatenate([sig[:, None] * self.curves, self._tail], axis=1)
-        weighted = rows * w_cut[:, None]
-        block = rows.T @ weighted
-        block[th, th] += (self.curves.T * (lam[r:] * sig * (1.0 - sig))) @ self.curves
-        hess = np.zeros((self.dim, self.dim))
-        hess[self._border_block] = block
-        hess[s] = np.bincount(self._s_bins, np.concatenate([-weighted.ravel(), w_cut]),
-                              minlength=self.m * self.dim).reshape(self.m, -1)
-        hess[:, s] = hess[s].T
-        hess += (self.level.T * weights[:r]) @ self.level
-        hess[self._diag] += box_diag
-        return hess
+        inv_d = 1.0 / (d_box + np.bincount(self.samples, w_cut, minlength=self.m))
+        centers = np.bincount(self._bins, (rows * w_cut[:, None]).ravel(),
+                              minlength=self.m * self._border.size).reshape(self.m, -1) \
+            * inv_d[:, None]
+        rows -= centers[self.samples]
+        schur = (rows.T * w_cut) @ rows + (centers.T * d_box) @ centers
+        schur[:n_theta, :n_theta] += \
+            (self.curves.T * (lam[r:] * sig * (1.0 - sig))) @ self.curves
+        schur[self._diag] += box_diag[self._border]
+        rhs_s = rhs[self._s]
+        u = rhs_s * inv_d
+        rhs_border = rhs[self._border] + centers.T @ rhs_s
+        # only the centered master has level rows; at m = 3-5 their empty
+        # terms would add about a sixth to a plain master's step
+        if r:
+            lt = self._level_b.T + centers.T @ self._level_s.T
+            kappa = 1.0 / weights[:r] + self._level_s ** 2 @ inv_d
+            gain = lt / kappa
+            schur += gain @ lt.T
+            level_u = self._level_s @ u
+            rhs_border -= gain @ level_u
+        d_border, ridges = _solve_spd(schur, rhs_border)
+        ds = u + centers @ d_border
+        if r:
+            y = d_border @ gain + level_u / kappa
+            ds -= (self._level_s.T @ y) * inv_d
+            # a heavy level row makes y and u large, and ds their
+            # difference; restore its equation L dx = y / Q along D^-1 L_s^T
+            miss = y / weights[:r] - self._level_s @ ds - self._level_b @ d_border
+            ds += (self._level_s.T @ (miss / kappa)) * inv_d
+        return np.concatenate([d_border[:n_theta], ds, d_border[n_theta:]]), ridges
 
 
 @dataclass
@@ -150,7 +182,8 @@ class SolveReport:
     status: str
     kkt_residual: float
     iterations: int
-    # Cholesky retries with a ridge on the diagonal, summed over the steps
+    # Cholesky retries of the border complement with a ridge on its
+    # diagonal, summed over the steps
     ridges: int
 
 
@@ -163,14 +196,16 @@ def _solve_spd(hess, rhs):
     """Solve hess @ d = rhs for a (near) positive definite hess; a failed
     Cholesky factorization is retried with a growing ridge on the diagonal.
     Returns d and the number of retries."""
+    # LAPACK directly: cho_factor/cho_solve's argument checks cost more
+    # than the factorization of a small matrix
+    factor, info = dpotrf(hess, clean=0)
+    if info == 0:
+        return dpotrs(factor, rhs)[0], 0
     n = hess.shape[0]
     scale = max(1.0, float(np.trace(hess)) / n)
-    ridges = [0.0] + [scale * 10.0 ** (k - 12) for k in range(_RIDGE_TRIES - 1)]
-    for tries, ridge in enumerate(ridges):
-        H = hess if ridge == 0.0 else hess + ridge * np.eye(n)
-        # LAPACK directly: cho_factor/cho_solve's argument checks cost
-        # more than the factorization of a small matrix
-        factor, info = dpotrf(H, clean=0)
+    ridges = [scale * 10.0 ** (k - 12) for k in range(_RIDGE_TRIES - 1)]
+    for tries, ridge in enumerate(ridges, start=1):
+        factor, info = dpotrf(hess + ridge * np.eye(n), clean=0)
         if info == 0:
             return dpotrs(factor, rhs)[0], tries
     raise scipy.linalg.LinAlgError(
@@ -248,12 +283,10 @@ def _pd_solve(program, tol, x, g, sig, count, max_iters):
         box_diag = np.zeros(dim)
         box_diag[lo_idx] = lam_lo / s_lo
         box_diag[hi_idx] += lam_hi / s_hi
-        hess = program.newton_matrix(sig, lam_row, lam_row / s_row, box_diag)
-
         rhs = c - program.transpose_times(sig, mu / s_row)
         rhs[lo_idx] += mu / s_lo
         rhs[hi_idx] -= mu / s_hi
-        dx, tries = _solve_spd(hess, rhs)
+        dx, tries = program.newton_solve(sig, lam_row, lam_row / s_row, box_diag, rhs)
         ridges += tries
 
         dlam_row = (mu - lam_row * s_row) / s_row \
@@ -262,12 +295,10 @@ def _pd_solve(program, tol, x, g, sig, count, max_iters):
         dlam_hi = (mu - lam_hi * s_hi) / s_hi + (lam_hi / s_hi) * dx[hi_idx]
 
         # fraction to boundary: multipliers stay positive, box slacks too
-        alpha = 1.0
-        for vec, dvec in ((lam_row, dlam_row), (lam_lo, dlam_lo), (lam_hi, dlam_hi),
-                          (s_lo, dx[lo_idx]), (s_hi, -dx[hi_idx])):
-            neg = dvec < 0
-            if neg.any():
-                alpha = min(alpha, 0.99 * float((-vec[neg] / dvec[neg]).min()))
+        vec = np.concatenate([lam_row, lam_lo, lam_hi, s_lo, s_hi])
+        dvec = np.concatenate([dlam_row, dlam_lo, dlam_hi, dx[lo_idx], -dx[hi_idx]])
+        neg = dvec < 0
+        alpha = min(1.0, 0.99 * float((-vec[neg] / dvec[neg]).min())) if neg.any() else 1.0
         # halve the step until the rows are strictly negative and the
         # residual norm falls; the rows are convex and x is strictly
         # feasible, so once a trial is feasible every shorter one is too

@@ -58,7 +58,8 @@ class ExperimentConfig:
     solver: str = "cutting_surface"
     folds: int = 4
     theta_radius: float = 10.0
-    alpha: float = 2.0
+    # the cutting-surface solver's staleness factor; None keeps its default
+    alpha: float | None = None
     drop_cuts: bool = False
     standardize: bool = False
     capture_timing: bool = True
@@ -73,8 +74,11 @@ class ExperimentConfig:
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {', '.join(SOLVERS)}, "
                              f"got {self.solver!r}")
-        if self.drop_cuts and self.solver == "exchange":
-            raise ValueError("drop_cuts only applies to the cutting_surface solver")
+        if self.solver == "exchange":
+            if self.drop_cuts:
+                raise ValueError("drop_cuts only applies to the cutting_surface solver")
+            if self.alpha is not None:
+                raise ValueError("alpha only applies to the cutting_surface solver")
 
     @classmethod
     def from_json(cls, path):

@@ -31,10 +31,12 @@ __all__ = ["TransportProfile", "SeparationResult", "transport_profile", "separat
 
 @dataclass(frozen=True)
 class SeparationResult:
-    """Outcome of one sample's separation search."""
+    """Outcome of a separation search: its most violated scenario."""
 
     scenario: Scenario
     violation: float
+    # searched samples with a positive violation
+    violated: int
 
 
 @dataclass(frozen=True)
@@ -156,15 +158,17 @@ def separate(x, data, samples):
     return points, np.where(stay, atoms, violations)
 
 
-def _result(data, i, point, violation):
-    return SeparationResult(Scenario(point, i, int(data.dataset.labels[i])),
-                            float(violation))
+def _result(data, samples, points, violations):
+    """The sweep's first most violated sample, as a ``SeparationResult``."""
+    k = int(np.argmax(violations))
+    i = int(samples[k])
+    return SeparationResult(Scenario(points[k], i, int(data.dataset.labels[i])),
+                            float(violations[k]), int(np.count_nonzero(violations > 0.0)))
 
 
 def separate_exact(x, i, data):
     """``separate`` for sample ``i`` alone, as a ``SeparationResult``."""
-    points, violations = separate(x, data, [i])
-    return _result(data, i, points[0], violations[0])
+    return _result(data, [i], *separate(x, data, [i]))
 
 
 def best_violation(x, data):
@@ -172,6 +176,5 @@ def best_violation(x, data):
 
     Ties pick the smallest sample index.
     """
-    points, violations = separate(x, data, np.arange(data.m))
-    i = int(np.argmax(violations))
-    return _result(data, i, points[i], violations[i])
+    samples = np.arange(data.m)
+    return _result(data, samples, *separate(x, data, samples))

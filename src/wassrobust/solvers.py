@@ -52,7 +52,7 @@ __all__ = [
 
 
 # version of the JSON-lines layout ``SolveTrace.write_jsonl`` writes
-TRACE_SCHEMA = 2
+TRACE_SCHEMA = 3
 
 
 @dataclass
@@ -62,6 +62,8 @@ class IterationRecord:
     cap: float | None
     objective: float | None
     violation: float | None
+    # samples with a positive violation in the sweep
+    violated: int | None
     cuts_added: int
     cuts_dropped: int
     cut_count: int
@@ -204,7 +206,8 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
         trace.records.append(IterationRecord(
             iteration=k, margin=None, cap=None,
             objective=-report.objective, violation=sep.violation,
-            cuts_added=added, cuts_dropped=0, cut_count=len(pool),
+            violated=sep.violated, cuts_added=added, cuts_dropped=0,
+            cut_count=len(pool),
             best_objective=None, newton_steps=report.iterations,
             kkt_residual=report.kkt_residual, ridges=report.ridges,
             master_seconds=t1 - t0, separation_seconds=t2 - t1,
@@ -274,7 +277,8 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
             trace.records.append(IterationRecord(
                 iteration=k, margin=margin, cap=cap,
                 objective=objective_f(point, data.radius), violation=None,
-                cuts_added=0, cuts_dropped=0, cut_count=len(pool),
+                violated=None, cuts_added=0, cuts_dropped=0,
+                cut_count=len(pool),
                 best_objective=cap if certified else None,
                 newton_steps=report.iterations, kkt_residual=report.kkt_residual,
                 ridges=report.ridges,
@@ -288,12 +292,13 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
         trace.separation_seconds += t2 - t1
         trace.oracle_calls += data.m
         worst = float(violations.max())
+        violated = np.flatnonzero(violations > 0.0)
 
         added = 0
         dropped = 0
         stalled = False
         if worst > eps:
-            for i in np.flatnonzero(violations > 0.0):
+            for i in violated:
                 scenario = Scenario(points[i], i, int(data.dataset.labels[i]))
                 added += int(pool.add(scenario, margin_at_birth=margin))
             # every violated cut already known: the master cannot move
@@ -315,7 +320,8 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
         trace.records.append(IterationRecord(
             iteration=k, margin=margin, cap=cap,
             objective=objective_f(point, data.radius), violation=worst,
-            cuts_added=added, cuts_dropped=dropped, cut_count=len(pool),
+            violated=violated.size, cuts_added=added, cuts_dropped=dropped,
+            cut_count=len(pool),
             best_objective=cap if certified else None,
             newton_steps=report.iterations, kkt_residual=report.kkt_residual,
             ridges=report.ridges,

@@ -18,6 +18,7 @@ from wassrobust import (
     predict_score,
     solve_cutting_surface,
 )
+from wassrobust import cli
 from wassrobust.cli import main
 from wassrobust.harness import RESULT_COLUMNS
 
@@ -65,6 +66,46 @@ def test_fit_writes_trace_file(tmp_path):
     lines = [json.loads(l) for l in trace_path.read_text().splitlines()]
     assert lines[0]["event"] == "iteration"
     assert lines[-1]["event"] == "done"
+
+
+def test_trace_summary_matches_the_solve_trace(tmp_path, capsys, monkeypatch):
+    fits, fit_wrlr = [], cli.fit_wrlr
+
+    def recorded_fit(*args, **kwargs):
+        fits.append(fit_wrlr(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(cli, "fit_wrlr", recorded_fit)
+    data = dataset_csv(tmp_path, seed=23, m=16)
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(["fit", "--data", str(data), "--label-column", "label", "--r0", "0.05",
+                 "--out", str(tmp_path / "m.json"), "--trace", str(trace_path)]) == 0
+    capsys.readouterr()
+    assert main(["trace-summary", str(trace_path)]) == 0
+    printed = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    trace = fits[0].trace
+    summary = trace.summary()
+    steps = [r.newton_steps for r in trace.records]
+    assert printed == {
+        "status": repr(summary["status"]),
+        "iterations": repr(summary["iterations"]),
+        "master_seconds": repr(summary["master_seconds"]),
+        "separation_seconds": repr(summary["separation_seconds"]),
+        "newton_steps_per_master": repr(sum(steps) / len(steps)),
+        "worst_kkt_residual": repr(max(r.kkt_residual for r in trace.records)),
+        "cuts": repr(summary["cut_count"]),
+        "ridges": repr(sum(r.ridges for r in trace.records)),
+    }
+
+
+def test_trace_summary_refuses_unknown_schema_and_unfinished_trace(tmp_path, capsys):
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps({"schema": 2, "event": "done", "status": "optimal"}) + "\n")
+    assert main(["trace-summary", str(path)]) == 2
+    assert "trace schema 2" in capsys.readouterr().err
+    path.write_text(json.dumps({"schema": 3, "event": "iteration"}) + "\n")
+    assert main(["trace-summary", str(path)]) == 2
+    assert 'no "done" line' in capsys.readouterr().err
 
 
 def test_fit_rejects_robust_flags_with_zero_radius(tmp_path, capsys):

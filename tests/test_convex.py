@@ -230,28 +230,65 @@ def dense_rows(data, cuts, x, centered):
     return np.array(jac), curv
 
 
-def test_newton_matrix_matches_dense_closed_form():
+def dense_newton_matrix(data, cuts, program, x, lam, weights, box):
+    """J^T diag(weights) J + sum_j lam_j hess(g_j) + diag(box) from
+    ``dense_rows``, with the Jacobian J^T lam beside it."""
+    jac, curv = dense_rows(data, cuts, x, program.level_offsets.size > 0)
+    hess = jac.T @ (weights[:, None] * jac) + np.diag(box)
+    n_theta = data.theta_size
+    hess[:n_theta, :n_theta] += sum(l * h for l, h in zip(lam, curv))
+    return hess, jac.T @ lam
+
+
+def random_newton_inputs(program, rng):
+    """A point inside the box (infinite sides clipped), row multipliers
+    and box weights for ``newton_solve``."""
+    lower = np.where(np.isfinite(program.lower), program.lower, -5.0)
+    upper = np.minimum(np.where(np.isfinite(program.upper), program.upper, 5.0),
+                       lower + 20.0)
+    lam = rng.uniform(0.1, 5.0, program.constraint_rows)
+    return rng.uniform(lower, upper), lam, rng.uniform(0.0, 3.0, program.dim)
+
+
+def test_newton_solve_matches_dense_closed_form():
     rng = np.random.default_rng(3)
     for seed in range(3):
         data, cuts, masters = small_masters(30 + seed)
-        n_theta = data.theta_size
-        for centered, (program, _) in enumerate(masters):
-            lower = np.where(np.isfinite(program.lower), program.lower, -5.0)
-            upper = np.minimum(np.where(np.isfinite(program.upper), program.upper, 5.0),
-                               lower + 20.0)
+        for program, _ in masters:
             for _ in range(4):
-                x = rng.uniform(lower, upper)
-                rows = program.constraint_rows
-                lam, weights = rng.uniform(0.1, 5.0, rows), rng.uniform(0.1, 5.0, rows)
-                box = rng.uniform(0.0, 3.0, program.dim)
-                jac, curv = dense_rows(data, cuts, x, centered)
-                expected = jac.T @ (weights[:, None] * jac) + np.diag(box)
-                expected[:n_theta, :n_theta] += sum(l * h for l, h in zip(lam, curv))
+                x, lam, box = random_newton_inputs(program, rng)
+                weights = rng.uniform(0.1, 5.0, program.constraint_rows)
+                rhs = rng.normal(size=program.dim)
+                hess, jt_lam = dense_newton_matrix(data, cuts, program, x, lam, weights, box)
                 _, sig = program.evaluate(x)
-                got = program.newton_matrix(sig, lam, weights, box)
-                assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+                dx, ridges = program.newton_solve(sig, lam, weights, box, rhs)
+                expected = np.linalg.solve(hess, rhs)
+                assert ridges == 0
+                assert np.abs(dx - expected).max() <= 1e-10 * np.abs(expected).max()
                 jt = program.transpose_times(sig, lam)
-                assert np.abs(jt - jac.T @ lam).max() <= 1e-10 * np.abs(jac.T @ lam).max()
+                assert np.abs(jt - jt_lam).max() <= 1e-10 * np.abs(jt_lam).max()
+
+
+def test_newton_solve_keeps_digits_at_extreme_weights():
+    """Row weights spanning 1e-6 to 1e20, as near the end of a solve,
+    where active rows have tiny slacks, with every row in turn at 1e20:
+    the step still solves the dense system to a small relative residual.
+    The right-hand side H z carries the matrix's scale, so the residual
+    of an exact solve rounds to far below the bound."""
+    rng = np.random.default_rng(5)
+    for seed in range(2):
+        data, cuts, masters = small_masters(40 + seed)
+        for program, _ in masters:
+            for heavy in range(program.constraint_rows):
+                x, lam, box = random_newton_inputs(program, rng)
+                weights = 10.0 ** rng.uniform(-6.0, 20.0, program.constraint_rows)
+                weights[heavy] = 1e20
+                hess, _ = dense_newton_matrix(data, cuts, program, x, lam, weights, box)
+                rhs = hess @ rng.normal(size=program.dim)
+                _, sig = program.evaluate(x)
+                dx, _ = program.newton_solve(sig, lam, weights, box, rhs)
+                residual = np.linalg.norm(hess @ dx - rhs) / np.linalg.norm(rhs)
+                assert residual <= 1e-10, (program.level_offsets.size, heavy, residual)
 
 
 def test_each_point_is_evaluated_once():

@@ -95,6 +95,8 @@ def test_config_rejects_unknown_solver_and_idle_cut_dropping():
         ExperimentConfig(**base, solver="exchnage")
     with pytest.raises(ValueError, match="drop_cuts only applies to the cutting_surface"):
         ExperimentConfig(**base, solver="exchange", drop_cuts=True)
+    with pytest.raises(ValueError, match="alpha only applies to the cutting_surface"):
+        ExperimentConfig(**base, solver="exchange", alpha=3.0)
     assert ExperimentConfig(**base, solver="exchange").drop_cuts is False
 
 

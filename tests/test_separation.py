@@ -280,6 +280,8 @@ def test_best_violation_matches_per_sample_scan():
         got = best_violation(x, data)
         assert got.scenario.sample_index == want
         assert got.violation == per[want].violation
+        assert got.violated == sum(r.violation > 0.0 for r in per)
+        assert all(r.violated == int(r.violation > 0.0) for r in per)
 
 
 def test_best_violation_breaks_ties_by_lowest_index():

@@ -256,8 +256,16 @@ def test_trace_jsonl_round_trip(tmp_path):
     point, trace = solve_cutting_surface(data, 1e-5, trace_path=str(path))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == trace.iterations + 1
-    assert all(line["schema"] == 2 for line in lines)
+    assert all(line["schema"] == 3 for line in lines)
+    sweeps = 0
     for rec, line in zip(trace.records, lines):
+        assert line["violated"] == rec.violated
+        if rec.violation is not None:
+            # every violated sample yields a cut, or a duplicate of one
+            assert 0 <= rec.violated <= data.m
+            assert (rec.violated > 0) == (rec.violation > 0.0)
+            assert rec.cuts_added <= rec.violated
+            sweeps += 1
         assert line["event"] == "iteration"
         assert line["iteration"] == rec.iteration
         assert line["cut_count"] == rec.cut_count
@@ -270,6 +278,7 @@ def test_trace_jsonl_round_trip(tmp_path):
     assert done["status"] == trace.status
     assert done["iterations"] == trace.iterations
     assert done["final_violation"] == trace.final_violation
+    assert sweeps and any(rec.violated for rec in trace.records)
 
 
 def test_timing_capture_modes():
