@@ -12,21 +12,19 @@ Subcommands:
                       master, the worst KKT residual, cuts and ridges
 
 ``experiment`` takes ``--seed`` for its train/test splits and folds;
-``fit``, ``solve`` and ``experiment`` take ``--eps``, ``--trace``,
-``--drop-cuts`` and ``--alpha``.  A flag that the chosen path would
-ignore is an error (exit status 2): ``fit --r0 0`` rejects ``--solver``,
-``--eps``, ``--trace``, ``--drop-cuts`` and ``--alpha``; all three
-commands reject ``--drop-cuts`` and ``--alpha`` when the exchange solver
-runs (chosen by ``--solver``, the instance or the experiment config), and
-``--alpha`` when no cuts are dropped (neither ``--drop-cuts`` nor the
-config's ``drop_cuts``).
+``fit``, ``solve`` and ``experiment`` take ``--eps`` and ``--trace``.
+A flag that the chosen path would ignore is an error (exit status 2):
+``fit --r0 0`` rejects ``--solver``, ``--eps`` and ``--trace``.
 ``solve`` also exits with status 2 when the instance's ``"solver"`` is
 not ``cutting_surface`` or ``exchange``, or when ``--solver`` names the
 other one.  Bad input of any other kind (a value the library rejects, an
 unreadable or malformed file, an instance without ``features``,
-``labels`` or ``radius``) prints one line naming the problem and exits
-with status 2.  ``trace-summary`` exits with status 2 on a line whose
-``schema`` it does not read, naming that schema.
+``labels`` or ``radius``, an experiment ``--trace`` that is not an
+existing directory) prints one line naming the problem and exits with
+status 2.  ``trace-summary`` exits with status 2 on a line whose
+``schema`` it does not read, naming that schema, and on a line that is
+not a JSON object or lacks a field it reads, naming the line number and
+the field.
 """
 
 from __future__ import annotations
@@ -57,10 +55,6 @@ def _add_solver_flags(parser):
                         help="target feasibility tolerance (default 1e-5)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="write per-iteration JSON lines to PATH")
-    parser.add_argument("--drop-cuts", action="store_true", default=None,
-                        help="drop cuts that have gone slack")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="staleness factor for cut dropping (default 2)")
 
 
 def _given(**flags):
@@ -78,27 +72,11 @@ def _reject(args, flags, reason):
     return _error(args, f"{names} {reason}")
 
 
-def _idle_cut_flags(args, solver, drop_cuts):
-    """(flags, reason) for the cut-dropping flags that would not take
-    effect, or None: the exchange solver keeps every cut, and ``--alpha``
-    only acts when cuts are dropped."""
-    flags = _given(drop_cuts=args.drop_cuts, alpha=args.alpha)
-    if solver == "exchange" and flags:
-        return flags, "only apply to the cutting_surface solver"
-    if "alpha" in flags and not drop_cuts:
-        return {"alpha": args.alpha}, "only applies with --drop-cuts"
-    return None
-
-
 def _cmd_fit(args):
-    flags = _given(solver=args.solver, eps=args.eps, trace=args.trace,
-                   drop_cuts=args.drop_cuts, alpha=args.alpha)
+    flags = _given(solver=args.solver, eps=args.eps, trace=args.trace)
     if args.r0 == 0.0 and flags:
         return _reject(args, flags, "only apply to a robust fit, and --r0 0 "
                        "fits plain logistic regression")
-    idle = _idle_cut_flags(args, args.solver, args.drop_cuts)
-    if idle:
-        return _reject(args, *idle)
     train = Dataset.from_csv(args.data, args.label_column)
     if args.r0 == 0.0:
         model = fit_lr(train, theta_radius=args.theta_radius)
@@ -139,9 +117,6 @@ def _cmd_solve(args):
     if args.solver not in (None, solver):
         return _error(args, f"--solver {args.solver} disagrees with the "
                       f'instance "solver" {solver}')
-    idle = _idle_cut_flags(args, solver, args.drop_cuts)
-    if idle:
-        return _reject(args, *idle)
     dataset = Dataset.from_arrays(np.asarray(payload["features"], dtype=float),
                                   np.asarray(payload["labels"]))
     if "regions" in payload:
@@ -154,12 +129,8 @@ def _cmd_solve(args):
         theta_radius=float(payload.get("theta_radius", 10.0)),
     )
     eps = 1e-5 if args.eps is None else args.eps
-    if solver == "exchange":
-        point, trace = solve_exchange(data, eps, trace_path=args.trace)
-    else:
-        point, trace = solve_cutting_surface(
-            data, eps, trace_path=args.trace,
-            **_given(drop_cuts=args.drop_cuts, alpha=args.alpha))
+    solve = solve_exchange if solver == "exchange" else solve_cutting_surface
+    point, trace = solve(data, eps, trace_path=args.trace)
     if point is None:
         print(f"solve failed: {trace.status}", file=sys.stderr)
         return 1
@@ -185,18 +156,11 @@ def _cmd_solve(args):
 
 def _cmd_experiment(args):
     config = ExperimentConfig.from_json(args.config)
-    idle = _idle_cut_flags(args, config.solver, args.drop_cuts or config.drop_cuts)
-    if idle:
-        return _reject(args, *idle)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.eps is not None:
         overrides["eps"] = args.eps
-    if args.drop_cuts:
-        overrides["drop_cuts"] = True
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
     if args.trace is not None:
         overrides["trace_dir"] = args.trace
     if overrides:
@@ -244,13 +208,42 @@ def _cmd_separate_debug(args):
     return 0
 
 
+# the fields trace-summary reads from each kind of trace line
+_SUMMARY_FIELDS = {
+    "iteration": ("newton_steps", "kkt_residual", "ridges"),
+    "done": ("status", "iterations", "master_seconds", "separation_seconds", "cut_count"),
+}
+
+
+def _trace_lines(path):
+    """The lines of a trace file as dicts; a line that is not a JSON
+    object of schema ``TRACE_SCHEMA`` with an "event" and every field
+    the summary reads raises ValueError naming its line number."""
+    lines = []
+    with open(path) as fh:
+        for number, text in enumerate(fh, 1):
+            if not text.strip():
+                continue
+            where = f"{path} line {number}"
+            try:
+                line = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where} is not JSON: {exc}") from None
+            if not isinstance(line, dict):
+                raise ValueError(f"{where} is not a JSON object")
+            if line.get("schema") != TRACE_SCHEMA:
+                raise ValueError(f"{where} has trace schema {line.get('schema')!r}; "
+                                 f"this version reads schema {TRACE_SCHEMA}")
+            wanted = ("event", *_SUMMARY_FIELDS.get(str(line.get("event")), ()))
+            missing = [f'"{key}"' for key in wanted if key not in line]
+            if missing:
+                raise ValueError(f"{where} has no {', '.join(missing)}")
+            lines.append(line)
+    return lines
+
+
 def _cmd_trace_summary(args):
-    with open(args.path) as fh:
-        lines = [json.loads(text) for text in fh if text.strip()]
-    for line in lines:
-        if line.get("schema") != TRACE_SCHEMA:
-            return _error(args, f"{args.path} has trace schema {line.get('schema')!r}; "
-                          f"this version reads schema {TRACE_SCHEMA}")
+    lines = _trace_lines(args.path)
     records = [line for line in lines if line["event"] == "iteration"]
     done = next((line for line in lines if line["event"] == "done"), None)
     if done is None:
@@ -304,8 +297,6 @@ def build_parser():
     p_exp.add_argument("--eps", type=float, default=None)
     p_exp.add_argument("--trace", default=None, metavar="DIR",
                        help="directory for per-repetition trace files")
-    p_exp.add_argument("--drop-cuts", action="store_true", default=None)
-    p_exp.add_argument("--alpha", type=float, default=None)
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_dbg = sub.add_parser("separate-debug",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -58,9 +59,6 @@ class ExperimentConfig:
     solver: str = "cutting_surface"
     folds: int = 4
     theta_radius: float = 10.0
-    # the cutting-surface solver's staleness factor; None keeps its default
-    alpha: float | None = None
-    drop_cuts: bool = False
     standardize: bool = False
     capture_timing: bool = True
     trace_dir: str | None = None
@@ -74,11 +72,6 @@ class ExperimentConfig:
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {', '.join(SOLVERS)}, "
                              f"got {self.solver!r}")
-        if self.solver == "exchange":
-            if self.drop_cuts:
-                raise ValueError("drop_cuts only applies to the cutting_surface solver")
-            if self.alpha is not None:
-                raise ValueError("alpha only applies to the cutting_surface solver")
 
     @classmethod
     def from_json(cls, path):
@@ -201,7 +194,6 @@ def _run_repetition(rep, config, dataset):
 
     fit_kwargs = dict(
         eps=config.eps, solver=config.solver, theta_radius=config.theta_radius,
-        drop_cuts=config.drop_cuts, alpha=config.alpha,
         capture_timing=config.capture_timing,
     )
     started = time.perf_counter() if config.capture_timing else 0.0
@@ -237,7 +229,13 @@ def _run_repetition(rep, config, dataset):
 
 
 def run_experiment(config):
-    """Run every repetition and aggregate the paired comparison."""
+    """Run every repetition and aggregate the paired comparison.
+
+    A ``trace_dir`` must be an existing directory; a repetition that
+    chooses radius 0 fits plain logistic regression and writes no trace.
+    """
+    if config.trace_dir and not os.path.isdir(config.trace_dir):
+        raise ValueError(f"trace_dir {config.trace_dir!r} is not an existing directory")
     dataset = Dataset.from_csv(config.dataset_csv, config.label_column)
     reps = [_run_repetition(r, config, dataset) for r in range(config.repetitions)]
     a = np.array([r.auc_wrlr for r in reps])

@@ -165,11 +165,11 @@ class ProblemData:
 class CutPool:
     """The cuts of one problem, stored as row-aligned arrays.
 
-    Cut j belongs to sample ``samples[j]``, sits at ``points[j]``, lies
-    at L1 distance ``dists[j]`` from that sample's features and was born
-    at master margin ``births[j]``.  A cut is checked once, when it is
-    added.  Two cuts are duplicates when they belong to the same sample
-    and their points agree after rounding to ten decimal places.
+    Cut j belongs to sample ``samples[j]``, sits at ``points[j]`` and
+    lies at L1 distance ``dists[j]`` from that sample's features.  The
+    pool only grows.  A cut is checked once, when it is added.  Two cuts
+    are duplicates when they belong to the same sample and their points
+    agree after rounding to ten decimal places.
     """
 
     def __init__(self, data):
@@ -177,14 +177,9 @@ class CutPool:
         self.samples = np.empty(0, dtype=int)
         self.points = np.empty((0, data.dataset.n))
         self.dists = np.empty(0)
-        self.births = np.empty(0)
         self._keys = set()
 
-    @staticmethod
-    def _key(sample, point):
-        return (int(sample), tuple(float(v) for v in np.round(point, 10)))
-
-    def add(self, scenario, margin_at_birth=np.inf):
+    def add(self, scenario):
         """Check and append one cut; returns False for a duplicate."""
         data = self.data
         i, point = scenario.sample_index, scenario.point
@@ -200,25 +195,14 @@ class CutPool:
         # region: it costs nothing to transport
         if not data.regions[scenario.label].contains(point) and not np.all(offset <= 1e-12):
             raise ValueError("cut point lies outside its class region")
-        key = self._key(i, point)
+        key = (int(i), tuple(float(v) for v in np.round(point, 10)))
         if key in self._keys:
             return False
         self._keys.add(key)
         self.samples = np.append(self.samples, i)
         self.points = np.vstack([self.points, point])
         self.dists = np.append(self.dists, np.sum(offset))
-        self.births = np.append(self.births, margin_at_birth)
         return True
-
-    def drop(self, mask):
-        """Remove the cuts where ``mask`` holds; returns how many."""
-        mask = np.asarray(mask, dtype=bool)
-        for i, point in zip(self.samples[mask], self.points[mask]):
-            self._keys.discard(self._key(i, point))
-        keep = ~mask
-        self.samples, self.points = self.samples[keep], self.points[keep]
-        self.dists, self.births = self.dists[keep], self.births[keep]
-        return int(np.count_nonzero(mask))
 
     def values(self, theta, multipliers):
         """Each cut's constraint value: its loss minus its sample's

@@ -10,13 +10,15 @@ Two algorithms, both driven by the separation oracles:
 * ``solve_cutting_surface``: the centered scheme.  Keep a strict upper
   bound on the optimal value and repeatedly maximize the feasibility
   margin ``w`` of the current cut set under that bound.  A positive
-  margin either yields a new cut (when separation finds a violated
-  constraint) or certifies an improved incumbent (when it does not).
-  The margin contracts geometrically, which gives the iteration bound
-  the acceptance tests check.
+  margin either yields new cuts (when separation finds violated
+  constraints) or certifies an improved incumbent (when it does not).
+  The pool keeps every cut it is given.  The margin contracts
+  geometrically, which gives the iteration bound the acceptance tests
+  check.
 
-Both return the final iterate together with a trace of every
-iteration; the trace can be written as JSON lines for inspection.
+Both return the final iterate, or None when they have none, together
+with a trace of every iteration; the trace can be written as JSON lines
+for inspection.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import convex
-from .model import DualPoint, Scenario, objective_f
+from .model import Scenario, objective_f
 from .reformulate import (
     CutPool,
     build_exchange_master,
@@ -52,7 +54,7 @@ __all__ = [
 
 
 # version of the JSON-lines layout ``SolveTrace.write_jsonl`` writes
-TRACE_SCHEMA = 3
+TRACE_SCHEMA = 4
 
 
 @dataclass
@@ -65,7 +67,6 @@ class IterationRecord:
     # samples with a positive violation in the sweep
     violated: int | None
     cuts_added: int
-    cuts_dropped: int
     cut_count: int
     best_objective: float | None
     newton_steps: int
@@ -206,8 +207,7 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
         trace.records.append(IterationRecord(
             iteration=k, margin=None, cap=None,
             objective=-report.objective, violation=sep.violation,
-            violated=sep.violated, cuts_added=added, cuts_dropped=0,
-            cut_count=len(pool),
+            violated=sep.violated, cuts_added=added, cut_count=len(pool),
             best_objective=None, newton_steps=report.iterations,
             kkt_residual=report.kkt_residual, ridges=report.ridges,
             master_seconds=t1 - t0, separation_seconds=t2 - t1,
@@ -230,20 +230,16 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
     return point, trace
 
 
-def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
-                          max_iterations=MAX_ITERATIONS, trace_path=None,
+def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=None,
                           capture_timing=True):
     """Centered cutting scheme with a certified eps-feasible incumbent.
 
-    Each sweep adds every violated constraint it finds.  Cut dropping,
-    when enabled, removes cuts whose birth margin is at least ``alpha``
-    times the current margin and whose slack is strictly positive at the
-    current iterate.
+    Each sweep adds every violated constraint it finds.  The incumbent
+    is the last eps-feasible iterate the loop adopted; a solve that
+    adopts none returns None as its point and skips the final sweep.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1")
     der = data.derived
     # the loop ends once the master's margin falls to this
     margin_tol = 1e-9 * (der.objective_cap - der.loss_lower)
@@ -251,16 +247,11 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
     start = clock.now()
     trace = SolveTrace(algorithm="cutting_surface")
 
-    t0 = clock.now()
-    theta0, _, _ = solve_nominal(data)
-    trace.master_seconds += clock.now() - t0
-
     pool = _atom_pool(data)
     all_samples = np.arange(data.m)
 
-    incumbent = DualPoint(theta0, np.zeros(data.m + 1))
+    incumbent = None
     cap = der.objective_cap
-    certified = False
 
     for k in range(1, max_iterations + 1):
         t0 = clock.now()
@@ -277,9 +268,8 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
             trace.records.append(IterationRecord(
                 iteration=k, margin=margin, cap=cap,
                 objective=objective_f(point, data.radius), violation=None,
-                violated=None, cuts_added=0, cuts_dropped=0,
-                cut_count=len(pool),
-                best_objective=cap if certified else None,
+                violated=None, cuts_added=0, cut_count=len(pool),
+                best_objective=None if incumbent is None else cap,
                 newton_steps=report.iterations, kkt_residual=report.kkt_residual,
                 ridges=report.ridges,
                 master_seconds=t1 - t0, separation_seconds=0.0,
@@ -295,12 +285,11 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
         violated = np.flatnonzero(violations > 0.0)
 
         added = 0
-        dropped = 0
         stalled = False
         if worst > eps:
             for i in violated:
                 scenario = Scenario(points[i], i, int(data.dataset.labels[i]))
-                added += int(pool.add(scenario, margin_at_birth=margin))
+                added += int(pool.add(scenario))
             # every violated cut already known: the master cannot move
             # further at this precision
             stalled = added == 0
@@ -308,21 +297,12 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
             # the iterate is eps-feasible: adopt it and tighten the cap
             incumbent = point
             cap = objective_f(point, data.radius)
-            certified = True
-            # dropping happens only on adopting iterations: no cut was
-            # added above, so removing rows that are strictly slack at
-            # this iterate cannot enlarge the next margin
-            if drop_cuts:
-                g = pool.values(point.theta, point.multipliers)
-                dropped = pool.drop((pool.births >= alpha * margin)
-                                    & (g + der.centering_bound * margin < 0.0))
 
         trace.records.append(IterationRecord(
             iteration=k, margin=margin, cap=cap,
             objective=objective_f(point, data.radius), violation=worst,
-            violated=violated.size, cuts_added=added, cuts_dropped=dropped,
-            cut_count=len(pool),
-            best_objective=cap if certified else None,
+            violated=violated.size, cuts_added=added, cut_count=len(pool),
+            best_objective=None if incumbent is None else cap,
             newton_steps=report.iterations, kkt_residual=report.kkt_residual,
             ridges=report.ridges,
             master_seconds=t1 - t0, separation_seconds=t2 - t1,
@@ -333,13 +313,14 @@ def solve_cutting_surface(data, eps, alpha=2.0, drop_cuts=False,
     else:
         trace.status = "iteration_limit"
 
-    # certify whatever we return by a full sweep at the incumbent
-    t0 = clock.now()
-    _, final = separate(incumbent, data, all_samples)
-    trace.separation_seconds += clock.now() - t0
-    trace.oracle_calls += data.m
-    trace.final_violation = float(final.max())
-    if trace.status == "optimal" and trace.final_violation > eps:
+    if incumbent is not None:
+        # certify what we return by a full sweep at the incumbent
+        t0 = clock.now()
+        _, final = separate(incumbent, data, all_samples)
+        trace.separation_seconds += clock.now() - t0
+        trace.oracle_calls += data.m
+        trace.final_violation = float(final.max())
+    if trace.status == "optimal" and (incumbent is None or trace.final_violation > eps):
         trace.status = "uncertified"
     trace.wall_seconds = clock.now() - start
     if trace_path:

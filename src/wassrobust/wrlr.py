@@ -89,41 +89,23 @@ SOLVERS = ("cutting_surface", "exchange")
 
 
 def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
-             theta_radius=10.0, trace_path=None, drop_cuts=False, alpha=None,
-             capture_timing=True):
+             theta_radius=10.0, trace_path=None, capture_timing=True):
     """Robust logistic regression at a fixed radius.
 
     ``radius=0`` falls back to plain logistic regression so radius grids
-    can include the nominal model.  ``drop_cuts`` and ``alpha`` (the
-    cutting-surface solver's staleness factor, 2 when None) only apply to
-    the cutting-surface solver; the exchange solver refuses them.
+    can include the nominal model.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    if solver == "exchange":
-        idle = [name for name, given in (("drop_cuts", drop_cuts),
-                                         ("alpha", alpha is not None)) if given]
-        if idle:
-            verb = "applies" if len(idle) == 1 else "apply"
-            raise ValueError(f"{' and '.join(idle)} only {verb} to the "
-                             "cutting_surface solver")
     _require_both_classes(train)
     if radius == 0.0:
         return fit_lr(train, theta_radius=theta_radius)
     data = ProblemData.assemble(train, build_regions(train), radius=radius,
                                 theta_radius=theta_radius)
-    if solver == "cutting_surface":
-        staleness = {} if alpha is None else {"alpha": alpha}
-        point, trace = solve_cutting_surface(
-            data, eps, drop_cuts=drop_cuts, trace_path=trace_path,
-            capture_timing=capture_timing, **staleness,
-        )
-    else:
-        point, trace = solve_exchange(
-            data, eps, trace_path=trace_path, capture_timing=capture_timing,
-        )
+    solve = solve_cutting_surface if solver == "cutting_surface" else solve_exchange
+    point, trace = solve(data, eps, trace_path=trace_path, capture_timing=capture_timing)
     if point is None:
         raise RuntimeError(f"robust fit failed: {trace.status}")
     return FittedModel(theta=point.theta, radius=float(radius), kind="wrlr",

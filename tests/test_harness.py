@@ -1,6 +1,7 @@
 """Experiment harness: statistics, repetition protocol, result files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from wassrobust import (
     run_experiment,
     welch_pvalue,
 )
+from wassrobust import harness
+from wassrobust.cli import main
 from wassrobust.harness import RESULT_COLUMNS
 
 from conftest import blob_dataset, write_csv
@@ -89,15 +92,15 @@ def test_config_round_trip_and_validation(tmp_path):
         ExperimentConfig.from_json(path)
 
 
-def test_config_rejects_unknown_solver_and_idle_cut_dropping():
+def test_config_rejects_unknown_solver_and_idle_cut_dropping(tmp_path):
     base = dict(dataset_csv="d.csv", label_column="label", train_size=20)
     with pytest.raises(ValueError, match="got 'exchnage'"):
         ExperimentConfig(**base, solver="exchnage")
-    with pytest.raises(ValueError, match="drop_cuts only applies to the cutting_surface"):
-        ExperimentConfig(**base, solver="exchange", drop_cuts=True)
-    with pytest.raises(ValueError, match="alpha only applies to the cutting_surface"):
-        ExperimentConfig(**base, solver="exchange", alpha=3.0)
-    assert ExperimentConfig(**base, solver="exchange").drop_cuts is False
+    # every cut is kept, so keys that set cut dropping are refused by name
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**base, "drop_cuts": True, "alpha": 2.0}))
+    with pytest.raises(ValueError, match=r"unknown config keys \['alpha', 'drop_cuts'\]"):
+        ExperimentConfig.from_json(path)
 
 
 def test_zero_radius_grid_makes_both_models_identical(tmp_path):
@@ -216,3 +219,22 @@ def test_trace_dir_writes_per_repetition_traces(tmp_path):
     assert len(files) == 1
     lines = [json.loads(l) for l in files[0].read_text().splitlines()]
     assert lines[-1]["event"] == "done"
+
+
+def test_missing_trace_dir_is_refused_before_any_fit(tmp_path, monkeypatch, capsys):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a repetition started")
+
+    monkeypatch.setattr(harness, "select_r0", no_fit)
+    absent = tmp_path / "absent"
+    cfg = ExperimentConfig(dataset_csv=str(experiment_csv(tmp_path)), label_column="label",
+                           train_size=12, repetitions=1, trace_dir=str(absent))
+    with pytest.raises(ValueError, match=re.escape(f"trace_dir '{absent}' is not an existing")):
+        run_experiment(cfg)
+    cfg_path = tmp_path / "config.json"
+    cfg.replace(trace_dir=None).to_json(cfg_path)
+    csv_out = tmp_path / "results.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--csv-out", str(csv_out),
+                 "--trace", str(absent)]) == 2
+    assert str(absent) in capsys.readouterr().err
+    assert not csv_out.exists()

@@ -13,12 +13,14 @@ from wassrobust import (
     Dataset,
     ProblemData,
     Scenario,
+    fit_wrlr,
     objective_f,
     solve_cutting_surface,
     solve_exchange,
     solve_full_enumeration,
     solve_nominal,
 )
+from wassrobust import convex
 
 from conftest import box_problem, finite_problem
 
@@ -45,30 +47,16 @@ def test_cut_pool_deduplicates_by_rounded_point():
     assert len(pool) == 3
 
 
-def test_cut_pool_drop_allows_readding():
-    pool = CutPool(pool_problem())
-    s = Scenario(np.array([1.0, 1.0]), 2, 0)
-    pool.add(s, margin_at_birth=0.5)
-    assert pool.drop(pool.births == 0.5) == 1
-    assert len(pool) == 0
-    assert pool.add(s, margin_at_birth=0.25)
-    assert pool.drop(pool.births == 0.5) == 0
-    assert pool.drop(pool.births == 0.25) == 1
-
-
 _POOL_DATA = box_problem(6, m=6, n=2)  # both class boxes have positive width
-# an add picks (sample, grid cell, birth margin): cell c is the point
-# (c // 3, c % 3) / 2 of the sample's class box, so repeats are common
-_POOL_OPS = st.lists(st.one_of(
-    st.tuples(st.just("add"), st.integers(0, _POOL_DATA.m - 1), st.integers(0, 8),
-              st.floats(0.0, 1.0)),
-    st.tuples(st.just("drop"), st.integers(0, 2**30)),
-), max_size=40)
+# an add picks (sample, grid cell): cell c is the point (c // 3, c % 3) / 2
+# of the sample's class box, so repeats are common
+_POOL_ADDS = st.lists(st.tuples(st.integers(0, _POOL_DATA.m - 1), st.integers(0, 8)),
+                      max_size=40)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_POOL_OPS)
-def test_cut_pool_arrays_stay_aligned(ops):
+@given(_POOL_ADDS)
+def test_cut_pool_arrays_stay_aligned(adds):
     data = _POOL_DATA
     feats, labels = data.dataset.features, data.dataset.labels
 
@@ -79,33 +67,21 @@ def test_cut_pool_arrays_stay_aligned(ops):
                         int(labels[i]))
 
     pool = CutPool(data)
-    rows = []  # (sample, cell, birth) of each pooled cut, in order
-    for op in ops:
-        if op[0] == "add":
-            _, i, cell, birth = op
-            fresh = all((i, cell) != row[:2] for row in rows)
-            assert pool.add(scenario(i, cell), margin_at_birth=birth) == fresh
-            if fresh:
-                rows.append((i, cell, birth))
-        else:
-            mask = np.array([(op[1] >> j) & 1 for j in range(len(rows))], dtype=bool)
-            assert pool.drop(mask) == mask.sum()
-            rows = [row for row, gone in zip(rows, mask) if not gone]
+    rows = []  # (sample, cell) of each pooled cut, in order
+    for i, cell in adds:
+        fresh = (i, cell) not in rows
+        assert pool.add(scenario(i, cell)) == fresh
+        if fresh:
+            rows.append((i, cell))
         k = len(rows)
         assert len(pool) == k
         assert pool.points.shape == (k, 2)
         assert pool.samples.tolist() == [row[0] for row in rows]
-        assert pool.births.tolist() == [row[2] for row in rows]
-        expected = [scenario(i, cell).point for i, cell, _ in rows]
+        expected = [scenario(i, cell).point for i, cell in rows]
         assert np.array_equal(pool.points, np.reshape(expected, (k, 2)))
         l1 = np.abs(pool.points - feats[pool.samples]).sum(axis=1)
         assert pool.dists.shape == (k,)
         assert np.allclose(pool.dists, l1, rtol=0.0, atol=1e-12)
-    # every dropped cut can be added again
-    pool.drop(np.ones(len(rows), dtype=bool))
-    assert len(pool) == 0
-    for i, cell, birth in rows:
-        assert pool.add(scenario(i, cell), margin_at_birth=birth)
 
 
 def test_nominal_on_single_point_instance():
@@ -187,11 +163,9 @@ def test_exchange_rejects_bad_eps():
         solve_exchange(data, 0.0)
     with pytest.raises(ValueError):
         solve_cutting_surface(data, -1.0)
-    with pytest.raises(ValueError):
-        solve_cutting_surface(data, 1e-5, alpha=1.0)
 
 
-def test_cutting_surface_monotone_without_drops():
+def test_cutting_surface_is_monotone():
     data = box_problem(2, m=12, n=3, radius=0.2)
     point, trace = solve_cutting_surface(data, 1e-6)
     assert trace.status == "optimal"
@@ -213,24 +187,27 @@ def test_cutting_surface_seeds_pool_with_every_sample():
     assert trace.status == "optimal"
 
 
-def test_cutting_surface_drop_variant_agrees():
-    for seed in (2, 6):
-        data = box_problem(seed, m=12, n=3, radius=0.2)
-        eps = 1e-5
-        plain, _ = solve_cutting_surface(data, eps)
-        dropped, trace = solve_cutting_surface(data, eps, drop_cuts=True)
-        assert trace.status == "optimal"
-        assert sum(r.cuts_dropped for r in trace.records) > 0
-        diff = abs(objective_f(plain, data.radius) - objective_f(dropped, data.radius))
-        assert diff <= 2 * eps
-        assert trace.final_violation <= eps
-
-
 def test_cutting_surface_iteration_cap_reports_honestly():
     data = box_problem(9, m=12, n=3, radius=0.2)
     point, trace = solve_cutting_surface(data, 1e-8, max_iterations=3)
     assert trace.status == "iteration_limit"
     assert trace.iterations == 3
+
+
+def test_solve_that_adopts_no_iterate_returns_none(monkeypatch):
+    # one Newton step per master: the first master ends iteration_limit
+    solve = convex.solve
+    monkeypatch.setattr(convex, "solve", lambda program, x0: solve(program, x0,
+                                                                   max_newton=1))
+    data = box_problem(9, m=12, n=3, radius=0.2)
+    for solver in (solve_cutting_surface, solve_exchange):
+        point, trace = solver(data, 1e-5)
+        assert point is None
+        assert trace.status == "master_iteration_limit"
+        assert trace.iterations == 0 and trace.oracle_calls == 0
+        assert trace.final_violation is None
+    with pytest.raises(RuntimeError, match="robust fit failed: master_iteration_limit"):
+        fit_wrlr(data.dataset, 0.2)
 
 
 def test_improvement_ratios_respect_rate_bound():
@@ -256,7 +233,7 @@ def test_trace_jsonl_round_trip(tmp_path):
     point, trace = solve_cutting_surface(data, 1e-5, trace_path=str(path))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == trace.iterations + 1
-    assert all(line["schema"] == 3 for line in lines)
+    assert all(line["schema"] == 4 for line in lines)
     sweeps = 0
     for rec, line in zip(trace.records, lines):
         assert line["violated"] == rec.violated
@@ -292,6 +269,15 @@ def test_timing_capture_modes():
     covered = timed.master_seconds + timed.separation_seconds
     assert covered <= timed.wall_seconds + 1e-9
     assert covered >= 0.9 * timed.wall_seconds
+
+
+def test_master_seconds_are_the_records_sum():
+    # every master solve, and only those, has a record
+    data = box_problem(10, m=30, n=3)
+    for solve in (solve_cutting_surface, solve_exchange):
+        _, trace = solve(data, 1e-5)
+        assert trace.status == "optimal"
+        assert trace.master_seconds == sum(r.master_seconds for r in trace.records)
 
 
 def test_repeat_solves_are_bitwise_identical():

@@ -98,19 +98,6 @@ def test_fit_validation():
         fit_wrlr(ds, 0.1, solver="magic")
 
 
-@pytest.mark.parametrize("flags, named", [
-    ({"drop_cuts": True}, "drop_cuts only applies"),
-    ({"alpha": 3.0}, "alpha only applies"),
-    ({"drop_cuts": True, "alpha": 3.0}, "drop_cuts and alpha only apply"),
-])
-def test_exchange_fit_refuses_cut_dropping_flags(flags, named):
-    # the exchange solver keeps every cut: a flag it would ignore is an error
-    ds = blob_dataset(12, 12, 2)
-    with pytest.raises(ValueError, match=named):
-        fit_wrlr(ds, 0.1, solver="exchange", **flags)
-    assert fit_wrlr(ds, 0.1, solver="exchange", drop_cuts=False).trace.status == "optimal"
-
-
 def test_objective_grows_with_radius():
     ds = blob_dataset(26, 12, 2)
     regions = build_regions(ds)
