@@ -8,8 +8,9 @@ Subcommands:
 * ``separate-debug``  dump one sample's transport profile, with repeated
                       breakpoints dropped
 * ``trace-summary``   summarise a ``--trace`` file: status, iterations,
-                      master and separation seconds, Newton steps per
-                      master, the worst KKT residual, cuts and ridges
+                      master and separation seconds, Newton steps and
+                      line-search backtracks per master, the worst KKT
+                      residual, cuts and ridges
 
 ``experiment`` takes ``--seed`` for its train/test splits and folds;
 ``fit``, ``solve`` and ``experiment`` take ``--eps`` and ``--trace``.
@@ -210,7 +211,7 @@ def _cmd_separate_debug(args):
 
 # the fields trace-summary reads from each kind of trace line
 _SUMMARY_FIELDS = {
-    "iteration": ("newton_steps", "kkt_residual", "ridges"),
+    "iteration": ("newton_steps", "backtracks", "kkt_residual", "ridges"),
     "done": ("status", "iterations", "master_seconds", "separation_seconds", "cut_count"),
 }
 
@@ -249,12 +250,14 @@ def _cmd_trace_summary(args):
     if done is None:
         return _error(args, f"{args.path} has no \"done\" line")
     steps = [r["newton_steps"] for r in records]
+    backtracks = [r["backtracks"] for r in records]
     summary = {
         "status": done["status"],
         "iterations": done["iterations"],
         "master_seconds": done["master_seconds"],
         "separation_seconds": done["separation_seconds"],
         "newton_steps_per_master": sum(steps) / len(steps) if steps else None,
+        "backtracks_per_master": sum(backtracks) / len(backtracks) if backtracks else None,
         "worst_kkt_residual": max((r["kkt_residual"] for r in records), default=None),
         "cuts": done["cut_count"],
         "ridges": sum(r["ridges"] for r in records),

@@ -17,7 +17,12 @@ residual norm.  Working on the optimality residuals keeps every
 quantity at its natural scale, which is what lets the solver certify
 tolerances near 1e-8 in double precision; a pure primal barrier loses
 those digits in its merit function once the barrier weight is large.
-The barrier weight decreases by a fixed factor of 10 per step.
+Each step aims at the barrier weight sigma * gap / count, with the
+centering factor sigma = max(0.1, (1 - alpha)^2) set by the length
+alpha of the previous accepted step: a full step cuts the weight
+tenfold, and a step the line search cut back against the curved cut
+rows aims nearer the central path, so the next one is not cut back
+again.
 
 A cut row touches theta through its curve, one s entry, beta and w, so
 ``MasterProgram`` never forms the dense Jacobian: it supplies J^T lam
@@ -185,11 +190,11 @@ class SolveReport:
     # Cholesky retries of the border complement with a ridge on its
     # diagonal, summed over the steps
     ridges: int
+    # line-search trial points rejected, summed over the steps
+    backtracks: int
 
 
 _RIDGE_TRIES = 8
-# the barrier weight falls by this factor per Newton step
-_SHRINK = 0.1
 
 
 def _solve_spd(hess, rhs):
@@ -236,10 +241,10 @@ def _pd_solve(program, tol, x, g, sig, count, max_iters):
     and ``sig``, the sigmoid of its cut scores.
 
     ``count`` is the number of log terms: rows plus finite bounds.
-    Returns (x, status, kkt_residual, iterations, ridges).  Terminates
-    when both the complementarity sum and the dual residual norm drop
-    below half the tolerance; their sum is the reported optimality
-    measure.
+    Returns (x, status, kkt_residual, iterations, ridges, backtracks).
+    Terminates when both the complementarity sum and the dual residual
+    norm drop below half the tolerance; their sum is the reported
+    optimality measure, at every exit.
 
     Each point is evaluated once.  A trial point gets its row values,
     and J^T lam only once a trial has been strictly feasible; the
@@ -250,7 +255,7 @@ def _pd_solve(program, tol, x, g, sig, count, max_iters):
     lo_idx = np.flatnonzero(np.isfinite(lo))
     hi_idx = np.flatnonzero(np.isfinite(hi))
     dim = program.dim
-    ridges = 0
+    ridges = backtracks = 0
 
     def slacks(x, g):
         return -g, x[lo_idx] - lo[lo_idx], hi[hi_idx] - x[hi_idx]
@@ -272,13 +277,16 @@ def _pd_solve(program, tol, x, g, sig, count, max_iters):
     s_row, s_lo, s_hi = slacks(x, g)
     lam_row, lam_lo, lam_hi = 1.0 / s_row, 1.0 / s_lo, 1.0 / s_hi
     r_dual = dual_residual(sig, lam_row, lam_lo, lam_hi)
+    # length of the previous accepted step
+    alpha = 1.0
 
     for it in range(1, max_iters + 1):
         gap = float(s_row @ lam_row + s_lo @ lam_lo + s_hi @ lam_hi)
         dual_norm = float(np.linalg.norm(r_dual))
         if gap <= 0.5 * tol and dual_norm <= 0.5 * tol:
-            return x, OPTIMAL, gap + dual_norm, it - 1, ridges
-        mu = max(_SHRINK * gap / count, 1e-300)
+            return x, OPTIMAL, gap + dual_norm, it - 1, ridges, backtracks
+        # a cut-back step aims the next one nearer the central path
+        mu = max(max(0.1, (1.0 - alpha) ** 2) * gap / count, 1e-300)
 
         box_diag = np.zeros(dim)
         box_diag[lo_idx] = lam_lo / s_lo
@@ -317,15 +325,17 @@ def _pd_solve(program, tol, x, g, sig, count, max_iters):
                         <= (1.0 - 0.01 * alpha) * base:
                     break
             alpha *= 0.5
+            backtracks += 1
         else:
             # stuck at numerical precision; report what we have
             return x, (OPTIMAL if gap + dual_norm <= tol else ITERATION_LIMIT), \
-                gap + dual_norm, it, ridges
+                gap + dual_norm, it, ridges, backtracks
         x, sig, r_dual = x_new, sig_new, r_new
         s_row, s_lo, s_hi = slacks_new
         lam_row, lam_lo, lam_hi = lams_new
     gap = float(s_row @ lam_row + s_lo @ lam_lo + s_hi @ lam_hi)
-    return x, ITERATION_LIMIT, gap, max_iters, ridges
+    return x, ITERATION_LIMIT, gap + float(np.linalg.norm(r_dual)), max_iters, ridges, \
+        backtracks
 
 
 def solve(program, x0, tol=1e-8, max_newton=200):
@@ -342,6 +352,7 @@ def solve(program, x0, tol=1e-8, max_newton=200):
              + int(np.sum(np.isfinite(program.upper))))
     x = np.asarray(x0, dtype=float)
     g, sig = _check_start(program, x)
-    x, status, kkt, iters, ridges = _pd_solve(program, tol, x, g, sig, count,
-                                              max_newton)
-    return SolveReport(x, float(program.objective @ x), status, kkt, iters, ridges)
+    x, status, kkt, iters, ridges, backtracks = _pd_solve(program, tol, x, g, sig, count,
+                                                          max_newton)
+    return SolveReport(x, float(program.objective @ x), status, kkt, iters, ridges,
+                       backtracks)

@@ -54,7 +54,7 @@ __all__ = [
 
 
 # version of the JSON-lines layout ``SolveTrace.write_jsonl`` writes
-TRACE_SCHEMA = 4
+TRACE_SCHEMA = 5
 
 
 @dataclass
@@ -73,6 +73,8 @@ class IterationRecord:
     kkt_residual: float
     # Cholesky retries with a ridge in the master solve
     ridges: int
+    # line-search trial points the master solve rejected
+    backtracks: int
     master_seconds: float
     separation_seconds: float
 
@@ -210,6 +212,7 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
             violated=sep.violated, cuts_added=added, cut_count=len(pool),
             best_objective=None, newton_steps=report.iterations,
             kkt_residual=report.kkt_residual, ridges=report.ridges,
+            backtracks=report.backtracks,
             master_seconds=t1 - t0, separation_seconds=t2 - t1,
         ))
         if sep.violation <= 0.5 * eps:
@@ -271,7 +274,7 @@ def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=N
                 violated=None, cuts_added=0, cut_count=len(pool),
                 best_objective=None if incumbent is None else cap,
                 newton_steps=report.iterations, kkt_residual=report.kkt_residual,
-                ridges=report.ridges,
+                ridges=report.ridges, backtracks=report.backtracks,
                 master_seconds=t1 - t0, separation_seconds=0.0,
             ))
             trace.status = "optimal"
@@ -304,7 +307,7 @@ def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=N
             violated=violated.size, cuts_added=added, cut_count=len(pool),
             best_objective=None if incumbent is None else cap,
             newton_steps=report.iterations, kkt_residual=report.kkt_residual,
-            ridges=report.ridges,
+            ridges=report.ridges, backtracks=report.backtracks,
             master_seconds=t1 - t0, separation_seconds=t2 - t1,
         ))
         if stalled:

@@ -86,12 +86,14 @@ def test_trace_summary_matches_the_solve_trace(tmp_path, capsys, monkeypatch):
     trace = fits[0].trace
     summary = trace.summary()
     steps = [r.newton_steps for r in trace.records]
+    backtracks = [r.backtracks for r in trace.records]
     assert printed == {
         "status": repr(summary["status"]),
         "iterations": repr(summary["iterations"]),
         "master_seconds": repr(summary["master_seconds"]),
         "separation_seconds": repr(summary["separation_seconds"]),
         "newton_steps_per_master": repr(sum(steps) / len(steps)),
+        "backtracks_per_master": repr(sum(backtracks) / len(backtracks)),
         "worst_kkt_residual": repr(max(r.kkt_residual for r in trace.records)),
         "cuts": repr(summary["cut_count"]),
         "ridges": repr(sum(r.ridges for r in trace.records)),
@@ -100,20 +102,22 @@ def test_trace_summary_matches_the_solve_trace(tmp_path, capsys, monkeypatch):
 
 def test_trace_summary_refuses_unknown_schema_and_unfinished_trace(tmp_path, capsys):
     path = tmp_path / "old.jsonl"
-    for schema in (2, 3):
+    for schema in (3, 4):
         path.write_text(json.dumps({"schema": schema, "event": "done",
                                     "status": "optimal"}) + "\n")
         assert main(["trace-summary", str(path)]) == 2
         assert f"trace schema {schema};" in capsys.readouterr().err
-    path.write_text(json.dumps({"schema": 4, "event": "iteration", "newton_steps": 9,
-                                "kkt_residual": 0.0, "ridges": 0}) + "\n")
+    path.write_text(json.dumps({"schema": 5, "event": "iteration", "newton_steps": 9,
+                                "backtracks": 2, "kkt_residual": 0.0, "ridges": 0}) + "\n")
     assert main(["trace-summary", str(path)]) == 2
     assert 'no "done" line' in capsys.readouterr().err
-    done = {"schema": 4, "event": "done", "status": "optimal", "master_seconds": 0.1,
+    done = {"schema": 5, "event": "done", "status": "optimal", "master_seconds": 0.1,
             "separation_seconds": 0.1, "cut_count": 3}
     for lines, message in [
-        ([{"schema": 4}], 'line 1 has no "event"'),
+        ([{"schema": 5}], 'line 1 has no "event"'),
         ([done], 'line 1 has no "iterations"'),
+        ([{"schema": 5, "event": "iteration", "newton_steps": 9, "kkt_residual": 0.0,
+           "ridges": 0}], 'line 1 has no "backtracks"'),
         (["[4]", done], "line 1 is not a JSON object"),
     ]:
         path.write_text("".join((line if isinstance(line, str) else json.dumps(line))

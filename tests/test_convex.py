@@ -10,7 +10,7 @@ import scipy.linalg
 import scipy.optimize
 
 from wassrobust import BoxRegion, CutPool, Dataset, DualPoint, ProblemData, Scenario
-from wassrobust import constraint_g, objective_f
+from wassrobust import constraint_g, objective_f, solve_nominal
 from wassrobust.convex import ITERATION_LIMIT, OPTIMAL, _solve_spd, solve
 from wassrobust.reformulate import (
     build_exchange_master,
@@ -190,6 +190,38 @@ def test_iteration_cap_is_honest():
         report = solve(program, x0, max_newton=1)
         assert report.status == ITERATION_LIMIT
         assert report.iterations == 1
+
+
+def test_iteration_limit_reports_gap_plus_dual_residual():
+    # a solve whose tolerance admits the point after one step stops there
+    # as optimal and reports gap + dual residual norm; the solve capped at
+    # that one step must report the same measure, not the gap alone.  The
+    # dual residual after one step is not negligible here (about 0.9 and
+    # 0.13 against totals of 27 and 6.9)
+    for program, x0 in small_masters(13)[2]:
+        capped = solve(program, x0, max_newton=1)
+        loose = solve(program, x0, tol=2.0 * capped.kkt_residual, max_newton=2)
+        assert capped.status == ITERATION_LIMIT and loose.status == OPTIMAL
+        assert loose.iterations == 1
+        assert np.array_equal(loose.solution, capped.solution)
+        assert capped.kkt_residual == loose.kkt_residual
+
+
+def test_start_near_the_atom_cuts_still_solves():
+    # the plain master over the atom cuts of a 200 x 13 blob, started at
+    # theta = 0 with every sample multiplier at log 2 + 0.1: strictly
+    # feasible for any pool, since every cut's loss at theta = 0 is log 2.
+    # The rows are tight at the start, so most steps are cut back, and a
+    # barrier weight cut tenfold after every step ran out of steps here
+    data = box_problem(0, m=200, n=13, radius=0.1)
+    feats, labels = data.dataset.features, data.dataset.labels
+    pool = cut_pool(data, [Scenario(feats[i], i, int(labels[i])) for i in range(data.m)])
+    x0 = exchange_interior_point(data)
+    x0[data.theta_size : data.theta_size + data.m] = math.log(2.0) + 0.1
+    report = solve(build_exchange_master(data, pool), x0)
+    assert report.status == OPTIMAL
+    _, average_loss, _ = solve_nominal(data)
+    assert abs(-report.objective - average_loss) <= 1e-6
 
 
 def test_newton_matrix_that_no_ridge_fixes_raises():

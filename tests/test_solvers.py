@@ -233,7 +233,7 @@ def test_trace_jsonl_round_trip(tmp_path):
     point, trace = solve_cutting_surface(data, 1e-5, trace_path=str(path))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == trace.iterations + 1
-    assert all(line["schema"] == 4 for line in lines)
+    assert all(line["schema"] == 5 for line in lines)
     sweeps = 0
     for rec, line in zip(trace.records, lines):
         assert line["violated"] == rec.violated
@@ -250,6 +250,7 @@ def test_trace_jsonl_round_trip(tmp_path):
         assert line["kkt_residual"] == rec.kkt_residual
         assert 0.0 <= rec.kkt_residual <= 1e-6
         assert line["ridges"] == rec.ridges >= 0
+        assert line["backtracks"] == rec.backtracks >= 0
     done = lines[-1]
     assert done["event"] == "done"
     assert done["status"] == trace.status
