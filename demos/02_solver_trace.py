@@ -1,11 +1,16 @@
-"""Walk through one cutting-surface solve, iteration by iteration.
+"""Walk through one cutting-surface solve, master by master.
 
 The solver maximizes a centrality margin w inside the region cut out by
-the constraints found so far plus a cap t <= M on the objective.  Each
-iteration either adds violated scenario constraints (the margin shrinks)
-or certifies the iterate as eps-feasible and tightens the cap.  The
-trace below shows both kinds of steps and the shrinking gap between the
-incumbent objective and the final certified value.
+the constraints found so far plus a cap t <= M on the objective.  After
+each master, a sweep adds the violated scenario constraints and
+completes the master's theta: the completion is the exactly feasible
+point with that theta of least objective, the robust value J(theta).
+An eps-feasible iterate, or its completion if lower, becomes the
+incumbent and lowers the cap; after a sweep that adds cuts, the
+completion is adopted when it closes the gap to the lower bound at the
+guaranteed rate.  Once the margin vanishes, the plain master over the
+cuts gives a certified lower bound, and the solve stops when the cap is
+within eps of it.
 """
 
 import numpy as np
@@ -40,23 +45,26 @@ def main():
         return ("-" if value is None else format(value, spec)).rjust(width)
 
     print(f"{'iter':>4} {'margin w':>12} {'violation':>12} {'cuts':>5} "
-          f"{'cap M':>12} {'best f':>12}")
+          f"{'cap M':>12} {'adopted':>11}")
     for rec in trace.records:
         print(f"{rec.iteration:>4}"
               f"{fmt(rec.margin, '.6f', 13)}"
               f"{fmt(rec.violation, '.3e', 13)}"
               f" {rec.cut_count:>5}"
               f"{fmt(rec.cap, '.8f', 13)}"
-              f"{fmt(rec.best_objective, '.8f', 13)}")
+              f" {rec.adopted or '-':>11}")
     print()
-    print(f"status {trace.status} after {trace.iterations} iterations, "
+    print(f"status {trace.status} after {trace.iterations} master solves, "
           f"{trace.cut_count} cuts kept")
-    print(f"certified objective {objective_f(point, data.radius):.8f}, "
-          f"final violation {trace.final_violation:.2e}")
+    print(f"objective {objective_f(point, data.radius):.8f} = robust value "
+          f"{trace.robust_value:.8f}, final violation {trace.final_violation:.2e}")
+    print(f"lower bound {trace.lower_bound:.8f}, certified gap "
+          f"{trace.robust_value - trace.lower_bound:.2e} <= eps")
     print()
-    print("iterations where the margin stays positive but the violation is")
-    print("large are cut-adding steps; iterations where the violation dips")
-    print("below eps adopt the iterate and lower the cap instead")
+    print("a row with a large violation adds cuts; a row whose violation is")
+    print("below eps adopts the iterate or its completion.  Once the margin")
+    print("falls to zero, the next row is the plain master over the cuts (it")
+    print("has no margin): its value is the lower bound that certifies the gap")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ Subcommands:
 * ``trace-summary``   summarise a ``--trace`` file: status, iterations,
                       master and separation seconds, Newton steps and
                       line-search backtracks per master, the worst KKT
-                      residual, cuts and ridges
+                      residual, cuts and ridges, the robust value of
+                      the returned theta, the certified lower bound and
+                      their gap
 
 ``experiment`` takes ``--seed`` for its train/test splits and folds;
 ``fit``, ``solve`` and ``experiment`` take ``--eps`` and ``--trace``.
@@ -143,6 +145,8 @@ def _cmd_solve(args):
         "iterations": trace.iterations,
         "cut_count": trace.cut_count,
         "final_violation": trace.final_violation,
+        "robust_value": trace.robust_value,
+        "lower_bound": trace.lower_bound,
     }
     text = json.dumps(out, indent=2) + "\n"
     if args.out:
@@ -212,7 +216,8 @@ def _cmd_separate_debug(args):
 # the fields trace-summary reads from each kind of trace line
 _SUMMARY_FIELDS = {
     "iteration": ("newton_steps", "backtracks", "kkt_residual", "ridges"),
-    "done": ("status", "iterations", "master_seconds", "separation_seconds", "cut_count"),
+    "done": ("status", "iterations", "master_seconds", "separation_seconds", "cut_count",
+             "robust_value", "lower_bound"),
 }
 
 
@@ -261,6 +266,10 @@ def _cmd_trace_summary(args):
         "worst_kkt_residual": max((r["kkt_residual"] for r in records), default=None),
         "cuts": done["cut_count"],
         "ridges": sum(r["ridges"] for r in records),
+        "robust_value": done["robust_value"],
+        "lower_bound": done["lower_bound"],
+        "gap": (None if done["robust_value"] is None or done["lower_bound"] is None
+                else done["robust_value"] - done["lower_bound"]),
     }
     for name, value in summary.items():
         print(f"{name} {value!r}")

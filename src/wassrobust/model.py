@@ -254,10 +254,6 @@ class DualPoint:
         if self.multipliers[-1] < 0:
             raise ValueError("budget multiplier must be non-negative")
 
-    @property
-    def budget_multiplier(self):
-        return float(self.multipliers[-1])
-
 
 def objective_f(x, radius):
     """Objective of the reformulated problem.

@@ -15,6 +15,10 @@ Every sample shares theta, so the coordinate order is the same for all
 of them: one argsort and row-wise cumulative sums build the breakpoints
 of a whole block of samples at once.  Finite regions are searched by
 enumeration over one sample-by-point distance matrix.
+
+The same candidate tables give ``complete``: for a fixed theta, the
+exactly feasible multipliers of least objective, whose objective is the
+robust value J(theta).
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoxRegion, FiniteRegion, Scenario
+from .model import BoxRegion, DualPoint, FiniteRegion, Scenario
 
 __all__ = ["TransportProfile", "SeparationResult", "transport_profile", "separate",
-           "separate_exact", "best_violation"]
+           "separate_exact", "best_violation", "complete"]
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,35 @@ def transport_profile(theta, region, references):
     return TransportProfile(breakpoints, costs, anchor, base, rank, up_face, down_face)
 
 
+def _class_tables(theta, data, refs, labels):
+    """Each class's candidate table for a block of samples.
+
+    Yields, per label present, the block's row mask, the (r, K) losses
+    and transport costs of each row's K candidate points, and a function
+    that maps one column per row to those points.  Box regions give the
+    transport-profile breakpoints, finite regions every region point;
+    the sample's own observation is not in the table.
+    """
+    for label in np.unique(labels):
+        rows = labels == label
+        region = data.regions[int(label)]
+        if isinstance(region, FiniteRegion):
+            pts = region.points
+            costs = np.sum(np.abs(pts - refs[rows, None, :]), axis=2)
+            values = data.loss.link_loss(data.loss.link(theta, pts), label)
+            yield rows, np.broadcast_to(values, costs.shape), costs, lambda cols: pts[cols]
+        else:
+            profile = transport_profile(theta, region, refs[rows])
+            yield (rows, data.loss.link_loss(profile.breakpoints, label), profile.costs,
+                   profile.witness)
+
+
+def _row_losses(loss, theta, points, labels):
+    """Each point's loss, row by row: a matrix-vector product's bits
+    would depend on the block."""
+    return loss.link_loss(theta[0] + np.einsum("ij,j->i", points, theta[1:]), labels)
+
+
 def separate(x, data, samples):
     """Globally maximize each listed sample's constraint over its region.
 
@@ -131,31 +164,89 @@ def separate(x, data, samples):
     mult = x.multipliers[samples]
     budget = x.multipliers[-1]
     points = np.empty_like(refs)
-    for label in np.unique(labels):
-        rows = labels == label
-        region = data.regions[int(label)]
-        if isinstance(region, FiniteRegion):
-            pts = region.points
-            dists = np.sum(np.abs(pts - refs[rows, None, :]), axis=2)
-            values = data.loss.link_loss(data.loss.link(x.theta, pts), label)
-            g = values - mult[rows, None] - budget * dists
-            points[rows] = pts[np.argmax(g, axis=1)]
-        else:
-            profile = transport_profile(x.theta, region, refs[rows])
-            values = data.loss.link_loss(profile.breakpoints, label)
-            g = values - mult[rows, None] - budget * profile.costs
-            points[rows] = profile.witness(np.argmax(g, axis=1))
+    for rows, values, costs, witness in _class_tables(x.theta, data, refs, labels):
+        g = values - mult[rows, None] - budget * costs
+        points[rows] = witness(np.argmax(g, axis=1))
 
-    def loss(pts):
-        # a row-wise reduction: a matrix-vector product's bits depend on the block
-        return data.loss.link_loss(x.theta[0] + np.einsum("ij,j->i", pts, x.theta[1:]),
-                                   labels)
-
-    violations = loss(points) - mult - budget * np.sum(np.abs(points - refs), axis=1)
-    atoms = loss(refs) - mult
+    violations = (_row_losses(data.loss, x.theta, points, labels) - mult
+                  - budget * np.sum(np.abs(points - refs), axis=1))
+    atoms = _row_losses(data.loss, x.theta, refs, labels) - mult
     stay = atoms > violations
     points[stay] = refs[stay]
     return points, np.where(stay, atoms, violations)
+
+
+def _envelope_kinks(values, costs, upper):
+    """Where each row's upper envelope of the lines values - beta * costs
+    changes line on (0, upper), and by how much its cost drops there.
+
+    Starts each row on its highest line at beta = 0 (the cheapest among
+    ties) and walks to the line it crosses first among the cheaper ones;
+    every step lowers the active cost, so a row takes at most K steps.
+    Returns the active costs at beta = 0 and the (beta, drop) pairs.
+    """
+    top = values.max(axis=1, keepdims=True)
+    active = np.argmin(np.where(values == top, costs, np.inf), axis=1)
+    start = costs[np.arange(len(costs)), active]
+    cost = start
+    betas, drops = [], []
+    while values.shape[0]:
+        level = values[np.arange(len(values)), active]
+        cheaper = costs < cost[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.where(cheaper, (level[:, None] - values) / (cost[:, None] - costs),
+                             np.inf)
+        beta = cross.min(axis=1)
+        go = beta < upper
+        # among lines crossing at the same beta the cheapest stays on top
+        nxt = np.argmin(np.where(cross == beta[:, None], costs, np.inf), axis=1)[go]
+        values, costs = values[go], costs[go]
+        new_cost = costs[np.arange(len(costs)), nxt]
+        betas.append(beta[go])
+        drops.append(cost[go] - new_cost)
+        active, cost = nxt, new_cost
+    return start, np.concatenate(betas), np.concatenate(drops)
+
+
+def complete(theta, data):
+    """The least-objective dual point with this theta that is exactly
+    feasible: its objective is the robust value J(theta).
+
+    For fixed theta, J(theta) = min over beta in [0, budget_upper] of
+    beta * radius + (1/m) sum_i max_k (loss_ik - beta * cost_ik), where k
+    runs over sample i's candidates in ``separate`` plus its own
+    observation at zero cost; for every beta those hold the maximum over
+    the whole region.  J is convex and piecewise linear in beta, and
+    its slope is radius minus the mean active cost, which only rises at
+    the kinks of the samples' upper envelopes.  The minimizing beta is
+    the first kink (or end of the interval) where the slope turns
+    non-negative, and each multiplier is its sample's maximum there.
+    """
+    theta = np.asarray(theta, dtype=float)
+    refs, labels = data.dataset.features, data.dataset.labels
+    upper = data.derived.budget_upper
+    atoms = _row_losses(data.loss, theta, refs, labels)
+    tables = []
+    start = np.empty(data.m)
+    betas, drops = [], []
+    for rows, values, costs, _ in _class_tables(theta, data, refs, labels):
+        values = np.column_stack([values, atoms[rows]])
+        costs = np.column_stack([costs, np.zeros(costs.shape[0])])
+        start[rows], beta, drop = _envelope_kinks(values, costs, upper)
+        tables.append((rows, values, costs))
+        betas.append(beta)
+        drops.append(drop)
+    betas, drops = np.concatenate(betas), np.concatenate(drops)
+    order = np.argsort(betas, kind="stable")
+    # J's slope right of beta = 0 and right of each kink in turn
+    active = np.sum(start) - np.concatenate([[0.0], np.cumsum(drops[order])])
+    turn = np.flatnonzero(data.radius - active / data.m >= 0.0)
+    budget = float(np.concatenate([[0.0], betas[order]])[turn[0]]) if turn.size else upper
+    multipliers = np.empty(data.m + 1)
+    for rows, values, costs in tables:
+        multipliers[:-1][rows] = np.max(values - budget * costs, axis=1)
+    multipliers[-1] = budget
+    return DualPoint(theta, multipliers)
 
 
 def _result(data, samples, points, violations):

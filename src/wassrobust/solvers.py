@@ -8,17 +8,24 @@ Two algorithms, both driven by the separation oracles:
   but carries no rate guarantee.
 
 * ``solve_cutting_surface``: the centered scheme.  Keep a strict upper
-  bound on the optimal value and repeatedly maximize the feasibility
-  margin ``w`` of the current cut set under that bound.  A positive
-  margin either yields new cuts (when separation finds violated
-  constraints) or certifies an improved incumbent (when it does not).
-  The pool keeps every cut it is given.  The margin contracts
-  geometrically, which gives the iteration bound the acceptance tests
-  check.
+  bound (the cap) on the optimal value and repeatedly maximize the
+  feasibility margin ``w`` of the current cut set under that bound.
+  Each sweep adds every violated constraint it finds and completes the
+  master's theta: ``separation.complete`` gives the exactly feasible
+  point of least objective with that theta, whose objective is the
+  robust value J(theta).  An eps-feasible iterate, or its completion if
+  lower, becomes the incumbent and its objective the cap.  After any
+  other sweep the completion is adopted only when it closes the gap to
+  the best lower bound LB by the rate factor rho: f - LB <= rho (cap -
+  LB), which keeps the geometric contraction the acceptance tests
+  check.  When the margin vanishes, the plain master over the pool
+  gives LB; the loop stops once cap - LB <= eps and otherwise adds that
+  point's violated cuts and goes on.  The pool keeps every cut.
 
-Both return the final iterate, or None when they have none, together
-with a trace of every iteration; the trace can be written as JSON lines
-for inspection.
+Both return their final point, or None when they have none, together
+with a trace of every master solve, the robust value J of the returned
+theta and the lower bound the solve certified; the trace can be written
+as JSON lines for inspection.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .reformulate import (
     split_dual_solution,
     split_master_solution,
 )
-from .separation import best_violation, separate
+from .separation import best_violation, complete, separate
 
 __all__ = [
     "IterationRecord",
@@ -54,7 +61,7 @@ __all__ = [
 
 
 # version of the JSON-lines layout ``SolveTrace.write_jsonl`` writes
-TRACE_SCHEMA = 5
+TRACE_SCHEMA = 6
 
 
 @dataclass
@@ -77,6 +84,8 @@ class IterationRecord:
     backtracks: int
     master_seconds: float
     separation_seconds: float
+    # what became the incumbent: "iterate", "completion" or None
+    adopted: str | None = None
 
 
 @dataclass
@@ -87,6 +96,9 @@ class SolveTrace:
     status: str = "running"
     records: list = field(default_factory=list)
     final_violation: float | None = None
+    # J at the returned theta, and the certified lower bound on the optimum
+    robust_value: float | None = None
+    lower_bound: float | None = None
     oracle_calls: int = 0
     master_seconds: float = 0.0
     separation_seconds: float = 0.0
@@ -188,6 +200,7 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
     pool = CutPool(data)
     x0 = exchange_interior_point(data)
     point = None
+    lower = None
     for k in range(MAX_ITERATIONS + 1):
         t0 = clock.now()
         program = build_exchange_master(data, pool)
@@ -198,6 +211,7 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
             trace.master_seconds += t1 - t0
             break
         point = split_dual_solution(data, report.solution)
+        lower = -report.objective
         sep = best_violation(point, data)
         t2 = clock.now()
         trace.master_seconds += t1 - t0
@@ -227,6 +241,12 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
             break
     else:
         trace.status = "iteration_limit"
+    if point is not None:
+        t0 = clock.now()
+        trace.robust_value = objective_f(complete(point.theta, data), data.radius)
+        trace.separation_seconds += clock.now() - t0
+        # the last restricted master relaxes the dual
+        trace.lower_bound = lower
     trace.wall_seconds = clock.now() - start
     if trace_path:
         trace.write_jsonl(trace_path)
@@ -235,16 +255,21 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
 
 def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=None,
                           capture_timing=True):
-    """Centered cutting scheme with a certified eps-feasible incumbent.
+    """Centered cutting scheme that stops on a certified eps gap.
 
-    Each sweep adds every violated constraint it finds.  The incumbent
-    is the last eps-feasible iterate the loop adopted; a solve that
+    Each sweep adds every violated constraint it finds and may adopt the
+    iterate or its completion as the incumbent (see the module notes).
+    When the margin vanishes, the next master solved is the plain one
+    over the pool; its value is the lower bound, and the loop stops once
+    the cap is within eps of it.  Returns the completion of the
+    incumbent's theta when that is not above the incumbent; a solve that
     adopts none returns None as its point and skips the final sweep.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     der = data.derived
-    # the loop ends once the master's margin falls to this
+    # the centered master hands over to the plain one once its margin
+    # falls to this
     margin_tol = 1e-9 * (der.objective_cap - der.loss_lower)
     clock = _Clock(capture_timing)
     start = clock.now()
@@ -255,74 +280,102 @@ def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=N
 
     incumbent = None
     cap = der.objective_cap
+    lower = der.loss_lower
+    # the last centered master's margin vanished: solve the plain master
+    gap_check = False
 
     for k in range(1, max_iterations + 1):
         t0 = clock.now()
-        program = build_master(data, pool, cap)
-        hint = master_interior_point(data, pool, cap)
-        report = convex.solve(program, hint)
+        if gap_check:
+            program = build_exchange_master(data, pool)
+            report = convex.solve(program, exchange_interior_point(data))
+        else:
+            program = build_master(data, pool, cap)
+            report = convex.solve(program, master_interior_point(data, pool, cap))
         t1 = clock.now()
         trace.master_seconds += t1 - t0
         if report.status != convex.OPTIMAL:
             trace.status = f"master_{report.status}"
             break
-        point, margin, _ = split_master_solution(data, report.solution)
-        if margin <= margin_tol:
+        if gap_check:
+            point, margin = split_dual_solution(data, report.solution), None
+            # the plain master over the pool relaxes the dual
+            lower = max(lower, -report.objective)
+        else:
+            point, margin, _ = split_master_solution(data, report.solution)
+        record = dict(iteration=k, margin=margin, objective=objective_f(point, data.radius),
+                      newton_steps=report.iterations, kkt_residual=report.kkt_residual,
+                      ridges=report.ridges, backtracks=report.backtracks,
+                      master_seconds=t1 - t0)
+        if margin is not None and margin <= margin_tol:
+            gap_check = True
             trace.records.append(IterationRecord(
-                iteration=k, margin=margin, cap=cap,
-                objective=objective_f(point, data.radius), violation=None,
-                violated=None, cuts_added=0, cut_count=len(pool),
-                best_objective=None if incumbent is None else cap,
-                newton_steps=report.iterations, kkt_residual=report.kkt_residual,
-                ridges=report.ridges, backtracks=report.backtracks,
-                master_seconds=t1 - t0, separation_seconds=0.0,
-            ))
-            trace.status = "optimal"
-            break
+                **record, cap=cap, violation=None, violated=None, cuts_added=0,
+                cut_count=len(pool), best_objective=None if incumbent is None else cap,
+                separation_seconds=0.0))
+            continue
 
         points, violations = separate(point, data, all_samples)
+        completion = complete(point.theta, data)
         t2 = clock.now()
         trace.separation_seconds += t2 - t1
         trace.oracle_calls += data.m
         worst = float(violations.max())
         violated = np.flatnonzero(violations > 0.0)
 
+        adopted = None
+        completed = objective_f(completion, data.radius)
+        if not gap_check and worst <= eps:
+            # the iterate is eps-feasible: adopt it or its completion,
+            # whichever is lower, and tighten the cap
+            adopted = "completion" if completed <= record["objective"] else "iterate"
+        elif completed - lower <= der.rate_bound * (cap - lower):
+            # the completion contracts the gap at the guaranteed rate
+            adopted = "completion"
+        if adopted is not None:
+            incumbent = completion if adopted == "completion" else point
+            cap = objective_f(incumbent, data.radius)
+
+        done = gap_check and cap - lower <= eps
+        cutting = not done and (gap_check or worst > eps)
         added = 0
-        stalled = False
-        if worst > eps:
+        if cutting:
             for i in violated:
                 scenario = Scenario(points[i], i, int(data.dataset.labels[i]))
                 added += int(pool.add(scenario))
-            # every violated cut already known: the master cannot move
-            # further at this precision
-            stalled = added == 0
-        else:
-            # the iterate is eps-feasible: adopt it and tighten the cap
-            incumbent = point
-            cap = objective_f(point, data.radius)
+        # no new cut and no lower cap: the loop cannot move further at
+        # this precision
+        stalled = cutting and added == 0 and adopted is None
 
         trace.records.append(IterationRecord(
-            iteration=k, margin=margin, cap=cap,
-            objective=objective_f(point, data.radius), violation=worst,
-            violated=violated.size, cuts_added=added, cut_count=len(pool),
+            **record, cap=cap, violation=worst, violated=violated.size,
+            cuts_added=added, cut_count=len(pool),
             best_objective=None if incumbent is None else cap,
-            newton_steps=report.iterations, kkt_residual=report.kkt_residual,
-            ridges=report.ridges, backtracks=report.backtracks,
-            master_seconds=t1 - t0, separation_seconds=t2 - t1,
+            separation_seconds=t2 - t1, adopted=adopted,
         ))
+        if done:
+            trace.status = "optimal"
+            break
         if stalled:
             trace.status = "stalled"
             break
+        gap_check = False
     else:
         trace.status = "iteration_limit"
 
     if incumbent is not None:
-        # certify what we return by a full sweep at the incumbent
+        # return the incumbent's completion unless it is higher, and
+        # certify what we return by a full sweep
         t0 = clock.now()
+        completion = complete(incumbent.theta, data)
+        trace.robust_value = objective_f(completion, data.radius)
+        if trace.robust_value <= cap:
+            incumbent = completion
         _, final = separate(incumbent, data, all_samples)
         trace.separation_seconds += clock.now() - t0
         trace.oracle_calls += data.m
         trace.final_violation = float(final.max())
+    trace.lower_bound = lower
     if trace.status == "optimal" and (incumbent is None or trace.final_violation > eps):
         trace.status = "uncertified"
     trace.wall_seconds = clock.now() - start

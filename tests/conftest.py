@@ -82,29 +82,76 @@ def grid_max_violation(x, i, data, points_per_dim=101, include_atom=True):
     return _best_of(x, i, data, pts)
 
 
-def vertex_max_violation(x, i, data):
-    """Exact max of g_i over the sample's box and its own observation.
+def vertex_points(data, i):
+    """Sample i's candidate points: the vertices of the sign cells of
+    point - sample in its box, then the observation itself.
 
-    On each sign cell of point - sample the L1 distance is linear, so g_i
-    is convex there and peaks at a vertex of the cell: every coordinate
-    at its lower bound, at the sample clipped to the box, or at its upper
-    bound.  Enumerates those 3^n points plus the observation; shares no
-    code with the separation module.  Returns (value, argmax point).
+    On each sign cell the L1 distance is linear, so for any convex loss
+    of the point the constraint peaks at a vertex of the cell: every
+    coordinate at its lower bound, at the sample clipped to the box, or
+    at its upper bound.  Shares no code with the separation module.
     """
     region = data.region_for_sample(i)
     ref = data.dataset.features[i]
     levels = zip(region.lower, np.clip(ref, region.lower, region.upper), region.upper)
-    pts = np.array(list(itertools.product(*levels)) + [ref])
-    return _best_of(x, i, data, pts)
+    return np.array(list(itertools.product(*levels)) + [ref])
+
+
+def candidate_points(data, i):
+    """``vertex_points`` for a box region; for a finite one, the region's
+    points then the observation."""
+    region = data.region_for_sample(i)
+    if isinstance(region, wr.FiniteRegion):
+        return np.vstack([region.points, data.dataset.features[i]])
+    return vertex_points(data, i)
+
+
+def vertex_max_violation(x, i, data):
+    """Exact max of g_i over the sample's region and its own observation,
+    by enumerating its ``candidate_points``.  Returns (value, argmax
+    point)."""
+    return _best_of(x, i, data, candidate_points(data, i))
+
+
+def point_losses(theta, i, data, pts):
+    """Sample i's logistic loss at each row of ``pts``."""
+    u = theta[0] + pts @ theta[1:]
+    sign = 2 * int(data.dataset.labels[i]) - 1
+    return np.logaddexp(0.0, -sign * u)
+
+
+def enumerated_robust_value(theta, data):
+    """J(theta) = min over beta in [0, budget_upper] of beta * radius plus
+    the mean over samples of max_z (loss(z) - beta * |z - x_i|_1), by
+    enumeration.
+
+    z runs over ``candidate_points``.  Each sample's maximum
+    is the upper envelope of one line per point, so J is piecewise
+    linear with its kinks where two of a sample's lines cross; it is
+    evaluated at beta = 0, at budget_upper and at every such crossing
+    inside.  Shares no code with the separation module.
+    """
+    lines = []
+    for i in range(data.m):
+        pts = candidate_points(data, i)
+        costs = np.abs(pts - data.dataset.features[i]).sum(axis=1)
+        lines.append((point_losses(theta, i, data, pts), costs))
+    upper = data.derived.budget_upper
+    betas = [0.0, upper]
+    for losses, costs in lines:
+        for a, b in itertools.combinations(range(costs.size), 2):
+            if costs[a] != costs[b]:
+                beta = (losses[a] - losses[b]) / (costs[a] - costs[b])
+                if 0.0 < beta < upper:
+                    betas.append(beta)
+    return min(beta * data.radius + np.mean([np.max(losses - beta * costs)
+                                             for losses, costs in lines])
+               for beta in betas)
 
 
 def _best_of(x, i, data, pts):
     """(max of g_i over the rows of ``pts``, its first argmax)."""
-    theta = x.theta
-    u = theta[0] + pts @ theta[1:]
-    label = int(data.dataset.labels[i])
-    sign = 2 * label - 1
-    losses = np.logaddexp(0.0, -sign * u)
+    losses = point_losses(x.theta, i, data, pts)
     dist = np.abs(pts - data.dataset.features[i]).sum(axis=1)
     vals = losses - x.multipliers[i] - x.multipliers[-1] * dist
     best = int(np.argmax(vals))

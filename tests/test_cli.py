@@ -97,26 +97,30 @@ def test_trace_summary_matches_the_solve_trace(tmp_path, capsys, monkeypatch):
         "worst_kkt_residual": repr(max(r.kkt_residual for r in trace.records)),
         "cuts": repr(summary["cut_count"]),
         "ridges": repr(sum(r.ridges for r in trace.records)),
+        "robust_value": repr(trace.robust_value),
+        "lower_bound": repr(trace.lower_bound),
+        "gap": repr(trace.robust_value - trace.lower_bound),
     }
+    assert trace.robust_value - trace.lower_bound <= 1e-5
 
 
 def test_trace_summary_refuses_unknown_schema_and_unfinished_trace(tmp_path, capsys):
     path = tmp_path / "old.jsonl"
-    for schema in (3, 4):
+    for schema in (4, 5):
         path.write_text(json.dumps({"schema": schema, "event": "done",
                                     "status": "optimal"}) + "\n")
         assert main(["trace-summary", str(path)]) == 2
         assert f"trace schema {schema};" in capsys.readouterr().err
-    path.write_text(json.dumps({"schema": 5, "event": "iteration", "newton_steps": 9,
+    path.write_text(json.dumps({"schema": 6, "event": "iteration", "newton_steps": 9,
                                 "backtracks": 2, "kkt_residual": 0.0, "ridges": 0}) + "\n")
     assert main(["trace-summary", str(path)]) == 2
     assert 'no "done" line' in capsys.readouterr().err
-    done = {"schema": 5, "event": "done", "status": "optimal", "master_seconds": 0.1,
-            "separation_seconds": 0.1, "cut_count": 3}
+    done = {"schema": 6, "event": "done", "status": "optimal", "master_seconds": 0.1,
+            "separation_seconds": 0.1, "cut_count": 3, "robust_value": 0.5}
     for lines, message in [
-        ([{"schema": 5}], 'line 1 has no "event"'),
-        ([done], 'line 1 has no "iterations"'),
-        ([{"schema": 5, "event": "iteration", "newton_steps": 9, "kkt_residual": 0.0,
+        ([{"schema": 6}], 'line 1 has no "event"'),
+        ([done], 'line 1 has no "iterations", "lower_bound"'),
+        ([{"schema": 6, "event": "iteration", "newton_steps": 9, "kkt_residual": 0.0,
            "ridges": 0}], 'line 1 has no "backtracks"'),
         (["[4]", done], "line 1 is not a JSON object"),
     ]:
@@ -188,6 +192,9 @@ def test_solve_matches_library(tmp_path, capsys):
     assert solution["final_violation"] <= 1e-5
     expected = reference_objective(payload, 1e-5)
     assert solution["objective"] == pytest.approx(expected, abs=1e-9)
+    # the returned point is the completion of its theta, within eps of the bound
+    assert solution["robust_value"] == solution["objective"]
+    assert solution["robust_value"] - solution["lower_bound"] <= 1e-5
     assert len(solution["theta"]) == 3
     assert len(solution["multipliers"]) == 5
 

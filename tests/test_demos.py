@@ -1,7 +1,7 @@
 """The demos run to completion against the current API.
 
 ``04_experiment_protocol.py`` is left out: it runs the full repeated
-experiment and takes about 24 s.
+experiment and takes about 6 s.
 """
 
 import os

@@ -198,7 +198,7 @@ def test_dual_point_budget_sign_and_vector_round_trip():
         DualPoint(np.zeros(2), np.array([0.0, -0.5]))
     vec = np.array([0.5, -0.5, 1.0, 2.0, 0.25])
     x = DualPoint(vec[:2], vec[2:])
-    assert x.budget_multiplier == 0.25
+    assert x.multipliers[-1] == 0.25
     assert np.array_equal(np.concatenate([x.theta, x.multipliers]), vec)
 
 

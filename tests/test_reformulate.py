@@ -140,7 +140,7 @@ def test_exchange_hand_optimum_single_atom_cut():
     # best play: push theta0 up, pay v1 = softplus(-10), spend no budget
     assert objective_f(point, data.radius) == pytest.approx(
         data.derived.loss_lower, abs=1e-6)
-    assert point.budget_multiplier == pytest.approx(0.0, abs=1e-5)
+    assert point.multipliers[-1] == pytest.approx(0.0, abs=1e-5)
 
 
 def test_master_cap_validation():

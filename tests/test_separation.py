@@ -17,10 +17,13 @@ from wassrobust import (
     separate_exact,
     transport_profile,
     best_violation,
+    objective_f,
 )
+from wassrobust.separation import complete
 
 from conftest import (
     box_problem,
+    enumerated_robust_value,
     finite_problem,
     grid_max_violation,
     random_dual_point,
@@ -307,3 +310,19 @@ def test_best_violation_nonpositive_when_everything_is_covered():
                                             if data.derived.loss_lower > 1.0 else -1.0),
                                     [0.0]]))
     assert best_violation(low, data).violation > 0.0
+
+
+def test_completion_matches_enumerated_robust_value():
+    rng = np.random.default_rng(31)
+    instances = [box_problem(s, m=5, n=1 + s % 2, radius=0.2) for s in range(50)]
+    instances += [finite_problem(s, m=5, n=2, extra_points=3, radius=0.1)
+                  for s in range(10)]
+    for data in instances:
+        theta = rng.uniform(-3.0, 3.0, size=data.theta_size)
+        x = complete(theta, data)
+        assert np.array_equal(x.theta, theta)
+        assert 0.0 <= x.multipliers[-1] <= data.derived.budget_upper
+        assert abs(objective_f(x, data.radius) - enumerated_robust_value(theta, data)) <= 1e-12
+        # exactly feasible: no sample's constraint is violated anywhere
+        for i in range(data.m):
+            assert vertex_max_violation(x, i, data)[0] <= 1e-12

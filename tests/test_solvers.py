@@ -22,7 +22,7 @@ from wassrobust import (
 )
 from wassrobust import convex
 
-from conftest import box_problem, finite_problem
+from conftest import box_problem, enumerated_robust_value, finite_problem
 
 
 def pool_problem():
@@ -102,7 +102,7 @@ def test_enumeration_equals_nominal_when_region_is_the_sample():
     point, robust_value = solve_full_enumeration(data)
     # the only admissible move is staying put, so robustness costs nothing
     assert robust_value == pytest.approx(nominal_value, abs=1e-6)
-    assert point.budget_multiplier <= 1e-5
+    assert point.multipliers[-1] <= 1e-5
 
 
 def test_three_solvers_agree_on_finite_instances():
@@ -169,7 +169,8 @@ def test_cutting_surface_is_monotone():
     data = box_problem(2, m=12, n=3, radius=0.2)
     point, trace = solve_cutting_surface(data, 1e-6)
     assert trace.status == "optimal"
-    margins = [r.margin for r in trace.records]
+    # the plain master of the gap check has no margin
+    margins = [r.margin for r in trace.records if r.margin is not None]
     caps = [r.cap for r in trace.records]
     bests = [r.best_objective for r in trace.records if r.best_objective is not None]
     assert all(margins[i + 1] <= margins[i] + 1e-12 for i in range(len(margins) - 1))
@@ -233,7 +234,7 @@ def test_trace_jsonl_round_trip(tmp_path):
     point, trace = solve_cutting_surface(data, 1e-5, trace_path=str(path))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == trace.iterations + 1
-    assert all(line["schema"] == 5 for line in lines)
+    assert all(line["schema"] == 6 for line in lines)
     sweeps = 0
     for rec, line in zip(trace.records, lines):
         assert line["violated"] == rec.violated
@@ -251,12 +252,53 @@ def test_trace_jsonl_round_trip(tmp_path):
         assert 0.0 <= rec.kkt_residual <= 1e-6
         assert line["ridges"] == rec.ridges >= 0
         assert line["backtracks"] == rec.backtracks >= 0
+        assert line["adopted"] == rec.adopted in (None, "iterate", "completion")
     done = lines[-1]
     assert done["event"] == "done"
     assert done["status"] == trace.status
     assert done["iterations"] == trace.iterations
     assert done["final_violation"] == trace.final_violation
+    assert done["robust_value"] == trace.robust_value == objective_f(point, data.radius)
+    assert done["lower_bound"] == trace.lower_bound
     assert sweeps and any(rec.violated for rec in trace.records)
+
+
+# criterion 3's instances at eps 1e-6, then criterion 4's at eps 1e-7
+_GAP_CASES = ([(box_problem(100 + seed, m=20, n=4, radius=1e-6), 1e-6) for seed in range(10)]
+              + [(box_problem(200 + seed, m=8, n=2, radius=radius), 1e-7)
+                 for seed in range(5) for radius in (0.01, 0.05, 0.1, 0.5, 1.0)])
+
+
+@pytest.mark.parametrize("data, eps", _GAP_CASES)
+def test_stop_certifies_an_eps_gap(data, eps):
+    point, trace = solve_cutting_surface(data, eps)
+    assert trace.status == "optimal"
+    assert trace.robust_value - trace.lower_bound <= eps
+    # the returned point is the completion of its own theta
+    assert objective_f(point, data.radius) == trace.robust_value
+    assert trace.final_violation <= 1e-10
+
+
+def test_robust_value_never_falls_below_the_certified_bound():
+    rng = np.random.default_rng(8)
+    for data in (box_problem(21, m=8, n=2, radius=0.2),
+                 finite_problem(4, m=5, n=2, extra_points=3, radius=0.1)):
+        _, trace = solve_cutting_surface(data, 1e-6)
+        assert trace.status == "optimal"
+        for _ in range(20):
+            theta = rng.uniform(data.theta_lower, data.theta_upper)
+            assert enumerated_robust_value(theta, data) >= trace.lower_bound - 1e-9
+
+
+def test_exchange_reports_robust_value_and_bound():
+    eps = 1e-5
+    data = box_problem(3, m=12, n=3, radius=0.2)
+    point, trace = solve_exchange(data, eps)
+    assert trace.status == "optimal"
+    # the bound is the last restricted master's value, at the returned point
+    assert trace.lower_bound == pytest.approx(objective_f(point, data.radius), abs=1e-9)
+    # the returned point is eps/2-feasible, so completing it costs at most eps/2
+    assert trace.lower_bound - 1e-9 <= trace.robust_value <= trace.lower_bound + 0.5 * eps
 
 
 def test_timing_capture_modes():
