@@ -52,7 +52,6 @@ from .harness import (
     ExperimentResult,
     RepetitionResult,
     emit_results,
-    load_results,
     paired_pvalue,
     run_experiment,
     welch_pvalue,

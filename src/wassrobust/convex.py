@@ -10,19 +10,26 @@ plain master) or [theta, s, beta, w, t] (the centered master) they
                lower <= x <= upper                    (entries may be infinite)
 
 The solver follows the log-barrier central path, driven in primal-dual
-form: Newton steps on the perturbed optimality system with one
-multiplier per constraint row and per finite box bound, a
+form: Newton steps on the perturbed optimality system, a
 fraction-to-boundary rule, and a backtracking line search on the
 residual norm.  Working on the optimality residuals keeps every
 quantity at its natural scale, which is what lets the solver certify
 tolerances near 1e-8 in double precision; a pure primal barrier loses
 those digits in its merit function once the barrier weight is large.
-Each step aims at the barrier weight sigma * gap / count, with the
-centering factor sigma = max(0.1, (1 - alpha)^2) set by the length
-alpha of the previous accepted step: a full step cuts the weight
+Each step aims at the barrier weight sigma * gap / (inequality count),
+with the centering factor sigma = max(0.1, (1 - alpha)^2) set by the
+length alpha of the previous accepted step: a full step cuts the weight
 tenfold, and a step the line search cut back against the curved cut
 rows aims nearer the central path, so the next one is not cut back
 again.
+
+The inequalities form one stacked block: one slack vector and one
+multiplier vector, holding the constraint rows, then the finite lower
+bounds, then the finite upper ones.  A bound is a coordinate index and
+a sign, +1 below and -1 above, so the gap, the centering target and the
+step to the boundary are each one vector expression.  At the final
+multipliers the solver also reports a weak-duality upper bound on the
+optimal value, which holds however far from optimal they are.
 
 A cut row touches theta through its curve, one s entry, beta and w, so
 ``MasterProgram`` never forms the dense Jacobian: it supplies J^T lam
@@ -192,6 +199,9 @@ class SolveReport:
     ridges: int
     # line-search trial points rejected, summed over the steps
     backtracks: int
+    # weak-duality upper bound on the optimal value at the final
+    # multipliers; infinite when a box bound is
+    bound: float
 
 
 _RIDGE_TRIES = 8
@@ -236,106 +246,109 @@ def _check_start(program, x):
     return g, sig
 
 
-def _pd_solve(program, tol, x, g, sig, count, max_iters):
+def _pd_solve(program, tol, x, g, sig, max_iters):
     """Primal-dual interior steps from a strictly feasible x with row values g
-    and ``sig``, the sigmoid of its cut scores.
+    and ``sig``, the sigmoid of its cut scores; returns the SolveReport.
 
-    ``count`` is the number of log terms: rows plus finite bounds.
-    Returns (x, status, kkt_residual, iterations, ridges, backtracks).
-    Terminates when both the complementarity sum and the dual residual
-    norm drop below half the tolerance; their sum is the reported
-    optimality measure, at every exit.
+    Every inequality has one slack in ``s`` and one multiplier in
+    ``lam``: the constraint rows (s = -g) first, then the finite lower
+    bounds, then the finite upper ones.  Bound k has the coordinate
+    ``box[k]`` and the sign ``sign[k]``, +1 for a lower bound and -1 for
+    an upper one, so that its slack is sign * (x[box] - limits).
+    Terminates when both the complementarity sum s . lam and the dual
+    residual norm drop below half the tolerance; their sum is the
+    reported optimality measure, at every exit.
 
     Each point is evaluated once.  A trial point gets its row values,
     and J^T lam only once a trial has been strictly feasible; the
     accepted trial's evaluation carries into the next step.
     """
-    c = program.objective
-    lo, hi = program.lower, program.upper
-    lo_idx = np.flatnonzero(np.isfinite(lo))
-    hi_idx = np.flatnonzero(np.isfinite(hi))
-    dim = program.dim
+    c, lo, hi, dim = program.objective, program.lower, program.upper, program.dim
+    lo_idx, hi_idx = np.flatnonzero(np.isfinite(lo)), np.flatnonzero(np.isfinite(hi))
+    box = np.concatenate([lo_idx, hi_idx])
+    sign = np.concatenate([np.ones(lo_idx.size), -np.ones(hi_idx.size)])
+    limits = np.concatenate([lo[lo_idx], hi[hi_idx]])
+    rows = program.constraint_rows
     ridges = backtracks = 0
 
     def slacks(x, g):
-        return -g, x[lo_idx] - lo[lo_idx], hi[hi_idx] - x[hi_idx]
+        return np.concatenate([-g, sign * (x[box] - limits)])
 
-    def dual_residual(sig, lam_row, lam_lo, lam_hi):
-        r = program.transpose_times(sig, lam_row) - c
-        r[lo_idx] -= lam_lo
-        r[hi_idx] += lam_hi
-        return r
+    def box_transpose_times(v):
+        """The bound slacks' Jacobian, transposed, times v."""
+        return np.bincount(box, sign * v, minlength=dim)
 
-    def residual_norm(r_dual, s_row, s_lo, s_hi, lam_row, lam_lo, lam_hi, mu):
-        r_cent = np.concatenate([
-            lam_row * s_row - mu,
-            lam_lo * s_lo - mu,
-            lam_hi * s_hi - mu,
-        ])
-        return float(np.sqrt((r_dual**2).sum() + (r_cent**2).sum()))
+    def dual_residual(sig, lam):
+        return program.transpose_times(sig, lam[:rows]) - c \
+            - box_transpose_times(lam[rows:])
 
-    s_row, s_lo, s_hi = slacks(x, g)
-    lam_row, lam_lo, lam_hi = 1.0 / s_row, 1.0 / s_lo, 1.0 / s_hi
-    r_dual = dual_residual(sig, lam_row, lam_lo, lam_hi)
+    def residual_norm(r_dual, s, lam, mu):
+        return float(np.sqrt((r_dual**2).sum() + ((lam * s - mu)**2).sum()))
+
+    s = slacks(x, g)
+    lam = 1.0 / s
+    r_dual = dual_residual(sig, lam)
     # length of the previous accepted step
     alpha = 1.0
+    status, steps = ITERATION_LIMIT, max_iters
 
     for it in range(1, max_iters + 1):
-        gap = float(s_row @ lam_row + s_lo @ lam_lo + s_hi @ lam_hi)
+        gap = float(s @ lam)
         dual_norm = float(np.linalg.norm(r_dual))
         if gap <= 0.5 * tol and dual_norm <= 0.5 * tol:
-            return x, OPTIMAL, gap + dual_norm, it - 1, ridges, backtracks
+            status, steps = OPTIMAL, it - 1
+            break
         # a cut-back step aims the next one nearer the central path
-        mu = max(max(0.1, (1.0 - alpha) ** 2) * gap / count, 1e-300)
+        mu = max(max(0.1, (1.0 - alpha) ** 2) * gap / s.size, 1e-300)
 
-        box_diag = np.zeros(dim)
-        box_diag[lo_idx] = lam_lo / s_lo
-        box_diag[hi_idx] += lam_hi / s_hi
-        rhs = c - program.transpose_times(sig, mu / s_row)
-        rhs[lo_idx] += mu / s_lo
-        rhs[hi_idx] -= mu / s_hi
-        dx, tries = program.newton_solve(sig, lam_row, lam_row / s_row, box_diag, rhs)
+        weights = lam / s
+        box_diag = np.bincount(box, weights[rows:], minlength=dim)
+        rhs = c - program.transpose_times(sig, mu / s[:rows]) \
+            + box_transpose_times(mu / s[rows:])
+        dx, tries = program.newton_solve(sig, lam[:rows], weights[:rows], box_diag, rhs)
         ridges += tries
+        ds = np.concatenate([-program.times(sig, dx), sign * dx[box]])
+        dlam = (mu - lam * s) / s - weights * ds
 
-        dlam_row = (mu - lam_row * s_row) / s_row \
-            + (lam_row / s_row) * program.times(sig, dx)
-        dlam_lo = (mu - lam_lo * s_lo) / s_lo - (lam_lo / s_lo) * dx[lo_idx]
-        dlam_hi = (mu - lam_hi * s_hi) / s_hi + (lam_hi / s_hi) * dx[hi_idx]
-
-        # fraction to boundary: multipliers stay positive, box slacks too
-        vec = np.concatenate([lam_row, lam_lo, lam_hi, s_lo, s_hi])
-        dvec = np.concatenate([dlam_row, dlam_lo, dlam_hi, dx[lo_idx], -dx[hi_idx]])
+        # fraction to boundary: multipliers stay positive, bound slacks too
+        vec = np.concatenate([lam, s[rows:]])
+        dvec = np.concatenate([dlam, ds[rows:]])
         neg = dvec < 0
         alpha = min(1.0, 0.99 * float((-vec[neg] / dvec[neg]).min())) if neg.any() else 1.0
         # halve the step until the rows are strictly negative and the
         # residual norm falls; the rows are convex and x is strictly
         # feasible, so once a trial is feasible every shorter one is too
-        base = residual_norm(r_dual, s_row, s_lo, s_hi, lam_row, lam_lo, lam_hi, mu)
+        base = residual_norm(r_dual, s, lam, mu)
         feasible = False
         while alpha > 1e-14:
             x_new = x + alpha * dx
             g_new, sig_new = program.evaluate(x_new)
             feasible = feasible or bool((g_new < 0.0).all())
             if feasible:
-                lams_new = (lam_row + alpha * dlam_row, lam_lo + alpha * dlam_lo,
-                            lam_hi + alpha * dlam_hi)
-                r_new = dual_residual(sig_new, *lams_new)
-                slacks_new = slacks(x_new, g_new)
-                if residual_norm(r_new, *slacks_new, *lams_new, mu) \
-                        <= (1.0 - 0.01 * alpha) * base:
+                lam_new = lam + alpha * dlam
+                r_new = dual_residual(sig_new, lam_new)
+                s_new = slacks(x_new, g_new)
+                if residual_norm(r_new, s_new, lam_new, mu) <= (1.0 - 0.01 * alpha) * base:
                     break
             alpha *= 0.5
             backtracks += 1
         else:
             # stuck at numerical precision; report what we have
-            return x, (OPTIMAL if gap + dual_norm <= tol else ITERATION_LIMIT), \
-                gap + dual_norm, it, ridges, backtracks
-        x, sig, r_dual = x_new, sig_new, r_new
-        s_row, s_lo, s_hi = slacks_new
-        lam_row, lam_lo, lam_hi = lams_new
-    gap = float(s_row @ lam_row + s_lo @ lam_lo + s_hi @ lam_hi)
-    return x, ITERATION_LIMIT, gap + float(np.linalg.norm(r_dual)), max_iters, ridges, \
-        backtracks
+            status = OPTIMAL if gap + dual_norm <= tol else ITERATION_LIMIT
+            steps = it
+            break
+        x, sig, r_dual, s, lam = x_new, sig_new, r_new, s_new, lam_new
+
+    # weak duality: c . z <= c . x + lam_row . s_row + r . (z - x) for every
+    # feasible z, with r = c - J^T lam_row, and r . (z - x) peaks at a corner
+    # of the box
+    bound = np.inf
+    if box.size == 2 * dim:
+        r = c - program.transpose_times(sig, lam[:rows])
+        bound = float(c @ x + lam[:rows] @ s[:rows]
+                      + np.maximum(r * (lo - x), r * (hi - x)).sum())
+    kkt = float(s @ lam) + float(np.linalg.norm(r_dual))
+    return SolveReport(x, float(c @ x), status, kkt, steps, ridges, backtracks, bound)
 
 
 def solve(program, x0, tol=1e-8, max_newton=200):
@@ -345,14 +358,12 @@ def solve(program, x0, tol=1e-8, max_newton=200):
     constraint row negative; otherwise a ValueError names the first bound
     or row it breaks.  The report's ``kkt_residual`` is the certified
     optimality measure: complementarity sum plus dual residual norm.
+    Its ``bound`` is a weak-duality upper bound on the optimal value,
+    which holds at any multipliers; it is infinite when a bound of the
+    box is.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    count = (program.constraint_rows + int(np.sum(np.isfinite(program.lower)))
-             + int(np.sum(np.isfinite(program.upper))))
     x = np.asarray(x0, dtype=float)
     g, sig = _check_start(program, x)
-    x, status, kkt, iters, ridges, backtracks = _pd_solve(program, tol, x, g, sig, count,
-                                                          max_newton)
-    return SolveReport(x, float(program.objective @ x), status, kkt, iters, ridges,
-                       backtracks)
+    return _pd_solve(program, tol, x, g, sig, max_newton)

@@ -29,7 +29,6 @@ __all__ = [
     "paired_pvalue",
     "welch_pvalue",
     "emit_results",
-    "load_results",
 ]
 
 RESULT_COLUMNS = (
@@ -47,7 +46,7 @@ RESULT_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings for one experiment; serializable to and from JSON."""
+    """Settings for one experiment; ``from_json`` reads them from a JSON file."""
 
     dataset_csv: str
     label_column: str
@@ -81,11 +80,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"{path}: unknown config keys {unknown}")
         return cls(**payload)
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2)
-            fh.write("\n")
 
     def replace(self, **changes):
         payload = asdict(self)
@@ -274,29 +268,3 @@ def emit_results(result, csv_path, json_path):
     with open(json_path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def load_results(csv_path, json_path):
-    """Read back what ``emit_results`` wrote."""
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != RESULT_COLUMNS:
-            raise ValueError(f"unexpected result columns: {header}")
-        reps = []
-        for row in reader:
-            record = dict(zip(header, row))
-            reps.append(RepetitionResult(
-                repetition=int(record["repetition"]),
-                chosen_radius=float(record["chosen_radius"]),
-                auc_lr=float(record["auc_lr"]),
-                auc_wrlr=float(record["auc_wrlr"]),
-                outer_iterations=int(record["outer_iterations"]),
-                cut_count=int(record["cut_count"]),
-                master_fraction=float(record["master_fraction"]),
-                separation_fraction=float(record["separation_fraction"]),
-                wall_seconds=float(record["wall_seconds"]),
-            ))
-    with open(json_path) as fh:
-        payload = json.load(fh)
-    return tuple(reps), payload

@@ -1,8 +1,9 @@
 """The logistic loss.
 
 ``LogisticLoss`` evaluates the convex training loss h(theta, point,
-label), supplies its derivatives in theta, and bounds the loss and its
-gradient over a parameter box and a family of regions.  It has the
+label) and bounds the loss and its gradient over a parameter box and a
+family of regions; the master programs take the loss's derivative from
+``softplus_and_sigmoid``.  It has the
 scalar link form ``h = phi_label(theta_0 + theta . x)``, which the exact
 separation oracle relies on.
 """
@@ -57,10 +58,6 @@ class LogisticLoss:
         """Loss as a function of the score u, vectorized in u."""
         return softplus(-self._sign(label) * np.asarray(u, dtype=float))
 
-    def link_loss_derivative(self, u, label):
-        s = self._sign(label)
-        return -s * sigmoid(-s * np.asarray(u, dtype=float))
-
     def evaluate(self, theta, point, label):
         return float(self.link_loss(self.link(theta, point), label))
 
@@ -68,13 +65,6 @@ class LogisticLoss:
         u = self.link(theta, points)
         signs = self._sign(labels)
         return softplus(-signs * u)
-
-    def subgradient_theta(self, theta, point, label):
-        """Gradient of the loss in theta (the loss is smooth, so unique)."""
-        point = np.asarray(point, dtype=float)
-        u = self.link(theta, point)
-        coeff = self.link_loss_derivative(u, label)
-        return float(coeff) * np.concatenate([[1.0], point])
 
     def bounds_over(self, theta_lower, theta_upper, regions):
         """(lowest, highest) loss value over the parameter box and regions."""
@@ -90,11 +80,3 @@ class LogisticLoss:
         # |d loss/du| < 1, and the gradient is that times (1, x)
         reach_sq = max(region.l2_norm_sq_max() for region in regions)
         return float(np.sqrt(1.0 + reach_sq) + 1e-6)
-
-    def feature_lipschitz(self, theta_lower, theta_upper):
-        """Bound on the loss's Lipschitz constant in the point, L1 ground metric."""
-        theta_lower = np.asarray(theta_lower, dtype=float)
-        theta_upper = np.asarray(theta_upper, dtype=float)
-        if theta_lower.size < 2:
-            return 0.0
-        return float(np.max(np.maximum(np.abs(theta_lower[1:]), np.abs(theta_upper[1:]))))

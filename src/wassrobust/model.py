@@ -148,9 +148,11 @@ class BoxRegion:
     def dimension(self):
         return self.lower.size
 
-    def contains(self, point, tol=1e-9):
-        point = np.asarray(point, dtype=float)
-        return bool(np.all(point >= self.lower - tol) and np.all(point <= self.upper + tol))
+    def contains(self, points, tol=1e-9):
+        """Whether the point, or each row of a stack of points, lies in the
+        box to within ``tol``."""
+        points = np.asarray(points, dtype=float)
+        return np.all((points >= self.lower - tol) & (points <= self.upper + tol), axis=-1)
 
     def clip(self, point):
         return np.clip(np.asarray(point, dtype=float), self.lower, self.upper)
@@ -192,9 +194,15 @@ class FiniteRegion:
     def dimension(self):
         return self.points.shape[1]
 
-    def contains(self, point, tol=1e-9):
-        point = np.asarray(point, dtype=float)
-        return bool(np.min(np.max(np.abs(self.points - point), axis=1)) <= tol)
+    def contains(self, points, tol=1e-9):
+        """Whether the point, or each row of a stack of points, is within
+        ``tol`` of a region point in every coordinate."""
+        points = np.asarray(points, dtype=float)
+        near = np.zeros(points.shape[:-1], dtype=bool)
+        # one region point at a time keeps memory linear in the stack
+        for point in self.points:
+            near |= np.max(np.abs(points - point), axis=-1) <= tol
+        return near
 
     def max_l1_distance_from(self, point):
         point = np.asarray(point, dtype=float)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .convex import MasterProgram
 from .losses import LogisticLoss
-from .model import Dataset, DualPoint, FiniteRegion, Scenario
+from .model import Dataset, DualPoint, FiniteRegion
 
 __all__ = [
     "DerivedConstants",
@@ -59,7 +59,6 @@ class DerivedConstants:
     multiplier_upper            upper box bound for the per-sample multipliers
     budget_upper                upper box bound for the budget multiplier
     rate_bound                  guaranteed per-improvement contraction factor
-    feature_lipschitz           bound on the loss's Lipschitz constant in the point
     """
 
     loss_lower: float
@@ -70,7 +69,6 @@ class DerivedConstants:
     multiplier_upper: float
     budget_upper: float
     rate_bound: float
-    feature_lipschitz: float
 
 
 def derive_constants(dataset, regions, loss, radius, theta_lower, theta_upper):
@@ -104,7 +102,6 @@ def derive_constants(dataset, regions, loss, radius, theta_lower, theta_upper):
         multiplier_upper=float((m + 1) * hi - m * lo),
         budget_upper=float((hi - lo) / radius),
         rate_bound=float(1.0 - 1.0 / (2.0 * centering + 1.0)),
-        feature_lipschitz=float(loss.feature_lipschitz(theta_lower, theta_upper)),
     )
 
 
@@ -167,9 +164,10 @@ class CutPool:
 
     Cut j belongs to sample ``samples[j]``, sits at ``points[j]`` and
     lies at L1 distance ``dists[j]`` from that sample's features.  The
-    pool only grows.  A cut is checked once, when it is added.  Two cuts
-    are duplicates when they belong to the same sample and their points
-    agree after rounding to ten decimal places.
+    pool only grows, a block of cuts at a time, and a cut is checked
+    once, when its block is added.  Two cuts are duplicates when they
+    belong to the same sample and their points agree after rounding to
+    ten decimal places.
     """
 
     def __init__(self, data):
@@ -179,30 +177,43 @@ class CutPool:
         self.dists = np.empty(0)
         self._keys = set()
 
-    def add(self, scenario):
-        """Check and append one cut; returns False for a duplicate."""
+    def extend(self, samples, points):
+        """Append the block of cuts at ``points[k]`` for the samples
+        ``samples[k]``, dropping repeats of pooled or earlier cuts; returns
+        how many were new.  A bad index, shape or point anywhere in the
+        block raises ValueError and leaves the pool as it was."""
         data = self.data
-        i, point = scenario.sample_index, scenario.point
-        if not 0 <= i < data.m:
-            raise ValueError(f"cut sample index {i} out of range")
-        if scenario.label != int(data.dataset.labels[i]):
-            raise ValueError("cut label does not match its sample")
-        if point.shape != (data.dataset.n,):
-            raise ValueError(f"cut point has shape {point.shape}, "
-                             f"the dataset has {data.dataset.n} features")
-        offset = np.abs(point - data.dataset.features[i])
+        samples = np.asarray(samples, dtype=int)
+        points = np.asarray(points, dtype=float)
+        if samples.ndim != 1 or points.shape != (samples.size, data.dataset.n):
+            raise ValueError(f"cut points have shape {points.shape}; {samples.size} cuts "
+                             f"over {data.dataset.n} features need "
+                             f"({samples.size}, {data.dataset.n})")
+        bad = np.flatnonzero((samples < 0) | (samples >= data.m))
+        if bad.size:
+            raise ValueError(f"cut sample index {samples[bad[0]]} out of range")
+        offset = np.abs(points - data.dataset.features[samples])
         # the observed sample itself is admissible even outside its class
         # region: it costs nothing to transport
-        if not data.regions[scenario.label].contains(point) and not np.all(offset <= 1e-12):
-            raise ValueError("cut point lies outside its class region")
-        key = (int(i), tuple(float(v) for v in np.round(point, 10)))
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        self.samples = np.append(self.samples, i)
-        self.points = np.vstack([self.points, point])
-        self.dists = np.append(self.dists, np.sum(offset))
-        return True
+        admissible = np.all(offset <= 1e-12, axis=1)
+        labels = data.dataset.labels[samples]
+        for label, region in data.regions.items():
+            rows = np.flatnonzero((labels == label) & ~admissible)
+            admissible[rows] = region.contains(points[rows])
+        if not admissible.all():
+            k = int(np.flatnonzero(~admissible)[0])
+            raise ValueError(f"cut point {points[k].tolist()} of sample {samples[k]} "
+                             "lies outside its class region")
+        keys = zip(samples.tolist(), map(tuple, np.round(points, 10).tolist()))
+        new = []
+        for k, key in enumerate(keys):
+            if key not in self._keys:
+                self._keys.add(key)
+                new.append(k)
+        self.samples = np.concatenate([self.samples, samples[new]])
+        self.points = np.concatenate([self.points, points[new]])
+        self.dists = np.concatenate([self.dists, offset[new].sum(axis=1)])
+        return len(new)
 
     def values(self, theta, multipliers):
         """Each cut's constraint value: its loss minus its sample's
@@ -296,11 +307,11 @@ def enumeration_cuts(data):
             f"enumeration would create {count} constraints, "
             f"budget is {ENUMERATION_BUDGET}"
         )
+    blocks = [np.vstack([region.points, x]) if atom else region.points
+              for region, x, atom in zip(regions, feats, atoms)]
     pool = CutPool(data)
-    for i, region in enumerate(regions):
-        label = int(data.dataset.labels[i])
-        for point in list(region.points) + ([feats[i]] if atoms[i] else []):
-            pool.add(Scenario(point, i, label))
+    pool.extend(np.repeat(np.arange(data.m), [len(block) for block in blocks]),
+                np.concatenate(blocks))
     return pool
 
 

@@ -22,6 +22,12 @@ Two algorithms, both driven by the separation oracles:
   gives LB; the loop stops once cap - LB <= eps and otherwise adds that
   point's violated cuts and goes on.  The pool keeps every cut.
 
+A lower bound comes from a plain master over the pool, which relaxes
+the dual.  It is that master's weak-duality bound at its final
+multipliers (``SolveReport.bound``), not its objective value: the bound
+holds however loosely the master was solved, while the value of its
+interior-point solution can sit above the master's optimum.
+
 Both return their final point, or None when they have none, together
 with a trace of every master solve, the robust value J of the returned
 theta and the lower bound the solve certified; the trace can be written
@@ -37,7 +43,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import convex
-from .model import Scenario, objective_f
+from .model import objective_f
 from .reformulate import (
     CutPool,
     build_exchange_master,
@@ -134,21 +140,10 @@ class SolveTrace:
 MAX_ITERATIONS = 500
 
 
-class _Clock:
-    """Accumulates wall time; a null clock keeps results reproducible."""
-
-    def __init__(self, enabled=True):
-        self.enabled = enabled
-
-    def now(self):
-        return time.perf_counter() if self.enabled else 0.0
-
-
 def _atom_pool(data):
     """One zero-cost cut per sample: the observation itself."""
     pool = CutPool(data)
-    for i, (point, label) in enumerate(zip(data.dataset.features, data.dataset.labels)):
-        pool.add(Scenario(point, i, int(label)))
+    pool.extend(np.arange(data.m), data.dataset.features)
     return pool
 
 
@@ -194,32 +189,34 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    clock = _Clock(capture_timing)
-    start = clock.now()
+    # a clock that reads zero keeps the trace, and so the results,
+    # reproducible byte for byte
+    clock = time.perf_counter if capture_timing else (lambda: 0.0)
+    start = clock()
     trace = SolveTrace(algorithm="exchange")
     pool = CutPool(data)
     x0 = exchange_interior_point(data)
     point = None
     lower = None
     for k in range(MAX_ITERATIONS + 1):
-        t0 = clock.now()
+        t0 = clock()
         program = build_exchange_master(data, pool)
         report = convex.solve(program, x0)
-        t1 = clock.now()
+        t1 = clock()
         if report.status != convex.OPTIMAL:
             trace.status = f"master_{report.status}"
             trace.master_seconds += t1 - t0
             break
         point = split_dual_solution(data, report.solution)
-        lower = -report.objective
+        lower = -report.bound
         sep = best_violation(point, data)
-        t2 = clock.now()
+        t2 = clock()
         trace.master_seconds += t1 - t0
         trace.separation_seconds += t2 - t1
         trace.oracle_calls += data.m
         added = 0
         if sep.violation > 0.5 * eps:
-            added = int(pool.add(sep.scenario))
+            added = pool.extend([sep.scenario.sample_index], sep.scenario.point[None, :])
         trace.records.append(IterationRecord(
             iteration=k, margin=None, cap=None,
             objective=-report.objective, violation=sep.violation,
@@ -242,12 +239,12 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
     else:
         trace.status = "iteration_limit"
     if point is not None:
-        t0 = clock.now()
+        t0 = clock()
         trace.robust_value = objective_f(complete(point.theta, data), data.radius)
-        trace.separation_seconds += clock.now() - t0
-        # the last restricted master relaxes the dual
+        trace.separation_seconds += clock() - t0
+        # the last restricted master relaxes the dual (see the module notes)
         trace.lower_bound = lower
-    trace.wall_seconds = clock.now() - start
+    trace.wall_seconds = clock() - start
     if trace_path:
         trace.write_jsonl(trace_path)
     return point, trace
@@ -271,8 +268,8 @@ def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=N
     # the centered master hands over to the plain one once its margin
     # falls to this
     margin_tol = 1e-9 * (der.objective_cap - der.loss_lower)
-    clock = _Clock(capture_timing)
-    start = clock.now()
+    clock = time.perf_counter if capture_timing else (lambda: 0.0)
+    start = clock()
     trace = SolveTrace(algorithm="cutting_surface")
 
     pool = _atom_pool(data)
@@ -285,22 +282,23 @@ def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=N
     gap_check = False
 
     for k in range(1, max_iterations + 1):
-        t0 = clock.now()
+        t0 = clock()
         if gap_check:
             program = build_exchange_master(data, pool)
             report = convex.solve(program, exchange_interior_point(data))
         else:
             program = build_master(data, pool, cap)
             report = convex.solve(program, master_interior_point(data, pool, cap))
-        t1 = clock.now()
+        t1 = clock()
         trace.master_seconds += t1 - t0
         if report.status != convex.OPTIMAL:
             trace.status = f"master_{report.status}"
             break
         if gap_check:
             point, margin = split_dual_solution(data, report.solution), None
-            # the plain master over the pool relaxes the dual
-            lower = max(lower, -report.objective)
+            # the plain master over the pool relaxes the dual (see the
+            # module notes)
+            lower = max(lower, -report.bound)
         else:
             point, margin, _ = split_master_solution(data, report.solution)
         record = dict(iteration=k, margin=margin, objective=objective_f(point, data.radius),
@@ -317,7 +315,7 @@ def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=N
 
         points, violations = separate(point, data, all_samples)
         completion = complete(point.theta, data)
-        t2 = clock.now()
+        t2 = clock()
         trace.separation_seconds += t2 - t1
         trace.oracle_calls += data.m
         worst = float(violations.max())
@@ -338,11 +336,7 @@ def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=N
 
         done = gap_check and cap - lower <= eps
         cutting = not done and (gap_check or worst > eps)
-        added = 0
-        if cutting:
-            for i in violated:
-                scenario = Scenario(points[i], i, int(data.dataset.labels[i]))
-                added += int(pool.add(scenario))
+        added = pool.extend(violated, points[violated]) if cutting else 0
         # no new cut and no lower cap: the loop cannot move further at
         # this precision
         stalled = cutting and added == 0 and adopted is None
@@ -366,19 +360,19 @@ def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=N
     if incumbent is not None:
         # return the incumbent's completion unless it is higher, and
         # certify what we return by a full sweep
-        t0 = clock.now()
+        t0 = clock()
         completion = complete(incumbent.theta, data)
         trace.robust_value = objective_f(completion, data.radius)
         if trace.robust_value <= cap:
             incumbent = completion
         _, final = separate(incumbent, data, all_samples)
-        trace.separation_seconds += clock.now() - t0
+        trace.separation_seconds += clock() - t0
         trace.oracle_calls += data.m
         trace.final_violation = float(final.max())
     trace.lower_bound = lower
     if trace.status == "optimal" and (incumbent is None or trace.final_violation > eps):
         trace.status = "uncertified"
-    trace.wall_seconds = clock.now() - start
+    trace.wall_seconds = clock() - start
     if trace_path:
         trace.write_jsonl(trace_path)
     return incumbent, trace

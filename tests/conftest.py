@@ -1,6 +1,9 @@
 """Shared instance factories and brute-force oracles for the test suite."""
 
+import csv
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -47,10 +50,10 @@ def finite_problem(seed, m=5, n=2, extra_points=4, radius=0.1,
 
 
 def cut_pool(data, scenarios):
-    """A cut pool holding ``scenarios``, added in order."""
+    """A cut pool holding ``scenarios``, added in order by one ``extend``."""
     pool = wr.CutPool(data)
-    for scenario in scenarios:
-        pool.add(scenario)
+    pool.extend([sc.sample_index for sc in scenarios],
+                np.reshape([sc.point for sc in scenarios], (len(scenarios), data.dataset.n)))
     return pool
 
 
@@ -167,6 +170,18 @@ def write_csv(path, features, labels, label_name="label"):
         vals = [repr(float(v)) for v in features[i]] + [str(int(labels[i]))]
         lines.append(",".join(vals))
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_config(config, path):
+    """Write an ``ExperimentConfig`` as the JSON file ``from_json`` reads."""
+    path.write_text(json.dumps(dataclasses.asdict(config), indent=2) + "\n")
+
+
+def read_results(csv_path, json_path):
+    """The rows of a results CSV, as dicts of strings, and the JSON payload."""
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return rows, json.loads(json_path.read_text())
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from wassrobust import (
     ExperimentConfig,
     ProblemData,
     load_model,
-    load_results,
     objective_f,
     predict_score,
     solve_cutting_surface,
@@ -22,7 +21,7 @@ from wassrobust import cli
 from wassrobust.cli import main
 from wassrobust.harness import RESULT_COLUMNS
 
-from conftest import blob_dataset, write_csv
+from conftest import blob_dataset, read_results, write_config, write_csv
 
 
 def dataset_csv(tmp_path, seed=19, m=24, n=2):
@@ -245,7 +244,7 @@ def test_experiment_command(tmp_path, capsys):
                            train_size=15, repetitions=2, radius_grid=(0.0, 0.05),
                            eps=1e-4, seed=7, capture_timing=False)
     cfg_path = tmp_path / "config.json"
-    cfg.to_json(cfg_path)
+    write_config(cfg, cfg_path)
     csv_out = tmp_path / "results.csv"
     json_out = tmp_path / "results.json"
     code = main(["experiment", "--config", str(cfg_path),
@@ -253,8 +252,8 @@ def test_experiment_command(tmp_path, capsys):
                  "--seed", "11"])
     assert code == 0
     assert "2 repetitions" in capsys.readouterr().out
-    reps, payload = load_results(csv_out, json_out)
-    assert len(reps) == 2
+    rows, payload = read_results(csv_out, json_out)
+    assert len(rows) == 2
     assert payload["config"]["seed"] == 11
     assert tuple(payload["aggregate"]) >= ()  # payload parses
     header = csv_out.read_text().splitlines()[0]
@@ -370,7 +369,7 @@ def test_cut_flags_that_would_not_take_effect_exit_2(tmp_path, capsys, argv, con
     cfg = ExperimentConfig(dataset_csv=str(csv_path), label_column="label",
                            train_size=8, repetitions=1, **config)
     cfg_path = tmp_path / "config.json"
-    cfg.to_json(cfg_path)
+    write_config(cfg, cfg_path)
     out = tmp_path / "out.file"
     paths = {"csv": csv_path, "instance": instance, "config": cfg_path, "out": out}
     with pytest.raises(SystemExit) as exit_info:

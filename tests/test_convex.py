@@ -38,8 +38,9 @@ def small_masters(seed, cuts=None):
     """(data, cuts, [(plain master, start), (centered master, start)]);
     ``cuts`` are those the pool kept, in its order."""
     data = box_problem(seed, m=6, n=2)
-    pool = CutPool(data)
-    cuts = [c for c in (corner_cuts(data, seed) if cuts is None else cuts) if pool.add(c)]
+    pool = cut_pool(data, corner_cuts(data, seed) if cuts is None else cuts)
+    cuts = [Scenario(point, i, int(data.dataset.labels[i]))
+            for i, point in zip(pool.samples, pool.points)]
     cap = data.derived.objective_cap
     return data, cuts, [(build_exchange_master(data, pool), exchange_interior_point(data)),
                         (build_master(data, pool, cap), master_interior_point(data, pool, cap))]
@@ -120,6 +121,20 @@ def test_adding_a_row_never_improves_the_optimum():
             full, fewer = solve(full_prog, full_x0), solve(part_prog, part_x0)
             assert full.status == OPTIMAL and fewer.status == OPTIMAL
             assert full.objective <= fewer.objective + 1e-7
+
+
+def test_weak_duality_bound_holds_at_any_multipliers():
+    # the plain master's bound brackets its optimum with the returned
+    # value, and holds even after a step or three; the centered master
+    # has unbounded w and t, so it has none
+    for seed in range(4):
+        _, _, [(plain, x0), (centered, x_centered)] = small_masters(50 + seed)
+        best = solve(plain, x0)
+        assert best.status == OPTIMAL
+        assert best.objective <= best.bound <= best.objective + 1e-8
+        for steps in (1, 3, 10):
+            assert solve(plain, x0, max_newton=steps).bound >= best.objective
+        assert solve(centered, x_centered).bound == math.inf
 
 
 def test_halving_tolerance_is_consistent():

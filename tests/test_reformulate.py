@@ -57,7 +57,6 @@ def test_derived_constants_hand_instance():
     assert der.budget_upper == pytest.approx(c2 - c1, abs=1e-12)
     assert der.rate_bound == pytest.approx(1.0 - 1.0 / (2.0 * math.sqrt(3.0) + 1.0),
                                            abs=1e-15)
-    assert der.feature_lipschitz == 10.0
 
 
 def test_centering_bound_takes_the_larger_branch():
@@ -154,28 +153,44 @@ def test_master_cap_validation():
 
 def test_cut_validation_and_anchor_exemption():
     data = box_problem(4, m=6, n=2)
-    labels = data.dataset.labels
+    feats = data.dataset.features
     i = 0
     region = data.region_for_sample(i)
     pool = CutPool(data)
-    good = Scenario(region.clip(data.dataset.features[i] + 100.0), i, int(labels[i]))
-    assert pool.add(good)
-    outside = Scenario(region.upper + 1.0, i, int(labels[i]))
+    assert pool.extend([i], [region.clip(feats[i] + 100.0)]) == 1
     with pytest.raises(ValueError, match="outside"):
-        pool.add(outside)
-    wrong_label = Scenario(region.clip(np.zeros(2)), i, 1 - int(labels[i]))
-    with pytest.raises(ValueError, match="label"):
-        pool.add(wrong_label)
-    with pytest.raises(ValueError, match="out of range"):
-        pool.add(Scenario(np.zeros(2), 99, 0))
+        pool.extend([i], [region.upper + 1.0])
+    for bad in (99, data.m, -1):
+        with pytest.raises(ValueError, match=f"index {bad} out of range"):
+            pool.extend([bad], [np.zeros(2)])
     with pytest.raises(ValueError, match="shape"):
-        pool.add(Scenario(np.zeros(3), i, int(labels[i])))
+        pool.extend([i], [np.zeros(3)])
+    with pytest.raises(ValueError, match="shape"):
+        pool.extend([i, i], [np.zeros(2)])
     assert len(pool) == 1
     # the observed sample itself is fine even when it sits outside its box
-    feats = data.dataset.features
-    for i in range(data.m):
-        assert pool.add(Scenario(feats[i], i, int(labels[i])))
+    assert pool.extend(np.arange(data.m), feats) == data.m
     assert len(pool) == 1 + data.m
+
+
+def test_a_bad_cut_anywhere_in_a_block_adds_nothing():
+    data = box_problem(4, m=6, n=2)
+    feats = data.dataset.features
+    pool = cut_pool(data, [Scenario(feats[0], 0, int(data.dataset.labels[0]))])
+    before = [pool.samples.copy(), pool.points.copy(), pool.dists.copy()]
+    # two admissible new cuts, and one that is not
+    fresh = np.array([data.region_for_sample(i).upper for i in (1, 2)])
+    outside = data.region_for_sample(3).upper + 1.0
+    blocks = [([1, 2, 3], [*fresh, outside]), ([3, 1, 2], [outside, *fresh]),
+              ([1, 2, data.m], [*fresh, feats[0]]), ([1, -1, 2], [fresh[0], feats[0], fresh[1]])]
+    for samples, points in blocks:
+        with pytest.raises(ValueError, match="outside its class region|out of range"):
+            pool.extend(samples, np.array(points))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(before, [pool.samples, pool.points, pool.dists]))
+    # no refused block left its cuts behind as seen
+    assert pool.extend([1, 2], fresh) == 2
+    assert len(pool) == 3
 
 
 def test_nominal_hand_instances():
