@@ -22,6 +22,13 @@ Two algorithms, both driven by the separation oracles:
   gives LB; the loop stops once cap - LB <= eps and otherwise adds that
   point's violated cuts and goes on.  The pool keeps every cut.
 
+Both take a starting cut pool and grow it in place, so a caller can
+carry one solve's cuts to the next: a cut is a (sample, point) pair
+whose constraint does not depend on the radius.  The cutting surface
+also takes a starting theta; the completion of any theta in the
+parameter box is exactly feasible, so its objective is a valid first
+cap.  The exchange scheme keeps no cap and takes only the cuts.
+
 A lower bound comes from a plain master over the pool, which relaxes
 the dual.  It is that master's weak-duality bound at its final
 multipliers (``SolveReport.bound``), not its objective value: the bound
@@ -179,13 +186,14 @@ def solve_full_enumeration(data):
     return point, -report.objective
 
 
-def solve_exchange(data, eps, trace_path=None, capture_timing=True):
+def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
     """Exchange scheme: add the most violated cut until eps/2-feasible.
 
     Stops when the separation oracle finds no constraint violated by
     more than eps/2 at the restricted minimizer, which makes that point
     eps-optimal for oracles with eps/2 accuracy (the exact oracle is
-    better than that).
+    better than that).  The restricted master starts from ``pool``, empty
+    by default, and the solve grows it in place.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -194,7 +202,7 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
     clock = time.perf_counter if capture_timing else (lambda: 0.0)
     start = clock()
     trace = SolveTrace(algorithm="exchange")
-    pool = CutPool(data)
+    pool = CutPool(data) if pool is None else pool
     x0 = exchange_interior_point(data)
     point = None
     lower = None
@@ -250,8 +258,8 @@ def solve_exchange(data, eps, trace_path=None, capture_timing=True):
     return point, trace
 
 
-def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=None,
-                          capture_timing=True):
+def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_ITERATIONS,
+                          trace_path=None, capture_timing=True):
     """Centered cutting scheme that stops on a certified eps gap.
 
     Each sweep adds every violated constraint it finds and may adopt the
@@ -261,9 +269,21 @@ def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=N
     the cap is within eps of it.  Returns the completion of the
     incumbent's theta when that is not above the incumbent; a solve that
     adopts none returns None as its point and skips the final sweep.
+
+    A warm start passes the cuts to begin from as ``pool``, which the
+    solve grows in place, and a ``theta`` inside the parameter box: its
+    completion is the first incumbent, and its objective the first cap.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if theta is not None:
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != data.theta_lower.shape:
+            raise ValueError(f"warm-start theta has shape {theta.shape}; the problem "
+                             f"needs {data.theta_lower.shape}")
+        if np.any(theta < data.theta_lower) or np.any(theta > data.theta_upper):
+            raise ValueError("warm-start theta lies outside the parameter box "
+                             f"[{data.theta_lower.min()}, {data.theta_upper.max()}]")
     der = data.derived
     # the centered master hands over to the plain one once its margin
     # falls to this
@@ -272,12 +292,24 @@ def solve_cutting_surface(data, eps, max_iterations=MAX_ITERATIONS, trace_path=N
     start = clock()
     trace = SolveTrace(algorithm="cutting_surface")
 
-    pool = _atom_pool(data)
     all_samples = np.arange(data.m)
+    pool = CutPool(data) if pool is None else pool
+    # each sample's observation is a zero-cost cut; a carried pool may
+    # hold them already
+    pool.extend(all_samples, data.dataset.features)
 
     incumbent = None
     cap = der.objective_cap
     lower = der.loss_lower
+    if theta is not None:
+        # the completion is exactly feasible, so its objective bounds the
+        # optimum from above; it is the cap unless it is no tighter
+        t0 = clock()
+        completion = complete(theta, data)
+        trace.separation_seconds += clock() - t0
+        completed = objective_f(completion, data.radius)
+        if completed < cap:
+            incumbent, cap = completion, completed
     # the last centered master's margin vanished: solve the plain master
     gap_check = False
 

@@ -9,7 +9,9 @@ deviation around the class mean, and perturbation never flips a label.
 
 The radius is the only new hyperparameter; ``select_r0`` picks it by
 stratified cross-validation on AUC, with radius zero (plain logistic
-regression) always a candidate.
+regression) always a candidate.  A robust fit keeps its final cuts, and
+``fit_wrlr(..., warm=model)`` starts from them and from the model's
+theta; ``select_r0`` chains its radius grid that way within each fold.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from scipy.stats import rankdata
 
 from .losses import LogisticLoss, sigmoid
 from .model import BoxRegion
-from .reformulate import ProblemData
+from .reformulate import CutPool, ProblemData
 from .solvers import SolveTrace, solve_cutting_surface, solve_exchange, solve_nominal
 
 __all__ = [
@@ -47,11 +49,17 @@ class FittedModel:
     radius: float
     kind: str  # "lr" or "wrlr"
     trace: SolveTrace | None = None
+    # a robust fit's final cuts: cut j puts sample samples[j] at points[j];
+    # None for a plain fit
+    samples: np.ndarray | None = None
+    points: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = np.array(self.theta, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "theta", arr)
+        for name, dtype in (("theta", float), ("samples", int), ("points", float)):
+            if getattr(self, name) is not None:
+                arr = np.array(getattr(self, name), dtype=dtype)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
 
 def build_regions(dataset):
@@ -89,11 +97,17 @@ SOLVERS = ("cutting_surface", "exchange")
 
 
 def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
-             theta_radius=10.0, trace_path=None, capture_timing=True):
+             theta_radius=10.0, trace_path=None, capture_timing=True, warm=None):
     """Robust logistic regression at a fixed radius.
 
     ``radius=0`` falls back to plain logistic regression so radius grids
     can include the nominal model.
+
+    ``warm`` is a model fit on the same training set, plain or robust, at
+    any radius.  A robust one's cuts start the solver's pool: a cut does
+    not depend on the radius, and each is checked again as it is added.
+    The cutting-surface solver also starts from the completion of its
+    theta, whose objective is a valid first cap.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -104,12 +118,19 @@ def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
         return fit_lr(train, theta_radius=theta_radius)
     data = ProblemData.assemble(train, build_regions(train), radius=radius,
                                 theta_radius=theta_radius)
-    solve = solve_cutting_surface if solver == "cutting_surface" else solve_exchange
-    point, trace = solve(data, eps, trace_path=trace_path, capture_timing=capture_timing)
+    pool = CutPool(data)
+    if warm is not None and warm.samples is not None:
+        pool.extend(warm.samples, warm.points)
+    options = dict(pool=pool, trace_path=trace_path, capture_timing=capture_timing)
+    if solver == "cutting_surface":
+        point, trace = solve_cutting_surface(
+            data, eps, theta=None if warm is None else warm.theta, **options)
+    else:
+        point, trace = solve_exchange(data, eps, **options)
     if point is None:
         raise RuntimeError(f"robust fit failed: {trace.status}")
     return FittedModel(theta=point.theta, radius=float(radius), kind="wrlr",
-                       trace=trace)
+                       trace=trace, samples=pool.samples, points=pool.points)
 
 
 def predict_score(model, features):
@@ -177,6 +198,12 @@ def select_r0(train, grid, folds=4, seed=0, **fit_kwargs):
     giving up.  Folds whose validation part is single-class contribute
     no AUC and are skipped consistently for every radius.  Ties choose
     the smaller radius.
+
+    Each fold fits the distinct radii in ascending order, and every fit
+    is warm-started from the fold's previous model (see ``fit_wrlr``):
+    the cuts stay valid constraints at any radius, and the previous
+    theta's completion is a feasible point whose objective caps the next
+    optimum.
     """
     grid = tuple(float(r) for r in grid)
     if not grid:
@@ -211,14 +238,14 @@ def select_r0(train, grid, folds=4, seed=0, **fit_kwargs):
         val_idx = np.flatnonzero(assignment == fold)
         split.append((train_part, train.features[val_idx], train.labels[val_idx]))
 
-    def fold_auc(radius, part, val_x, val_y):
-        model = fit_wrlr(part, radius, **fit_kwargs)
-        return auc(predict_score(model, val_x), val_y)
-
-    mean_by_radius = {
-        radius: float(np.mean([fold_auc(radius, *s) for s in split]))
-        for radius in sorted(set(grid))
-    }
+    radii = sorted(set(grid))
+    aucs = {radius: [] for radius in radii}
+    for part, val_x, val_y in split:
+        model = None
+        for radius in radii:
+            model = fit_wrlr(part, radius, warm=model, **fit_kwargs)
+            aucs[radius].append(auc(predict_score(model, val_x), val_y))
+    mean_by_radius = {radius: float(np.mean(values)) for radius, values in aucs.items()}
 
     means = tuple(mean_by_radius[r] for r in grid)
     best = max(mean_by_radius.values())

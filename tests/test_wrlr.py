@@ -6,7 +6,9 @@ from scipy.optimize import minimize
 
 from wassrobust import (
     BoxRegion,
+    CutPool,
     Dataset,
+    FittedModel,
     ProblemData,
     auc,
     build_regions,
@@ -20,6 +22,7 @@ from wassrobust import (
     solve_cutting_surface,
     solve_nominal,
 )
+from wassrobust import convex
 
 from conftest import blob_dataset
 
@@ -96,6 +99,81 @@ def test_fit_validation():
         fit_wrlr(ds, -0.1)
     with pytest.raises(ValueError, match="solver"):
         fit_wrlr(ds, 0.1, solver="magic")
+
+
+WARM_GRID = (0.01, 0.05, 0.1, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("solver", ["cutting_surface", "exchange"])
+def test_warm_chain_matches_cold_fits_and_certifies(solver):
+    eps = 1e-6
+    for seed in (40, 41):
+        ds = blob_dataset(seed, 16, 3)
+        warm = fit_lr(ds)
+        values, warm_solves, cold_solves = [], 0, 0
+        for radius in WARM_GRID:
+            cold = fit_wrlr(ds, radius, eps=eps, solver=solver)
+            model = fit_wrlr(ds, radius, eps=eps, solver=solver, warm=warm)
+            trace = model.trace
+            assert trace.status == "optimal"
+            assert trace.final_violation <= eps
+            if solver == "cutting_surface":
+                assert trace.robust_value - trace.lower_bound <= eps
+                # the warm theta's completion sets the first cap
+                cap = ProblemData.assemble(ds, build_regions(ds), radius).derived.objective_cap
+                assert trace.records[0].cap < cap
+            assert abs(trace.robust_value - cold.trace.robust_value) <= eps
+            # the first master already holds the carried cuts
+            first = trace.records[0]
+            if warm.samples is not None:
+                assert first.cut_count - first.cuts_added == len(warm.samples)
+            values.append(trace.robust_value)
+            warm_solves += trace.iterations
+            cold_solves += cold.trace.iterations
+            warm = model
+        for smaller, larger in zip(values, values[1:]):
+            assert larger >= smaller - eps
+        assert warm_solves < cold_solves
+
+
+def test_fit_keeps_its_final_cuts_read_only():
+    ds = blob_dataset(42, 12, 2)
+    model = fit_wrlr(ds, 0.1, eps=1e-5)
+    assert model.samples.shape == (model.trace.cut_count,)
+    assert model.points.shape == (model.trace.cut_count, ds.n)
+    assert not model.samples.flags.writeable and not model.points.flags.writeable
+    # every cut is a real constraint of the problem it came from
+    data = ProblemData.assemble(ds, build_regions(ds), radius=0.1)
+    assert CutPool(data).extend(model.samples, model.points) == len(model.samples)
+    lr = fit_lr(ds)
+    assert lr.samples is None and lr.points is None
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a master solve started")
+
+
+def test_bad_warm_theta_fails_before_any_solve(monkeypatch):
+    ds = blob_dataset(43, 12, 2)
+    monkeypatch.setattr(convex, "solve", _no_solve)
+    short = FittedModel(theta=np.zeros(2), radius=0.0, kind="lr")
+    with pytest.raises(ValueError, match="warm-start theta has shape"):
+        fit_wrlr(ds, 0.1, warm=short)
+    outside = FittedModel(theta=[0.0, 10.5, 0.0], radius=0.0, kind="lr")
+    with pytest.raises(ValueError, match="outside the parameter box"):
+        fit_wrlr(ds, 0.1, warm=outside)
+    # the same theta lies inside a wider box
+    monkeypatch.undo()
+    assert fit_wrlr(ds, 0.1, theta_radius=11.0, warm=outside).trace.status == "optimal"
+
+
+def test_warm_model_from_another_training_set_is_rejected(monkeypatch):
+    other = fit_wrlr(blob_dataset(44, 16, 2), 0.1, eps=1e-5)
+    monkeypatch.setattr(convex, "solve", _no_solve)
+    with pytest.raises(ValueError, match="out of range"):
+        fit_wrlr(blob_dataset(45, 12, 2), 0.1, warm=other)
+    with pytest.raises(ValueError, match="outside its class region"):
+        fit_wrlr(blob_dataset(46, 16, 2), 0.1, warm=other)
 
 
 def test_objective_grows_with_radius():
@@ -238,6 +316,36 @@ def test_select_r0_tie_prefers_smaller_radius():
     report = select_r0(ds, (0.0, 1e-12), folds=4, seed=0)
     assert report.mean_aucs[0] == report.mean_aucs[1]
     assert report.chosen_radius == 0.0
+
+
+def cold_cross_validation(ds, grid, folds, seed, eps):
+    """Mean validation AUC per radius, every fit cold, and the fold
+    labels: each class is permuted and dealt round-robin into the folds."""
+    rng = np.random.default_rng(seed)
+    fold_of = np.zeros(ds.m, dtype=int)
+    for label in (0, 1):
+        for pos, i in enumerate(rng.permutation(np.flatnonzero(ds.labels == label))):
+            fold_of[i] = pos % folds
+    means = []
+    for radius in grid:
+        aucs = []
+        for fold in range(folds):
+            val = np.flatnonzero(fold_of == fold)
+            model = fit_wrlr(ds.subset(np.flatnonzero(fold_of != fold)), radius, eps=eps)
+            aucs.append(auc(predict_score(model, ds.features[val]), ds.labels[val]))
+        means.append(float(np.mean(aucs)))
+    return means, fold_of
+
+
+def test_select_r0_carrying_matches_cold_folds():
+    grid = (0.0, 0.01, 0.05, 0.1)
+    for seed in (47, 48):
+        ds = blob_dataset(seed, 24, 3, flip=1.0)
+        report = select_r0(ds, grid, folds=4, seed=seed, eps=1e-5)
+        means, fold_of = cold_cross_validation(ds, grid, 4, seed, 1e-5)
+        assert np.array_equal(report.fold_of_sample, fold_of)
+        assert np.allclose(report.mean_aucs, means, rtol=0.0, atol=1e-9)
+        assert report.chosen_radius == grid[means.index(max(means))]
 
 
 def test_select_r0_stratification_balances_classes():
