@@ -16,6 +16,10 @@ residual norm.  Working on the optimality residuals keeps every
 quantity at its natural scale, which is what lets the solver certify
 tolerances near 1e-8 in double precision; a pure primal barrier loses
 those digits in its merit function once the barrier weight is large.
+The fraction-to-boundary rule keeps every multiplier and every slack
+positive, the constraint rows' slacks along their linearization
+s - alpha J dx; the cut rows are convex and lie above it, so a trial
+can still break one, and the line search halves it.
 Each step aims at the barrier weight sigma * gap / (inequality count),
 with the centering factor sigma = max(0.1, (1 - alpha)^2) set by the
 length alpha of the previous accepted step: a full step cuts the weight
@@ -44,6 +48,7 @@ reports, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +104,17 @@ class MasterProgram:
         # flat positions of each cut's border entries in an (m, border) array
         self._bins = (samples[:, None] * border.size + np.arange(border.size)).ravel()
         self._level_s, self._level_b = level[:, self._s], level[:, border]
+        self._level_s_sq = self._level_s ** 2
+        # each cut's border row [sigmoid * curve, tail]; newton_solve
+        # rewrites only the curve part
+        self._rows = np.concatenate([np.empty_like(curves), self._tail], axis=1)
+        # newton_solve's complement is M^T diag(stack_w) M over the stack
+        # M = [cut rows less their centers; centers; curves padded to the
+        # border]; the padded curves are written here, once
+        k = samples.size
+        self._stack = np.zeros((2 * k + m, border.size))
+        self._stack[k + m:, :n_theta] = curves
+        self._stack_w = np.empty(2 * k + m)
 
     @property
     def dim(self):
@@ -108,28 +124,38 @@ class MasterProgram:
     def constraint_rows(self):
         return self.level_offsets.size + self.samples.size
 
+    # the plain master has no level rows: its methods skip their empty
+    # products and concatenations
+
     def evaluate(self, x):
         """(row values, sigmoid of the cut scores) at ``x``."""
         soft, sig = softplus_and_sigmoid(self.curves @ x[self._theta])
         cuts = soft + (self._tail @ x[self._rest] - x[self._s_cols])
-        return np.concatenate([self.level @ x + self.level_offsets, cuts]), sig
+        if self.level_offsets.size:
+            cuts = np.concatenate([self.level @ x + self.level_offsets, cuts])
+        return cuts, sig
 
     def transpose_times(self, sig, lam):
         """J^T lam, for the Jacobian J at the point whose cut scores have
         the sigmoid ``sig``."""
         r = self.level_offsets.size
         lam_cut = lam[r:]
-        return self.level.T @ lam[:r] + np.concatenate([
-            self.curves.T @ (lam_cut * sig),
-            -np.bincount(self.samples, lam_cut, minlength=self.m),
-            self._tail.T @ lam_cut])
+        out = np.empty(self.dim)
+        out[self._theta] = self.curves.T @ (lam_cut * sig)
+        np.negative(np.bincount(self.samples, lam_cut, minlength=self.m), out=out[self._s])
+        out[self._rest] = self._tail.T @ lam_cut
+        if r:
+            out += self.level.T @ lam[:r]
+        return out
 
     def times(self, sig, dx):
         """J dx, for the Jacobian J at the point whose cut scores have the
         sigmoid ``sig``."""
         cuts = sig * (self.curves @ dx[self._theta]) + self._tail @ dx[self._rest] \
             - dx[self._s_cols]
-        return np.concatenate([self.level @ dx, cuts])
+        if self.level_offsets.size:
+            cuts = np.concatenate([self.level @ dx, cuts])
+        return cuts
 
     def newton_solve(self, sig, lam, weights, box_diag, rhs):
         """Solve H dx = rhs for the Newton matrix
@@ -143,8 +169,11 @@ class MasterProgram:
         sample i's weighted row sum over D_i, S0 is the sum of the
         positive terms w_j (b_j - c_i)(b_j - c_i)^T over cut rows b_j and
         box_diag(s_i) c_i c_i^T over samples, so a large weight cancels
-        nothing.  The level rows L = [L_s, L_b], with weights Q, add the
-        positive rank-r term Lt kappa^-1 Lt^T, where
+        nothing.  With the theta curvature, the sum of
+        lam_j sigma_j (1 - sigma_j) a_j a_j^T over the cut curves a_j, it
+        is one product over the three stacked kinds of row.  The level
+        rows L = [L_s, L_b], with weights Q, add the positive rank-r term
+        Lt kappa^-1 Lt^T, where
         Lt = L_b^T - C^T D^-1 L_s^T and kappa = Q^-1 + L_s D^-1 L_s^T is
         diagonal because level row 0 has no s part; their multiplier
         y = Q L dx is recovered after the border.  Returns (dx, ridge
@@ -152,16 +181,19 @@ class MasterProgram:
         """
         r = self.level_offsets.size
         n_theta = self.curves.shape[1]
+        k, m = self.samples.size, self.m
         w_cut, d_box = weights[r:], box_diag[self._s]
-        rows = np.concatenate([sig[:, None] * self.curves, self._tail], axis=1)
-        inv_d = 1.0 / (d_box + np.bincount(self.samples, w_cut, minlength=self.m))
-        centers = np.bincount(self._bins, (rows * w_cut[:, None]).ravel(),
-                              minlength=self.m * self._border.size).reshape(self.m, -1) \
-            * inv_d[:, None]
-        rows -= centers[self.samples]
-        schur = (rows.T * w_cut) @ rows + (centers.T * d_box) @ centers
-        schur[:n_theta, :n_theta] += \
-            (self.curves.T * (lam[r:] * sig * (1.0 - sig))) @ self.curves
+        rows, stack, stack_w = self._rows, self._stack, self._stack_w
+        np.multiply(sig[:, None], self.curves, out=rows[:, :n_theta])
+        inv_d = 1.0 / (d_box + np.bincount(self.samples, w_cut, minlength=m))
+        centers = stack[k : k + m]
+        np.multiply(np.bincount(self._bins, (rows * w_cut[:, None]).ravel(),
+                                minlength=m * self._border.size).reshape(m, -1),
+                    inv_d[:, None], out=centers)
+        np.subtract(rows, centers[self.samples], out=stack[:k])
+        stack_w[:k], stack_w[k : k + m] = w_cut, d_box
+        np.multiply(lam[r:] * sig, 1.0 - sig, out=stack_w[k + m:])
+        schur = (stack.T * stack_w) @ stack
         schur[self._diag] += box_diag[self._border]
         rhs_s = rhs[self._s]
         u = rhs_s * inv_d
@@ -170,7 +202,7 @@ class MasterProgram:
         # terms would add about a sixth to a plain master's step
         if r:
             lt = self._level_b.T + centers.T @ self._level_s.T
-            kappa = 1.0 / weights[:r] + self._level_s ** 2 @ inv_d
+            kappa = 1.0 / weights[:r] + self._level_s_sq @ inv_d
             gain = lt / kappa
             schur += gain @ lt.T
             level_u = self._level_s @ u
@@ -282,9 +314,6 @@ def _pd_solve(program, tol, x, g, sig, max_iters):
         return program.transpose_times(sig, lam[:rows]) - c \
             - box_transpose_times(lam[rows:])
 
-    def residual_norm(r_dual, s, lam, mu):
-        return float(np.sqrt((r_dual**2).sum() + ((lam * s - mu)**2).sum()))
-
     s = slacks(x, g)
     lam = 1.0 / s
     r_dual = dual_residual(sig, lam)
@@ -294,7 +323,8 @@ def _pd_solve(program, tol, x, g, sig, max_iters):
 
     for it in range(1, max_iters + 1):
         gap = float(s @ lam)
-        dual_norm = float(np.linalg.norm(r_dual))
+        dual_sq = float(r_dual @ r_dual)
+        dual_norm = math.sqrt(dual_sq)
         if gap <= 0.5 * tol and dual_norm <= 0.5 * tol:
             status, steps = OPTIMAL, it - 1
             break
@@ -303,22 +333,23 @@ def _pd_solve(program, tol, x, g, sig, max_iters):
 
         weights = lam / s
         box_diag = np.bincount(box, weights[rows:], minlength=dim)
-        rhs = c - program.transpose_times(sig, mu / s[:rows]) \
-            + box_transpose_times(mu / s[rows:])
+        mu_s = mu / s
+        rhs = -dual_residual(sig, mu_s)
         dx, tries = program.newton_solve(sig, lam[:rows], weights[:rows], box_diag, rhs)
         ridges += tries
         ds = np.concatenate([-program.times(sig, dx), sign * dx[box]])
-        dlam = (mu - lam * s) / s - weights * ds
+        dlam = mu_s - lam - weights * ds
 
-        # fraction to boundary: multipliers stay positive, bound slacks too
-        vec = np.concatenate([lam, s[rows:]])
-        dvec = np.concatenate([dlam, ds[rows:]])
-        neg = dvec < 0
-        alpha = min(1.0, 0.99 * float((-vec[neg] / dvec[neg]).min())) if neg.any() else 1.0
+        # fraction to boundary: multipliers and slacks stay positive, the
+        # rows' slacks along their linearization s - alpha J dx
+        shrink = min(float((dlam / lam).min()), float((ds / s).min()))
+        alpha = min(1.0, -0.99 / shrink) if shrink < 0.0 else 1.0
         # halve the step until the rows are strictly negative and the
-        # residual norm falls; the rows are convex and x is strictly
-        # feasible, so once a trial is feasible every shorter one is too
-        base = residual_norm(r_dual, s, lam, mu)
+        # residual norm falls; the rows are convex, so a trial can break
+        # one that its linearization keeps, and x is strictly feasible, so
+        # once a trial is feasible every shorter one is too
+        comp = lam * s - mu
+        base_sq = dual_sq + comp @ comp
         feasible = False
         while alpha > 1e-14:
             x_new = x + alpha * dx
@@ -328,7 +359,8 @@ def _pd_solve(program, tol, x, g, sig, max_iters):
                 lam_new = lam + alpha * dlam
                 r_new = dual_residual(sig_new, lam_new)
                 s_new = slacks(x_new, g_new)
-                if residual_norm(r_new, s_new, lam_new, mu) <= (1.0 - 0.01 * alpha) * base:
+                comp = lam_new * s_new - mu
+                if r_new @ r_new + comp @ comp <= (1.0 - 0.01 * alpha) ** 2 * base_sq:
                     break
             alpha *= 0.5
             backtracks += 1
@@ -347,7 +379,7 @@ def _pd_solve(program, tol, x, g, sig, max_iters):
         r = c - program.transpose_times(sig, lam[:rows])
         bound = float(c @ x + lam[:rows] @ s[:rows]
                       + np.maximum(r * (lo - x), r * (hi - x)).sum())
-    kkt = float(s @ lam) + float(np.linalg.norm(r_dual))
+    kkt = float(s @ lam) + math.sqrt(r_dual @ r_dual)
     return SolveReport(x, float(c @ x), status, kkt, steps, ridges, backtracks, bound)
 
 

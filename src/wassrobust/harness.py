@@ -197,8 +197,9 @@ def _run_repetition(rep, config, dataset):
     trace_path = None
     if config.trace_dir:
         trace_path = f"{config.trace_dir.rstrip('/')}/trace_rep{rep}.jsonl"
-    wr_model = fit_wrlr(train, report.chosen_radius, trace_path=trace_path,
-                        **fit_kwargs)
+    # at radius 0 the robust model is the plain one
+    wr_model = lr_model if report.chosen_radius == 0.0 else fit_wrlr(
+        train, report.chosen_radius, trace_path=trace_path, **fit_kwargs)
     auc_lr = auc(predict_score(lr_model, test_x), test_y)
     auc_wrlr = auc(predict_score(wr_model, test_x), test_y)
     wall = (time.perf_counter() - started) if config.capture_timing else 0.0

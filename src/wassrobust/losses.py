@@ -27,10 +27,10 @@ def sigmoid(z):
 
 
 def softplus_and_sigmoid(z):
-    """softplus(z) and its derivative sigmoid(z), sharing one exp."""
-    z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    return np.maximum(z, 0.0) + np.log1p(e), np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+    """softplus(z) and its derivative sigmoid(z) = exp(z - softplus(z)),
+    from one logaddexp and one exp; neither overflows."""
+    soft = np.logaddexp(0.0, z)
+    return soft, np.exp(z - soft)
 
 
 class LogisticLoss:

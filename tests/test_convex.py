@@ -245,13 +245,15 @@ def test_newton_matrix_that_no_ridge_fixes_raises():
 
 
 def dense_rows(data, cuts, x, centered):
-    """Jacobian, values and curvature weights of every row at ``x``, from
+    """Values, Jacobian and curvature weights of every row at ``x``, from
     the closed form: cut j of sample i at point p has the value
     softplus(a . theta) - s_i - |p - x_i|_1 beta (+ B w) with
     a = -(2y - 1) (1, p); its gradient in theta is sigmoid(a . theta) a
-    and its Hessian sigmoid (1 - sigmoid) a a^T."""
+    and its Hessian sigmoid (1 - sigmoid) a a^T.  The centered master's
+    level rows are linear, with the offsets -cap and 0 for the cap of
+    ``small_masters``."""
     n_theta, m = data.theta_size, data.m
-    jac, curv = [], []
+    values, jac, curv = [], [], []
     if centered:
         w, t = n_theta + m + 1, n_theta + m + 2
         level = np.zeros((2, x.size))
@@ -260,27 +262,31 @@ def dense_rows(data, cuts, x, centered):
         level[1, n_theta + m] = data.radius
         level[1, t] = -1.0
         level[1, w] = data.derived.centering_bound
+        values += list(level @ x - [data.derived.objective_cap, 0.0])
         jac += list(level)
         curv += [np.zeros((n_theta, n_theta))] * 2
     for c in cuts:
         i = c.sample_index
         a = -(2.0 * c.label - 1.0) * np.concatenate([[1.0], c.point])
-        sig = 1.0 / (1.0 + math.exp(-float(a @ x[:n_theta])))
+        score = float(a @ x[:n_theta])
+        sig = 1.0 / (1.0 + math.exp(-score))
         row = np.zeros(x.size)
         row[:n_theta] = sig * a
         row[n_theta + i] = -1.0
         row[n_theta + m] = -np.abs(c.point - data.dataset.features[i]).sum()
         if centered:
             row[n_theta + m + 1] = data.derived.centering_bound
+        softplus = max(score, 0.0) + math.log1p(math.exp(-abs(score)))
+        values.append(softplus + row[n_theta:] @ x[n_theta:])
         jac.append(row)
         curv.append(sig * (1.0 - sig) * np.outer(a, a))
-    return np.array(jac), curv
+    return np.array(values), np.array(jac), curv
 
 
 def dense_newton_matrix(data, cuts, program, x, lam, weights, box):
     """J^T diag(weights) J + sum_j lam_j hess(g_j) + diag(box) from
     ``dense_rows``, with the Jacobian J^T lam beside it."""
-    jac, curv = dense_rows(data, cuts, x, program.level_offsets.size > 0)
+    _, jac, curv = dense_rows(data, cuts, x, program.level_offsets.size > 0)
     hess = jac.T @ (weights[:, None] * jac) + np.diag(box)
     n_theta = data.theta_size
     hess[:n_theta, :n_theta] += sum(l * h for l, h in zip(lam, curv))
@@ -298,20 +304,27 @@ def random_newton_inputs(program, rng):
 
 
 def test_newton_solve_matches_dense_closed_form():
+    """The row values, J dx, J^T lam and the Newton step of the plain
+    master, which has no level rows, and of the centered one."""
     rng = np.random.default_rng(3)
     for seed in range(3):
         data, cuts, masters = small_masters(30 + seed)
         for program, _ in masters:
+            centered = program.level_offsets.size > 0
             for _ in range(4):
                 x, lam, box = random_newton_inputs(program, rng)
                 weights = rng.uniform(0.1, 5.0, program.constraint_rows)
                 rhs = rng.normal(size=program.dim)
                 hess, jt_lam = dense_newton_matrix(data, cuts, program, x, lam, weights, box)
-                _, sig = program.evaluate(x)
+                values, jac, _ = dense_rows(data, cuts, x, centered)
+                g, sig = program.evaluate(x)
+                assert np.abs(g - values).max() <= 1e-12 * np.abs(values).max()
                 dx, ridges = program.newton_solve(sig, lam, weights, box, rhs)
                 expected = np.linalg.solve(hess, rhs)
                 assert ridges == 0
                 assert np.abs(dx - expected).max() <= 1e-10 * np.abs(expected).max()
+                jdx = program.times(sig, dx)
+                assert np.abs(jdx - jac @ dx).max() <= 1e-10 * np.abs(jac @ dx).max()
                 jt = program.transpose_times(sig, lam)
                 assert np.abs(jt - jt_lam).max() <= 1e-10 * np.abs(jt_lam).max()
 
@@ -340,7 +353,10 @@ def test_newton_solve_keeps_digits_at_extreme_weights():
 
 def test_each_point_is_evaluated_once():
     """A master solve evaluates each point once, and only points inside
-    the feasible set have their Jacobian used."""
+    the feasible set have their Jacobian used.  Every trial point x_t
+    keeps each row's linearization at the last accepted point x strictly
+    negative, g(x) + J(x)(x_t - x) < 0: the step to the boundary covers
+    it, and only the rows' curvature can make a trial infeasible."""
     data = box_problem(3, m=12, n=3)
     feats, labels = data.dataset.features, data.dataset.labels
     regions = [data.region_for_sample(i) for i in range(data.m)]
@@ -351,22 +367,36 @@ def test_each_point_is_evaluated_once():
     cap = data.derived.objective_cap
     prog = build_master(data, pool, cap)
     evaluated, feasible, used = {}, {}, set()
-    evaluate, transpose_times = prog.evaluate, prog.transpose_times
+    evaluate, transpose_times, times = prog.evaluate, prog.transpose_times, prog.times
+    # points by the id of their sigmoid; the step's J dx is taken at the
+    # accepted point, so ``times`` names it
+    points, accepted, linearized = {}, [], []
 
     def counted_evaluate(x):
         evaluated[x.tobytes()] = evaluated.get(x.tobytes(), 0) + 1
         g, sig = evaluate(x)
         feasible[id(sig)] = (bool(np.all(g < 0.0)), sig)
+        points[id(sig)] = (x, g, sig)
+        if accepted:
+            x_acc, g_acc, sig_acc = accepted[-1]
+            linearized.append(float((g_acc + times(sig_acc, x - x_acc)).max()))
         return g, sig
 
     def recorded_transpose_times(sig, lam):
         used.add(id(sig))
         return transpose_times(sig, lam)
 
+    def recorded_times(sig, dx):
+        accepted.append(points[id(sig)])
+        return times(sig, dx)
+
     prog.evaluate = counted_evaluate
     prog.transpose_times = recorded_transpose_times
+    prog.times = recorded_times
     report = solve(prog, master_interior_point(data, pool, cap))
     assert report.status == OPTIMAL
     assert max(evaluated.values()) == 1
     assert used and all(feasible[key][0] for key in used)
     assert len(used) < len(evaluated)
+    assert len(linearized) == len(evaluated) - 1
+    assert max(linearized) < 0.0

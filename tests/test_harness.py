@@ -14,7 +14,8 @@ from wassrobust import (
     run_experiment,
     welch_pvalue,
 )
-from wassrobust import harness
+from wassrobust import harness, wrlr
+from wassrobust.solvers import solve_nominal
 from wassrobust.cli import main
 from wassrobust.harness import RESULT_COLUMNS
 
@@ -113,6 +114,27 @@ def test_zero_radius_grid_makes_both_models_identical(tmp_path):
     assert rep.auc_wrlr == rep.auc_lr
     assert result.aggregate["mean_diff"] == 0.0
     assert result.aggregate["p_value_paired"] == 0.5
+
+
+def test_repetition_that_picks_zero_fits_the_full_training_set_once(tmp_path, monkeypatch):
+    """Radius 0 makes the robust model the plain one, so the full
+    training set gets one nominal solve; the folds get their own."""
+    solved_sizes = []
+
+    def counted_solve_nominal(data, *args, **kwargs):
+        solved_sizes.append(data.m)
+        return solve_nominal(data, *args, **kwargs)
+
+    monkeypatch.setattr(wrlr, "solve_nominal", counted_solve_nominal)
+    cfg = ExperimentConfig(dataset_csv=str(experiment_csv(tmp_path)), label_column="label",
+                           train_size=20, repetitions=1, radius_grid=(0.0,),
+                           seed=3, capture_timing=False)
+    rep = run_experiment(cfg).repetitions[0]
+    assert rep.chosen_radius == 0.0
+    assert solved_sizes.count(20) == 1
+    assert len(solved_sizes) > 1
+    assert rep.auc_wrlr == rep.auc_lr
+    assert rep.outer_iterations == 0 and rep.cut_count == 0
 
 
 def test_experiment_seeded_runs_are_identical_files(tmp_path):

@@ -20,6 +20,9 @@ def test_softplus_matches_naive_in_safe_range():
     z = np.linspace(-30, 30, 201)
     naive = np.log1p(np.exp(z))
     assert np.allclose(softplus(z), naive, rtol=0, atol=1e-12)
+    soft, sig = softplus_and_sigmoid(z)
+    assert np.allclose(soft, naive, rtol=0, atol=1e-12)
+    assert np.allclose(sig, 1.0 / (1.0 + np.exp(-z)), rtol=1e-14, atol=0)
 
 
 def test_softplus_and_sigmoid_extremes_do_not_overflow():
