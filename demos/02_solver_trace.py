@@ -1,7 +1,8 @@
 """Walk through one cutting-surface solve, master by master.
 
 The solver maximizes a centrality margin w inside the region cut out by
-the constraints found so far plus a cap t <= M on the objective.  After
+the constraints found so far plus a level row f + (1 + B) w <= M that
+keeps the objective f below the cap M.  After
 each master, a sweep adds the violated scenario constraints and
 completes the master's theta: the completion is the exactly feasible
 point with that theta of least objective, the robust value J(theta).

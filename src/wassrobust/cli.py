@@ -8,11 +8,11 @@ Subcommands:
 * ``separate-debug``  dump one sample's transport profile, with repeated
                       breakpoints dropped
 * ``trace-summary``   summarise a ``--trace`` file: status, iterations,
-                      master and separation seconds, Newton steps and
-                      line-search backtracks per master, the worst KKT
-                      residual, cuts and ridges, the robust value of
-                      the returned theta, the certified lower bound and
-                      their gap
+                      master, separation and completion seconds, Newton
+                      steps and line-search backtracks per master, the
+                      worst KKT residual, cuts and ridges, the robust
+                      value of the returned theta, the certified lower
+                      bound and their gap
 
 ``experiment`` takes ``--seed`` for its train/test splits and folds;
 ``fit``, ``solve`` and ``experiment`` take ``--eps`` and ``--trace``.
@@ -216,8 +216,8 @@ def _cmd_separate_debug(args):
 # the fields trace-summary reads from each kind of trace line
 _SUMMARY_FIELDS = {
     "iteration": ("newton_steps", "backtracks", "kkt_residual", "ridges"),
-    "done": ("status", "iterations", "master_seconds", "separation_seconds", "cut_count",
-             "robust_value", "lower_bound"),
+    "done": ("status", "iterations", "master_seconds", "separation_seconds",
+             "completion_seconds", "cut_count", "robust_value", "lower_bound"),
 }
 
 
@@ -261,6 +261,7 @@ def _cmd_trace_summary(args):
         "iterations": done["iterations"],
         "master_seconds": done["master_seconds"],
         "separation_seconds": done["separation_seconds"],
+        "completion_seconds": done["completion_seconds"],
         "newton_steps_per_master": sum(steps) / len(steps) if steps else None,
         "backtracks_per_master": sum(backtracks) / len(backtracks) if backtracks else None,
         "worst_kkt_residual": max((r["kkt_residual"] for r in records), default=None),

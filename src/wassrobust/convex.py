@@ -1,10 +1,10 @@
 """Interior-point solver for the master programs of the cutting schemes.
 
 Both masters share one shape.  Over the variables [theta, s, beta] (the
-plain master) or [theta, s, beta, w, t] (the centered master) they
+plain master) or [theta, s, beta, w] (the centered master) they
 
     maximize   c . x
-    subject to level @ x + level_offsets <= 0         (centered master only)
+    subject to mean(s) + radius * beta + (1 + w_coeff) * w <= cap   (centered only)
                softplus(curves[j] . theta) - s[samples[j]]
                    - dists[j] * beta + w_coeff * w <= 0      (one row per cut)
                lower <= x <= upper                    (entries may be infinite)
@@ -39,8 +39,8 @@ A cut row touches theta through its curve, one s entry, beta and w, so
 ``MasterProgram`` never forms the dense Jacobian: it supplies J^T lam
 and J dx from the cut arrays, and its Newton step eliminates the m
 sample multipliers s, whose block is diagonal over the cut rows, and
-factors only the complement over the border [theta, beta, w, t], of
-size n_theta + 1 or n_theta + 3.
+factors only the complement over the border [theta, beta, w], of
+size n_theta + 1 or n_theta + 2.
 
 Everything here is deterministic: identical inputs produce identical
 reports, bit for bit.
@@ -74,47 +74,46 @@ class MasterProgram:
 
     Cut j has the score vector ``curves[j]`` over theta (n_theta entries),
     the s entry ``samples[j]`` and the beta coefficient ``-dists[j]``.
-    ``centered`` is None for the plain master, over [theta, s, beta].
-    For the centered master, over [theta, s, beta, w, t], it is
-    (w_coeff, level, level_offsets): every cut gets the w coefficient
-    ``w_coeff``, and the two dense ``level`` rows come first.  The plain
-    master has zero level rows.
+    ``centered`` is None for the plain master, over [theta, s, beta],
+    which has no level row.  For the centered master, over [theta, s,
+    beta, w], it is (w_coeff, radius, cap): every cut gets the w
+    coefficient ``w_coeff``, and the level row
+    mean(s) + radius * beta + (1 + w_coeff) * w <= cap comes first.
     """
 
     def __init__(self, objective, lower, upper, curves, samples, dists, centered=None):
         self.objective, self.lower, self.upper = objective, lower, upper
-        self.curves, self.samples = curves, samples
+        self.curves, self.samples, self.centered = curves, samples, centered
         dim, n_theta = objective.size, curves.shape[1]
+        # the centered master's level row comes first
+        self._levels = levels = 0 if centered is None else 1
+        # each row's coefficients on beta, then w: the level row's
+        # (radius, 1 + w_coeff), then each cut's (-dists[j], w_coeff)
         if centered is None:
-            level, level_offsets = np.zeros((0, dim)), np.zeros(0)
-            tail = [-dists]
+            self._tail = -dists[:, None]
         else:
-            w_coeff, level, level_offsets = centered
-            tail = [-dists, np.full(samples.size, w_coeff), np.zeros(samples.size)]
-        self.level, self.level_offsets = level, level_offsets
-        # each cut's coefficients on beta, then w and t
-        self._tail = np.column_stack(tail)
-        self.m = m = dim - n_theta - (1 if centered is None else 3)
+            w_coeff, radius, _ = centered
+            cuts = np.column_stack([-dists, np.full(samples.size, w_coeff)])
+            self._tail = np.concatenate([[[radius, 1.0 + w_coeff]], cuts])
+        self.m = m = dim - n_theta - 1 - levels
         self._theta, self._s, self._rest = (slice(0, n_theta), slice(n_theta, n_theta + m),
                                             slice(n_theta + m, dim))
         self._s_cols = n_theta + samples
-        # the border is every variable but s: theta, then beta, w, t
+        # the border is every variable but s: theta, then beta and w
         self._border = border = np.r_[0:n_theta, n_theta + m : dim]
         self._diag = np.diag_indices(border.size)
         # flat positions of each cut's border entries in an (m, border) array
         self._bins = (samples[:, None] * border.size + np.arange(border.size)).ravel()
-        self._level_s, self._level_b = level[:, self._s], level[:, border]
-        self._level_s_sq = self._level_s ** 2
         # each cut's border row [sigmoid * curve, tail]; newton_solve
         # rewrites only the curve part
-        self._rows = np.concatenate([np.empty_like(curves), self._tail], axis=1)
-        # newton_solve's complement is M^T diag(stack_w) M over the stack
-        # M = [cut rows less their centers; centers; curves padded to the
-        # border]; the padded curves are written here, once
+        self._rows = np.concatenate([np.empty_like(curves), self._tail[levels:]], axis=1)
+        # newton_solve's complement is M^T diag(stack_w) M over the stack M =
+        # [cut rows less their centers; centers; curves padded to the border;
+        # the level row's term]; the padded curves are written here, once
         k = samples.size
-        self._stack = np.zeros((2 * k + m, border.size))
-        self._stack[k + m:, :n_theta] = curves
-        self._stack_w = np.empty(2 * k + m)
+        self._stack = np.zeros((2 * k + m + levels, border.size))
+        self._stack[k + m : 2 * k + m, :n_theta] = curves
+        self._stack_w = np.empty(2 * k + m + levels)
 
     @property
     def dim(self):
@@ -122,40 +121,44 @@ class MasterProgram:
 
     @property
     def constraint_rows(self):
-        return self.level_offsets.size + self.samples.size
+        return self._levels + self.samples.size
 
-    # the plain master has no level rows: its methods skip their empty
-    # products and concatenations
+    # the plain master's methods skip the level row's terms, whose s part
+    # is the constant 1/m
 
     def evaluate(self, x):
         """(row values, sigmoid of the cut scores) at ``x``."""
         soft, sig = softplus_and_sigmoid(self.curves @ x[self._theta])
-        cuts = soft + (self._tail @ x[self._rest] - x[self._s_cols])
-        if self.level_offsets.size:
-            cuts = np.concatenate([self.level @ x + self.level_offsets, cuts])
-        return cuts, sig
+        g = self._tail @ x[self._rest]
+        cuts = g[self._levels:]
+        cuts -= x[self._s_cols]
+        cuts += soft
+        if self._levels:
+            g[0] += x[self._s].sum() / self.m - self.centered[2]
+        return g, sig
 
     def transpose_times(self, sig, lam):
         """J^T lam, for the Jacobian J at the point whose cut scores have
         the sigmoid ``sig``."""
-        r = self.level_offsets.size
-        lam_cut = lam[r:]
+        lam_cut = lam[self._levels:]
         out = np.empty(self.dim)
         out[self._theta] = self.curves.T @ (lam_cut * sig)
-        np.negative(np.bincount(self.samples, lam_cut, minlength=self.m), out=out[self._s])
-        out[self._rest] = self._tail.T @ lam_cut
-        if r:
-            out += self.level.T @ lam[:r]
+        level_s = lam[0] / self.m if self._levels else 0.0
+        np.subtract(level_s, np.bincount(self.samples, lam_cut, minlength=self.m),
+                    out=out[self._s])
+        out[self._rest] = self._tail.T @ lam
         return out
 
     def times(self, sig, dx):
         """J dx, for the Jacobian J at the point whose cut scores have the
         sigmoid ``sig``."""
-        cuts = sig * (self.curves @ dx[self._theta]) + self._tail @ dx[self._rest] \
-            - dx[self._s_cols]
-        if self.level_offsets.size:
-            cuts = np.concatenate([self.level @ dx, cuts])
-        return cuts
+        jdx = self._tail @ dx[self._rest]
+        cuts = jdx[self._levels:]
+        cuts += sig * (self.curves @ dx[self._theta])
+        cuts -= dx[self._s_cols]
+        if self._levels:
+            jdx[0] += dx[self._s].sum() / self.m
+        return jdx
 
     def newton_solve(self, sig, lam, weights, box_diag, rhs):
         """Solve H dx = rhs for the Newton matrix
@@ -164,25 +167,25 @@ class MasterProgram:
         Over the cut rows the s block of H is diagonal,
         D_i = box_diag(s_i) + the weights of sample i's cuts, so s is
         eliminated and only the complement over the border [theta, beta,
-        w, t] is factored: S0 = A - C^T D^-1 C, with A the border block
+        w] is factored: S0 = A - C^T D^-1 C, with A the border block
         and C the s-border block of the cut rows.  With c_i = -C_i / D_i,
         sample i's weighted row sum over D_i, S0 is the sum of the
         positive terms w_j (b_j - c_i)(b_j - c_i)^T over cut rows b_j and
         box_diag(s_i) c_i c_i^T over samples, so a large weight cancels
         nothing.  With the theta curvature, the sum of
         lam_j sigma_j (1 - sigma_j) a_j a_j^T over the cut curves a_j, it
-        is one product over the three stacked kinds of row.  The level
-        rows L = [L_s, L_b], with weights Q, add the positive rank-r term
-        Lt kappa^-1 Lt^T, where
-        Lt = L_b^T - C^T D^-1 L_s^T and kappa = Q^-1 + L_s D^-1 L_s^T is
-        diagonal because level row 0 has no s part; their multiplier
-        y = Q L dx is recovered after the border.  Returns (dx, ridge
-        retries of the complement's factorization).
+        is one product over the stacked kinds of row.  The level
+        row L = [L_s, L_b], with weight q and the constant s part
+        L_s = 1/m, adds the positive rank-1 term lt lt^T / kappa, where
+        lt = L_b + sum_i c_i / m and kappa = 1/q + sum_i D_i^-1 / m^2:
+        one more stacked row, lt with the weight 1 / kappa.  Its
+        multiplier y = q L dx is recovered after the border.
+        Returns (dx, ridge retries of the complement's factorization).
         """
-        r = self.level_offsets.size
+        levels = self._levels
         n_theta = self.curves.shape[1]
         k, m = self.samples.size, self.m
-        w_cut, d_box = weights[r:], box_diag[self._s]
+        w_cut, d_box = weights[levels:], box_diag[self._s]
         rows, stack, stack_w = self._rows, self._stack, self._stack_w
         np.multiply(sig[:, None], self.curves, out=rows[:, :n_theta])
         inv_d = 1.0 / (d_box + np.bincount(self.samples, w_cut, minlength=m))
@@ -192,31 +195,32 @@ class MasterProgram:
                     inv_d[:, None], out=centers)
         np.subtract(rows, centers[self.samples], out=stack[:k])
         stack_w[:k], stack_w[k : k + m] = w_cut, d_box
-        np.multiply(lam[r:] * sig, 1.0 - sig, out=stack_w[k + m:])
-        schur = (stack.T * stack_w) @ stack
-        schur[self._diag] += box_diag[self._border]
+        np.multiply(lam[levels:] * sig, 1.0 - sig, out=stack_w[k + m : 2 * k + m])
         rhs_s = rhs[self._s]
         u = rhs_s * inv_d
         rhs_border = rhs[self._border] + centers.T @ rhs_s
-        # only the centered master has level rows; at m = 3-5 their empty
+        # only the centered master has the level row; at m = 3-5 its
         # terms would add about a sixth to a plain master's step
-        if r:
-            lt = self._level_b.T + centers.T @ self._level_s.T
-            kappa = 1.0 / weights[:r] + self._level_s_sq @ inv_d
-            gain = lt / kappa
-            schur += gain @ lt.T
-            level_u = self._level_s @ u
-            rhs_border -= gain @ level_u
+        if levels:
+            lt = stack[-1]
+            np.divide(centers.sum(axis=0), m, out=lt)
+            lt[n_theta:] += self._tail[0]
+            kappa = 1.0 / weights[0] + inv_d.sum() / m**2
+            stack_w[-1] = 1.0 / kappa
+            level_u = u.sum() / m
+            rhs_border -= lt * (level_u / kappa)
+        schur = (stack.T * stack_w) @ stack
+        schur[self._diag] += box_diag[self._border]
         d_border, ridges = _solve_spd(schur, rhs_border)
-        ds = u + centers @ d_border
-        if r:
-            y = d_border @ gain + level_u / kappa
-            ds -= (self._level_s.T @ y) * inv_d
+        dx = np.concatenate([d_border[:n_theta], u + centers @ d_border, d_border[n_theta:]])
+        if levels:
+            y = (lt @ d_border + level_u) / kappa
+            dx[self._s] -= (y / m) * inv_d
             # a heavy level row makes y and u large, and ds their
-            # difference; restore its equation L dx = y / Q along D^-1 L_s^T
-            miss = y / weights[:r] - self._level_s @ ds - self._level_b @ d_border
-            ds += (self._level_s.T @ (miss / kappa)) * inv_d
-        return np.concatenate([d_border[:n_theta], ds, d_border[n_theta:]]), ridges
+            # difference; restore its equation L dx = y / q along D^-1 L_s
+            miss = y / weights[0] - dx[self._s].sum() / m - self._tail[0] @ d_border[n_theta:]
+            dx[self._s] += (miss / (kappa * m)) * inv_d
+        return dx, ridges
 
 
 @dataclass

@@ -16,7 +16,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .model import Dataset
 from .wrlr import SOLVERS, auc, fit_lr, fit_wrlr, predict_score, select_r0
@@ -131,7 +131,7 @@ def paired_pvalue(auc_robust, auc_plain):
             return 1.0
         return 0.5
     stat = mean / (sd / np.sqrt(diff.size))
-    return float(student_t.sf(stat, df=diff.size - 1))
+    return float(stdtr(diff.size - 1, -stat))
 
 
 def welch_pvalue(auc_robust, auc_plain):
@@ -148,7 +148,7 @@ def welch_pvalue(auc_robust, auc_plain):
         return 0.0 if mean > 0 else (1.0 if mean < 0 else 0.5)
     stat = (np.mean(a) - np.mean(b)) / np.sqrt(denom_sq)
     df = denom_sq**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    return float(student_t.sf(stat, df=df))
+    return float(stdtr(df, -stat))
 
 
 def _standardized(train, rest, dataset):

@@ -17,7 +17,7 @@ solvers need:
   plain master over the pool of every (sample, region point) pair.
 
 Variable layouts, in order:
-    master            [theta, multipliers, w, t]
+    master            [theta, multipliers, w]
     exchange/enum     [theta, multipliers]
 """
 
@@ -237,10 +237,11 @@ def _curves(data, pool):
 def build_master(data, pool, cap):
     """Centered master: maximize w under the pool's cuts and objective cap.
 
-    Variables are [theta, multipliers, w, t].  ``cap`` is the current
+    Variables are [theta, multipliers, w].  ``cap`` is the current
     strict upper bound on the dual objective; it must lie between the
     loss lower bound (below which the program has no feasible point
-    with non-negative margin) and the overall objective cap.
+    with non-negative margin) and the overall objective cap.  The level
+    row is f(x) + (1 + centering) * w <= cap.
     """
     der = data.derived
     if cap < der.loss_lower:
@@ -248,29 +249,14 @@ def build_master(data, pool, cap):
                          "the dual objective can never reach it")
     if cap > der.objective_cap:
         raise ValueError("objective cap exceeds the derived strict upper bound")
-    n_theta = data.theta_size
-    m = data.m
-    dim = n_theta + (m + 1) + 2
-    w_ofs = n_theta + m + 1
-    t_ofs = w_ofs + 1
-
-    objective = np.zeros(dim)
-    objective[w_ofs] = 1.0
+    objective = np.zeros(data.theta_size + data.m + 2)
+    objective[-1] = 1.0
 
     mult_lo, mult_hi = data.multiplier_box()
-    lower = np.concatenate([data.theta_lower, mult_lo, [-np.inf, -np.inf]])
-    upper = np.concatenate([data.theta_upper, mult_hi, [np.inf, np.inf]])
-
-    # level rows: t + w <= cap, and f(x) - t + centering * w <= 0
-    level = np.zeros((2, dim))
-    level[0, t_ofs] = 1.0
-    level[0, w_ofs] = 1.0
-    level[1, n_theta : n_theta + m + 1] = data.objective_coefficients()
-    level[1, t_ofs] = -1.0
-    level[1, w_ofs] = der.centering_bound
+    lower = np.concatenate([data.theta_lower, mult_lo, [-np.inf]])
+    upper = np.concatenate([data.theta_upper, mult_hi, [np.inf]])
     return MasterProgram(objective, lower, upper, _curves(data, pool), pool.samples,
-                         pool.dists,
-                         centered=(der.centering_bound, level, np.array([-cap, 0.0])))
+                         pool.dists, centered=(der.centering_bound, data.radius, cap))
 
 
 def build_exchange_master(data, pool):
@@ -344,16 +330,12 @@ def master_interior_point(data, pool, cap):
     if len(pool):
         w_cap = min(w_cap, -np.max(pool.values(theta, mult)) / der.centering_bound)
     w = w_cap - max(1.0, 0.5 * abs(w_cap))
-    t = 0.5 * ((f_val + der.centering_bound * w) + (cap - w))
-    return np.concatenate([theta, mult, [w, t]])
+    return np.concatenate([theta, mult, [w]])
 
 
 def split_master_solution(data, vec):
-    """[theta, multipliers, w, t] -> (DualPoint, w, t)."""
-    n_theta = data.theta_size
-    m = data.m
-    point = DualPoint(vec[:n_theta], vec[n_theta : n_theta + m + 1])
-    return point, float(vec[-2]), float(vec[-1])
+    """[theta, multipliers, w] -> (DualPoint, w)."""
+    return DualPoint(vec[: data.theta_size], vec[data.theta_size : -1]), float(vec[-1])
 
 
 def split_dual_solution(data, vec):

@@ -74,7 +74,7 @@ __all__ = [
 
 
 # version of the JSON-lines layout ``SolveTrace.write_jsonl`` writes
-TRACE_SCHEMA = 6
+TRACE_SCHEMA = 7
 
 
 @dataclass
@@ -97,6 +97,8 @@ class IterationRecord:
     backtracks: int
     master_seconds: float
     separation_seconds: float
+    # the part of separation_seconds spent in separation.complete
+    completion_seconds: float
     # what became the incumbent: "iterate", "completion" or None
     adopted: str | None = None
 
@@ -115,6 +117,8 @@ class SolveTrace:
     oracle_calls: int = 0
     master_seconds: float = 0.0
     separation_seconds: float = 0.0
+    # the part of separation_seconds spent in separation.complete
+    completion_seconds: float = 0.0
     wall_seconds: float = 0.0
 
     @property
@@ -232,7 +236,7 @@ def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
             best_objective=None, newton_steps=report.iterations,
             kkt_residual=report.kkt_residual, ridges=report.ridges,
             backtracks=report.backtracks,
-            master_seconds=t1 - t0, separation_seconds=t2 - t1,
+            master_seconds=t1 - t0, separation_seconds=t2 - t1, completion_seconds=0.0,
         ))
         if sep.violation <= 0.5 * eps:
             trace.status = "optimal"
@@ -249,7 +253,9 @@ def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
     if point is not None:
         t0 = clock()
         trace.robust_value = objective_f(complete(point.theta, data), data.radius)
-        trace.separation_seconds += clock() - t0
+        spent = clock() - t0
+        trace.separation_seconds += spent
+        trace.completion_seconds += spent
         # the last restricted master relaxes the dual (see the module notes)
         trace.lower_bound = lower
     trace.wall_seconds = clock() - start
@@ -306,7 +312,9 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_I
         # optimum from above; it is the cap unless it is no tighter
         t0 = clock()
         completion = complete(theta, data)
-        trace.separation_seconds += clock() - t0
+        spent = clock() - t0
+        trace.separation_seconds += spent
+        trace.completion_seconds += spent
         completed = objective_f(completion, data.radius)
         if completed < cap:
             incumbent, cap = completion, completed
@@ -332,7 +340,7 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_I
             # module notes)
             lower = max(lower, -report.bound)
         else:
-            point, margin, _ = split_master_solution(data, report.solution)
+            point, margin = split_master_solution(data, report.solution)
         record = dict(iteration=k, margin=margin, objective=objective_f(point, data.radius),
                       newton_steps=report.iterations, kkt_residual=report.kkt_residual,
                       ridges=report.ridges, backtracks=report.backtracks,
@@ -342,13 +350,15 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_I
             trace.records.append(IterationRecord(
                 **record, cap=cap, violation=None, violated=None, cuts_added=0,
                 cut_count=len(pool), best_objective=None if incumbent is None else cap,
-                separation_seconds=0.0))
+                separation_seconds=0.0, completion_seconds=0.0))
             continue
 
         points, violations = separate(point, data, all_samples)
+        t_swept = clock()
         completion = complete(point.theta, data)
         t2 = clock()
         trace.separation_seconds += t2 - t1
+        trace.completion_seconds += t2 - t_swept
         trace.oracle_calls += data.m
         worst = float(violations.max())
         violated = np.flatnonzero(violations > 0.0)
@@ -377,7 +387,7 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_I
             **record, cap=cap, violation=worst, violated=violated.size,
             cuts_added=added, cut_count=len(pool),
             best_objective=None if incumbent is None else cap,
-            separation_seconds=t2 - t1, adopted=adopted,
+            separation_seconds=t2 - t1, completion_seconds=t2 - t_swept, adopted=adopted,
         ))
         if done:
             trace.status = "optimal"
@@ -394,6 +404,7 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_I
         # certify what we return by a full sweep
         t0 = clock()
         completion = complete(incumbent.theta, data)
+        trace.completion_seconds += clock() - t0
         trace.robust_value = objective_f(completion, data.radius)
         if trace.robust_value <= cap:
             incumbent = completion

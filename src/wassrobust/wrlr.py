@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .losses import LogisticLoss, sigmoid
 from .model import BoxRegion
@@ -152,7 +151,9 @@ def auc(scores, labels):
     n_pos, n_neg = int(np.sum(pos)), int(np.sum(neg))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    ranks = rankdata(scores)
+    # average ranks: a run of c tied scores ending at rank e shares e - (c - 1) / 2
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
     return float((np.sum(ranks[pos]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

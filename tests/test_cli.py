@@ -91,6 +91,7 @@ def test_trace_summary_matches_the_solve_trace(tmp_path, capsys, monkeypatch):
         "iterations": repr(summary["iterations"]),
         "master_seconds": repr(summary["master_seconds"]),
         "separation_seconds": repr(summary["separation_seconds"]),
+        "completion_seconds": repr(summary["completion_seconds"]),
         "newton_steps_per_master": repr(sum(steps) / len(steps)),
         "backtracks_per_master": repr(sum(backtracks) / len(backtracks)),
         "worst_kkt_residual": repr(max(r.kkt_residual for r in trace.records)),
@@ -105,21 +106,21 @@ def test_trace_summary_matches_the_solve_trace(tmp_path, capsys, monkeypatch):
 
 def test_trace_summary_refuses_unknown_schema_and_unfinished_trace(tmp_path, capsys):
     path = tmp_path / "old.jsonl"
-    for schema in (4, 5):
+    for schema in (4, 5, 6):
         path.write_text(json.dumps({"schema": schema, "event": "done",
                                     "status": "optimal"}) + "\n")
         assert main(["trace-summary", str(path)]) == 2
         assert f"trace schema {schema};" in capsys.readouterr().err
-    path.write_text(json.dumps({"schema": 6, "event": "iteration", "newton_steps": 9,
+    path.write_text(json.dumps({"schema": 7, "event": "iteration", "newton_steps": 9,
                                 "backtracks": 2, "kkt_residual": 0.0, "ridges": 0}) + "\n")
     assert main(["trace-summary", str(path)]) == 2
     assert 'no "done" line' in capsys.readouterr().err
-    done = {"schema": 6, "event": "done", "status": "optimal", "master_seconds": 0.1,
+    done = {"schema": 7, "event": "done", "status": "optimal", "master_seconds": 0.1,
             "separation_seconds": 0.1, "cut_count": 3, "robust_value": 0.5}
     for lines, message in [
-        ([{"schema": 6}], 'line 1 has no "event"'),
-        ([done], 'line 1 has no "iterations", "lower_bound"'),
-        ([{"schema": 6, "event": "iteration", "newton_steps": 9, "kkt_residual": 0.0,
+        ([{"schema": 7}], 'line 1 has no "event"'),
+        ([done], 'line 1 has no "iterations", "completion_seconds", "lower_bound"'),
+        ([{"schema": 7, "event": "iteration", "newton_steps": 9, "kkt_residual": 0.0,
            "ridges": 0}], 'line 1 has no "backtracks"'),
         (["[4]", done], "line 1 is not a JSON object"),
     ]:

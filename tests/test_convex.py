@@ -47,9 +47,9 @@ def small_masters(seed, cuts=None):
 
 
 def test_level_rows_hand_case():
-    # over no cuts the centered master keeps its two linear level rows,
-    # t + w <= cap and f - t + B w <= 0, with w and t unbounded: the
-    # multipliers sit at their lower corner, f = loss_lower, and
+    # over no cuts the centered master keeps its linear level row
+    # f + (1 + B) w <= cap, with w unbounded: the multipliers sit at
+    # their lower corner, f = loss_lower, and
     # w* = (cap - loss_lower) / (1 + B)
     data = box_problem(1, m=6, n=2)
     der = data.derived
@@ -123,10 +123,51 @@ def test_adding_a_row_never_improves_the_optimum():
             assert full.objective <= fewer.objective + 1e-7
 
 
+def epigraph_rows(data, cuts, v):
+    """Values and Jacobian of the centered master written with the
+    epigraph variable t over [theta, s, beta, w, t]: the level rows
+    t + w <= cap and f - t + B w <= 0, with f = mean(s) + radius * beta,
+    then the cut rows of ``dense_rows``."""
+    n_theta, m = data.theta_size, data.m
+    w, t = n_theta + m + 1, n_theta + m + 2
+    level = np.zeros((2, v.size))
+    level[0, [w, t]] = 1.0
+    level[1, n_theta : n_theta + m] = 1.0 / m
+    level[1, n_theta + m] = data.radius
+    level[1, t], level[1, w] = -1.0, data.derived.centering_bound
+    values, jac, _ = dense_rows(data, cuts, v[:-1], centered=True)
+    return (np.concatenate([level @ v - [data.derived.objective_cap, 0.0], values[1:]]),
+            np.vstack([level, np.pad(jac[1:], ((0, 0), (0, 1)))]))
+
+
+def test_centered_master_matches_epigraph_program():
+    """The centered master's optimal margin w against SLSQP on the
+    program that keeps the epigraph variable t: t only restates the level
+    row, so both have the same optimum.  SLSQP often reports a loss of
+    precision at its optimum, so its row values are checked instead of
+    its success flag."""
+    for seed in range(60, 70):
+        data, cuts, [_, (centered, x_centered)] = small_masters(seed)
+        report = solve(centered, x_centered)
+        assert report.status == OPTIMAL
+        cap = data.derived.objective_cap
+        start = np.concatenate([x_centered, [cap - x_centered[-1] - 1.0]])
+        bounds = [(lo, hi) if np.isfinite(lo) else (None, None)
+                  for lo, hi in zip(centered.lower, centered.upper)] + [(None, None)]
+        result = scipy.optimize.minimize(
+            lambda v: -v[-2], start, jac=lambda v: -np.eye(v.size)[-2],
+            method="SLSQP", bounds=bounds,
+            constraints=[{"type": "ineq", "fun": lambda v: -epigraph_rows(data, cuts, v)[0],
+                          "jac": lambda v: -epigraph_rows(data, cuts, v)[1]}],
+            options={"ftol": 1e-14, "maxiter": 500})
+        assert epigraph_rows(data, cuts, result.x)[0].max() <= 1e-9
+        assert report.objective == pytest.approx(result.x[-2], rel=1e-6)
+
+
 def test_weak_duality_bound_holds_at_any_multipliers():
     # the plain master's bound brackets its optimum with the returned
     # value, and holds even after a step or three; the centered master
-    # has unbounded w and t, so it has none
+    # has unbounded w, so it has none
     for seed in range(4):
         _, _, [(plain, x0), (centered, x_centered)] = small_masters(50 + seed)
         best = solve(plain, x0)
@@ -158,8 +199,10 @@ def test_infeasible_program_is_reported():
     n_theta, cap = data.theta_size, data.derived.objective_cap
     for excess in (0.5, 1.0, 2.0):
         x = x_centered.copy()
-        x[-1] = cap + excess - x[-2]
-        with pytest.raises(ValueError, match=f"constraint row 0 has value {excess}"):
+        x[-1] = (cap + excess - level_objective(data, x)) / (1.0 + data.derived.centering_bound)
+        value = centered.evaluate(x)[0][0]
+        assert value == pytest.approx(excess, abs=1e-12)
+        with pytest.raises(ValueError, match=re.escape(f"constraint row 0 has value {value},")):
             solve(centered, x)
     # sample 0's own point is cut 0; at theta = 0 its loss is log 2
     x = x_plain.copy()
@@ -185,10 +228,15 @@ def test_start_that_is_not_strictly_feasible_is_rejected():
         solve(program, x)
     with pytest.raises(ValueError, match="shape"):
         solve(program, x0[:-1])
-    # w = 0 and t = cap put the level row t + w <= cap exactly on its bound
+    # w on the level row's bound f + (1 + B) w = cap, rounded up onto it
     x = x_centered.copy()
-    x[-2:] = 0.0, data.derived.objective_cap
-    with pytest.raises(ValueError, match=r"constraint row 0 has value 0\.0,"):
+    x[-1] = (data.derived.objective_cap - level_objective(data, x)) \
+        / (1.0 + data.derived.centering_bound)
+    while centered.evaluate(x)[0][0] < 0.0:
+        x[-1] = np.nextafter(x[-1], np.inf)
+    value = centered.evaluate(x)[0][0]
+    assert 0.0 <= value <= 1e-12
+    with pytest.raises(ValueError, match=re.escape(f"constraint row 0 has value {value},")):
         solve(centered, x)
     # sample 1's own point is its first cut; at theta = 0 its loss is
     # log 2, so s_1 = 0.25 breaks that row and leaves sample 0's rows
@@ -244,27 +292,31 @@ def test_newton_matrix_that_no_ridge_fixes_raises():
         _solve_spd(np.array([[-1.0]]), np.ones(1))
 
 
+def level_objective(data, x):
+    """The dual objective f = mean(s) + radius * beta at the master
+    point ``x`` = [theta, s, beta, w]."""
+    n_theta, m = data.theta_size, data.m
+    return float(x[n_theta : n_theta + m].mean() + data.radius * x[n_theta + m])
+
+
 def dense_rows(data, cuts, x, centered):
     """Values, Jacobian and curvature weights of every row at ``x``, from
     the closed form: cut j of sample i at point p has the value
     softplus(a . theta) - s_i - |p - x_i|_1 beta (+ B w) with
     a = -(2y - 1) (1, p); its gradient in theta is sigmoid(a . theta) a
     and its Hessian sigmoid (1 - sigmoid) a a^T.  The centered master's
-    level rows are linear, with the offsets -cap and 0 for the cap of
+    level row f + (1 + B) w - cap <= 0 is linear, with the cap of
     ``small_masters``."""
     n_theta, m = data.theta_size, data.m
     values, jac, curv = [], [], []
     if centered:
-        w, t = n_theta + m + 1, n_theta + m + 2
-        level = np.zeros((2, x.size))
-        level[0, [w, t]] = 1.0
-        level[1, n_theta : n_theta + m] = 1.0 / m
-        level[1, n_theta + m] = data.radius
-        level[1, t] = -1.0
-        level[1, w] = data.derived.centering_bound
-        values += list(level @ x - [data.derived.objective_cap, 0.0])
-        jac += list(level)
-        curv += [np.zeros((n_theta, n_theta))] * 2
+        level = np.zeros(x.size)
+        level[n_theta : n_theta + m] = 1.0 / m
+        level[n_theta + m] = data.radius
+        level[n_theta + m + 1] = 1.0 + data.derived.centering_bound
+        values.append(level @ x - data.derived.objective_cap)
+        jac.append(level)
+        curv.append(np.zeros((n_theta, n_theta)))
     for c in cuts:
         i = c.sample_index
         a = -(2.0 * c.label - 1.0) * np.concatenate([[1.0], c.point])
@@ -286,7 +338,7 @@ def dense_rows(data, cuts, x, centered):
 def dense_newton_matrix(data, cuts, program, x, lam, weights, box):
     """J^T diag(weights) J + sum_j lam_j hess(g_j) + diag(box) from
     ``dense_rows``, with the Jacobian J^T lam beside it."""
-    _, jac, curv = dense_rows(data, cuts, x, program.level_offsets.size > 0)
+    _, jac, curv = dense_rows(data, cuts, x, program.centered is not None)
     hess = jac.T @ (weights[:, None] * jac) + np.diag(box)
     n_theta = data.theta_size
     hess[:n_theta, :n_theta] += sum(l * h for l, h in zip(lam, curv))
@@ -305,12 +357,12 @@ def random_newton_inputs(program, rng):
 
 def test_newton_solve_matches_dense_closed_form():
     """The row values, J dx, J^T lam and the Newton step of the plain
-    master, which has no level rows, and of the centered one."""
+    master, which has no level row, and of the centered one."""
     rng = np.random.default_rng(3)
     for seed in range(3):
         data, cuts, masters = small_masters(30 + seed)
         for program, _ in masters:
-            centered = program.level_offsets.size > 0
+            centered = program.centered is not None
             for _ in range(4):
                 x, lam, box = random_newton_inputs(program, rng)
                 weights = rng.uniform(0.1, 5.0, program.constraint_rows)
@@ -348,7 +400,7 @@ def test_newton_solve_keeps_digits_at_extreme_weights():
                 _, sig = program.evaluate(x)
                 dx, _ = program.newton_solve(sig, lam, weights, box, rhs)
                 residual = np.linalg.norm(hess @ dx - rhs) / np.linalg.norm(rhs)
-                assert residual <= 1e-10, (program.level_offsets.size, heavy, residual)
+                assert residual <= 1e-10, (program.centered, heavy, residual)
 
 
 def test_each_point_is_evaluated_once():

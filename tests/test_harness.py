@@ -1,7 +1,11 @@
 """Experiment harness: statistics, repetition protocol, result files."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +74,36 @@ def test_welch_pvalue_sanity():
     assert 0.05 < welch_pvalue(same, same + 0.0) or welch_pvalue(same, same) == 0.5
     with pytest.raises(ValueError):
         welch_pvalue(np.array([0.9]), np.array([0.8, 0.7]))
+
+
+def test_pvalues_match_scipy_stats_student_t():
+    # the p-values come from scipy.special.stdtr; scipy.stats.t is the
+    # oracle, at an integer df (paired) and a fractional one (Welch)
+    rng = np.random.default_rng(4)
+    for size in (3, 8, 30):
+        a, b = rng.uniform(0.6, 0.9, size=size), rng.uniform(0.6, 0.9, size=size)
+        diff = a - b
+        stat = diff.mean() / (diff.std(ddof=1) / np.sqrt(size))
+        assert paired_pvalue(a, b) == pytest.approx(
+            scipy.stats.t.sf(stat, df=size - 1), rel=0.0, abs=1e-15)
+        b = b[: size - 1] * 1.1
+        va, vb = a.var(ddof=1) / a.size, b.var(ddof=1) / b.size
+        stat = (a.mean() - b.mean()) / np.sqrt(va + vb)
+        df = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
+        assert df != int(df)
+        assert welch_pvalue(a, b) == pytest.approx(
+            scipy.stats.t.sf(stat, df=df), rel=0.0, abs=1e-15)
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats alone takes most of a fresh process's import time
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, wassrobust; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_config_round_trip_and_validation(tmp_path):

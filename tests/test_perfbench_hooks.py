@@ -65,6 +65,6 @@ def test_solve_spans_carry_steps_dim_and_rows():
     assert solves
     for span in solves:
         assert span.attrs["steps"] > 0
-        # the plain master [theta, s, beta] or the centered one, with w and t
-        assert span.attrs["dim"] - (data.theta_size + data.m + 1) in (0, 2)
+        # the plain master [theta, s, beta] or the centered one, with w
+        assert span.attrs["dim"] - (data.theta_size + data.m + 1) in (0, 1)
         assert span.attrs["rows"] >= data.m

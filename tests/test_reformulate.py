@@ -111,7 +111,7 @@ def test_multiplier_box_layout():
 def test_master_hand_optimum_single_atom_cut():
     """With one zero-cost cut the centered master has a closed form.
 
-    Rows: softplus(-t0) - v1 + Bw <= 0, f - t + Bw <= 0, t + w <= cap.
+    Rows: softplus(-t0) - v1 + Bw <= 0, f + (1 + B) w <= cap.
     Pushing theta0 to its box top and balancing the rows gives
     w* = (cap - C1) / (1 + 2B).
     """
@@ -124,7 +124,7 @@ def test_master_hand_optimum_single_atom_cut():
     assert report.status == convex.OPTIMAL
     expected = (cap - der.loss_lower) / (1.0 + 2.0 * der.centering_bound)
     assert report.objective == pytest.approx(expected, rel=1e-6)
-    point, margin, level = split_master_solution(data, report.solution)
+    point, margin = split_master_solution(data, report.solution)
     assert margin == pytest.approx(report.objective, abs=1e-12)
     assert point.theta.size == 2 and point.multipliers.size == 2
 
@@ -303,8 +303,8 @@ def test_master_rows_match_constraint_g():
             assert np.allclose(pool.values(x.theta, x.multipliers), g, rtol=0.0, atol=1e-12)
             vec = np.concatenate([x.theta, x.multipliers])
             assert np.allclose(exchange.evaluate(vec)[0], g, rtol=0.0, atol=1e-12)
-            # the centered master's two level rows come first
-            got = master.evaluate(np.concatenate([vec, [w, rng.normal()]]))[0][2:]
+            # the centered master's level row comes first
+            got = master.evaluate(np.concatenate([vec, [w]]))[0][1:]
             assert np.allclose(got, g + data.derived.centering_bound * w,
                                rtol=0.0, atol=1e-12)
 
@@ -318,9 +318,8 @@ def test_split_round_trips():
     assert np.array_equal(point.theta, vec[:data.theta_size])
     assert np.array_equal(point.multipliers, vec[data.theta_size:])
 
-    mvec = np.concatenate([vec, [2.5, -1.25]])
-    pt, margin, level = split_master_solution(data, mvec)
+    mvec = np.concatenate([vec, [2.5]])
+    pt, margin = split_master_solution(data, mvec)
     assert np.array_equal(pt.theta, vec[:data.theta_size])
     assert np.array_equal(pt.multipliers, vec[data.theta_size:])
     assert margin == 2.5
-    assert level == -1.25

@@ -235,7 +235,7 @@ def test_trace_jsonl_round_trip(tmp_path):
     point, trace = solve_cutting_surface(data, 1e-5, trace_path=str(path))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == trace.iterations + 1
-    assert all(line["schema"] == 6 for line in lines)
+    assert all(line["schema"] == 7 for line in lines)
     sweeps = 0
     for rec, line in zip(trace.records, lines):
         assert line["violated"] == rec.violated
@@ -318,11 +318,20 @@ def test_timing_capture_modes():
     assert silent.wall_seconds == 0.0
     assert silent.master_seconds == 0.0
     assert silent.separation_seconds == 0.0
+    assert silent.completion_seconds == 0.0
     point, timed = solve_cutting_surface(data, 1e-5, capture_timing=True)
     assert timed.wall_seconds > 0.0
     covered = timed.master_seconds + timed.separation_seconds
     assert covered <= timed.wall_seconds + 1e-9
     assert covered >= 0.9 * timed.wall_seconds
+    # the completions are part of the separation time, in every record too
+    assert 0.0 < timed.completion_seconds < timed.separation_seconds
+    assert all(0.0 <= r.completion_seconds <= r.separation_seconds for r in timed.records)
+    assert sum(r.completion_seconds for r in timed.records) < timed.completion_seconds
+    # the exchange loop completes only the point it returns
+    point, exchange = solve_exchange(data, 1e-5)
+    assert 0.0 < exchange.completion_seconds < exchange.separation_seconds
+    assert all(r.completion_seconds == 0.0 for r in exchange.records)
 
 
 def test_master_seconds_are_the_records_sum():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.stats import rankdata
 
 from wassrobust import (
     BoxRegion,
@@ -260,6 +261,20 @@ def test_auc_hand_cases():
     # a tied pair earns half credit
     assert auc(np.array([0.5, 0.5]), np.array([1, 0])) == 0.5
     assert auc(np.array([0.7, 0.5, 0.5]), np.array([1, 1, 0])) == 0.75
+
+
+def test_auc_matches_rankdata_on_ties():
+    # the average ranks against scipy.stats.rankdata's, bit for bit, on
+    # scores with many ties
+    rng = np.random.default_rng(6)
+    for size in (2, 7, 50, 301):
+        labels = np.arange(size) % 2
+        rng.shuffle(labels)
+        scores = rng.integers(0, max(2, size // 6), size) * 0.25
+        ranks = rankdata(scores)
+        n_pos, n_neg = labels.sum(), size - labels.sum()
+        expected = (ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert auc(scores, labels) == expected
 
 
 def test_auc_is_invariant_under_monotone_transforms():
