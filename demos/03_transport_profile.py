@@ -4,15 +4,19 @@ For one sample, the worst-case scenario search reduces to a scalar
 problem: every point of the class region maps to a link value
 u = theta_0 + theta_1: . s, and what matters is the cheapest L1 transport
 cost D(u) needed to move the sample to some region point achieving u.
-D is piecewise linear and convex with at most 2n+1 breakpoints, so the
-oracle only inspects the breakpoints instead of the whole box.
+D is piecewise linear and convex, so the oracle only inspects its
+breakpoints instead of the whole box.  The logistic loss is monotone in
+u, and a move that lowers it costs more than the anchor (the sample
+clipped to its box), so only n'+1 breakpoints count: the anchor, then
+one per nonzero weight, in the direction the loss rises.
 
 Every sample shares theta, so the profiles of a whole block of samples
 come from one sweep: ``transport_profile`` takes the block and returns
 one row of breakpoints per sample, and ``separate`` maximizes every
 listed sample's constraint at once.
 
-The tables below print D for one sample and then show how the worst
+The tables below print that half of D for one sample (label 1, whose
+loss rises as u falls) and then show how the worst
 scenario moves as the transport price (the budget multiplier) changes:
 a high price pins the scenario at the sample itself, a low price lets it
 run to the most damaging corner of the region.
@@ -51,6 +55,9 @@ def main():
     print(f"link value at the sample itself: "
           f"{theta[0] + features[i] @ theta[1:]:.4f}")
     print()
+    way = "falls" if labels[i] == 1 else "rises"
+    print(f"the {profile.breakpoints.shape[1]} breakpoints of D as u {way}, "
+          "from the anchor:")
     print(f"{'link value u':>14} {'cheapest L1 cost D(u)':>22}")
     for u, c in zip(profile.breakpoints[row], profile.costs[row]):
         print(f"{u:>14.4f} {c:>22.4f}")

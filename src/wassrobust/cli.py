@@ -5,8 +5,9 @@ Subcommands:
 * ``fit``             train a plain or robust logistic model from a CSV
 * ``solve``           solve a raw robust instance described in JSON
 * ``experiment``      run the repeated train/test comparison harness
-* ``separate-debug``  dump one sample's transport profile, with repeated
-                      breakpoints dropped
+* ``separate-debug``  dump one sample's transport profile: its n'+1
+                      breakpoints, in the direction the loss rises, with
+                      repeated breakpoints dropped
 * ``trace-summary``   summarise a ``--trace`` file: status, iterations,
                       master, separation and completion seconds, Newton
                       steps and line-search backtracks per master, the
@@ -208,7 +209,8 @@ def _cmd_separate_debug(args):
             csv.writer(fh).writerows(rows)
     else:
         csv.writer(sys.stdout).writerows(rows)
-    print(f"sample {i} (label {label}): {keep.sum()} breakpoints, "
+    way = "falls" if label == 1 else "rises"
+    print(f"sample {i} (label {label}): {keep.sum()} breakpoints as the score {way}, "
           f"entry cost {profile.base_cost[0]}", file=sys.stderr)
     return 0
 

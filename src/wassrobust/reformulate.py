@@ -78,6 +78,10 @@ def derive_constants(dataset, regions, loss, radius, theta_lower, theta_upper):
     for label in labels_present:
         if label not in regions:
             raise ValueError(f"no region supplied for label {label}")
+        # the separation oracle reads the loss's direction off the region
+        if regions[label].label != label:
+            raise ValueError(f"the region for label {label} carries label "
+                             f"{regions[label].label}")
     used = [regions[label] for label in sorted(labels_present)]
     lo, hi = loss.bounds_over(theta_lower, theta_upper, used)
     if not hi > lo:

@@ -8,8 +8,10 @@ score is piecewise linear in u: spend budget on the coordinate with the
 largest |theta_j| first, then the next, and so on.  The constraint value
 phi(u) - multiplier_i - budget * cost(u) is convex in u on each linear
 piece of the cost, so its maximum over the box sits at a breakpoint of
-the cost profile.  That yields an exact oracle with at most 2n + 1
-candidate scores.
+the cost profile.  The logistic loss is monotone in u, so a move that
+lowers it costs more than the anchor (the reference clipped to the box)
+and gains nothing: the oracle is exact with n' + 1 breakpoints, in the
+direction the loss rises, where n' counts the nonzero weights.
 
 Every sample shares theta, so the coordinate order is the same for all
 of them: one argsort and row-wise cumulative sums build the breakpoints
@@ -18,7 +20,9 @@ enumeration over one sample-by-point distance matrix.
 
 The same candidate tables give ``complete``: for a fixed theta, the
 exactly feasible multipliers of least objective, whose objective is the
-robust value J(theta).
+robust value J(theta).  ``CandidateTables`` builds them once per theta,
+so a caller that both separates and completes at one theta pays for
+them once; ``separate`` and ``complete`` build their own.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import numpy as np
 
 from .model import BoxRegion, DualPoint, FiniteRegion, Scenario
 
-__all__ = ["TransportProfile", "SeparationResult", "transport_profile", "separate",
-           "separate_exact", "best_violation", "complete"]
+__all__ = ["TransportProfile", "SeparationResult", "CandidateTables", "transport_profile",
+           "separate", "separate_exact", "best_violation", "complete"]
 
 
 @dataclass(frozen=True)
@@ -45,17 +49,18 @@ class SeparationResult:
 
 @dataclass(frozen=True)
 class TransportProfile:
-    """Cheapest L1 transport cost to reach each achievable score, for a
-    block of r samples.
+    """Cheapest L1 transport cost to reach each score the loss rises
+    towards, for a block of r samples.
 
-    Row k of ``breakpoints`` holds sample k's scores in increasing order:
-    n' moves down, the anchor's score, n' moves up, where n' is the number
-    of nonzero weights; ``costs`` are the matching minimal L1 distances
-    from the reference point (including the cost of entering the box when
-    the reference lies outside it).  A move along a coordinate that
-    already sits on its face has zero length and repeats a breakpoint.
-    ``anchor`` is each reference clipped to the box, and ``base_cost`` its
-    distance from the reference.
+    Row k of ``breakpoints`` holds sample k's scores in the direction the
+    loss of the region's label rises (down for label 1, up for label 0):
+    the anchor's score, then the score after each of n' moves, where n'
+    is the number of nonzero weights.  ``costs`` are the matching minimal
+    L1 distances from the reference point (including the cost of entering
+    the box when the reference lies outside it); they rise column by
+    column.  A move along a coordinate that already sits on its face has
+    zero length and repeats a breakpoint.  ``anchor`` is each reference
+    clipped to the box, and ``base_cost`` its distance from the reference.
     """
 
     breakpoints: np.ndarray
@@ -64,21 +69,19 @@ class TransportProfile:
     base_cost: np.ndarray
     # position of each coordinate in the move order (n for a zero weight)
     _rank: np.ndarray
-    # the face each coordinate reaches when the score rises, and falls
-    _up_face: np.ndarray
-    _down_face: np.ndarray
+    # the face each coordinate reaches as the loss rises
+    _face: np.ndarray
 
     def witness(self, columns):
         """Each row's box point at its breakpoint ``columns[k]``: the first
-        j coordinates of the move order sit on their faces, the rest at
-        the anchor."""
-        moves = np.asarray(columns) - (self.breakpoints.shape[1] - 1) // 2
-        face = np.where((moves > 0)[:, None], self._up_face, self._down_face)
-        return np.where(self._rank < np.abs(moves)[:, None], face, self.anchor)
+        ``columns[k]`` coordinates of the move order sit on their faces,
+        the rest at the anchor."""
+        return np.where(self._rank < np.asarray(columns)[:, None], self._face, self.anchor)
 
 
 def transport_profile(theta, region, references):
-    """Build the score-versus-cost profiles of a block of samples.
+    """Build the score-versus-cost profiles of a block of samples, in the
+    direction the loss of ``region.label`` rises.
 
     ``theta`` is the full parameter vector (intercept first); ``region``
     is the samples' class box; ``references`` is the (r, n) block of
@@ -100,21 +103,18 @@ def transport_profile(theta, region, references):
     order = order[weights[order] != 0.0]
     rank = np.full(weights.size, weights.size)
     rank[order] = np.arange(order.size)
-    rises = weights > 0.0
-    up_face = np.where(rises, region.upper, region.lower)
-    down_face = np.where(rises, region.lower, region.upper)
+    # the logistic loss of label 1 rises as the score falls, of label 0
+    # as it rises
+    falls = region.label == 1
+    face = np.where((weights > 0.0) != falls, region.upper, region.lower)
 
-    # each move's length, and the score it gains at |theta_j| per unit
-    up = np.abs(up_face[order] - anchor[:, order])
-    down = np.abs(anchor[:, order] - down_face[order])
+    # each move's length, and the score it moves at |theta_j| per unit
+    move = np.abs(face[order] - anchor[:, order])
     steep = np.abs(weights[order])
-    rise_u = np.cumsum(np.column_stack([anchor_u, steep * up]), axis=1)
-    rise_c = np.cumsum(np.column_stack([base, up]), axis=1)
-    fall_u = np.cumsum(np.column_stack([anchor_u, -steep * down]), axis=1)
-    fall_c = np.cumsum(np.column_stack([base, down]), axis=1)
-    breakpoints = np.hstack([fall_u[:, :0:-1], rise_u])
-    costs = np.hstack([fall_c[:, :0:-1], rise_c])
-    return TransportProfile(breakpoints, costs, anchor, base, rank, up_face, down_face)
+    step = -steep if falls else steep
+    breakpoints = np.cumsum(np.column_stack([anchor_u, step * move]), axis=1)
+    costs = np.cumsum(np.column_stack([base, move]), axis=1)
+    return TransportProfile(breakpoints, costs, anchor, base, rank, face)
 
 
 def _class_tables(theta, data, refs, labels):
@@ -133,7 +133,7 @@ def _class_tables(theta, data, refs, labels):
             pts = region.points
             costs = np.sum(np.abs(pts - refs[rows, None, :]), axis=2)
             values = data.loss.link_loss(data.loss.link(theta, pts), label)
-            yield rows, np.broadcast_to(values, costs.shape), costs, lambda cols: pts[cols]
+            yield rows, np.broadcast_to(values, costs.shape), costs, pts.__getitem__
         else:
             profile = transport_profile(theta, region, refs[rows])
             yield (rows, data.loss.link_loss(profile.breakpoints, label), profile.costs,
@@ -144,6 +144,70 @@ def _row_losses(loss, theta, points, labels):
     """Each point's loss, row by row: a matrix-vector product's bits
     would depend on the block."""
     return loss.link_loss(theta[0] + np.einsum("ij,j->i", points, theta[1:]), labels)
+
+
+class CandidateTables:
+    """The candidate tables of a block of samples at one theta.
+
+    Holds each class's table from ``_class_tables`` and every sample's
+    own observation as a zero-cost candidate.  Built once per theta, the
+    tables serve ``separate`` at any multipliers with that theta and,
+    when they cover every sample (``samples`` left out), ``complete``.
+    """
+
+    def __init__(self, theta, data, samples=None):
+        self.theta = np.asarray(theta, dtype=float)
+        self.data = data
+        self.every = samples is None
+        self.samples = np.arange(data.m) if self.every else np.asarray(samples, dtype=int)
+        self.refs = data.dataset.features[self.samples]
+        self.labels = data.dataset.labels[self.samples]
+        self.atoms = _row_losses(data.loss, self.theta, self.refs, self.labels)
+        self.classes = list(_class_tables(self.theta, data, self.refs, self.labels))
+
+    def separate(self, multipliers):
+        """``separate`` at the dual point (theta, multipliers)."""
+        mult = multipliers[self.samples]
+        budget = multipliers[-1]
+        points = np.empty_like(self.refs)
+        for rows, values, costs, witness in self.classes:
+            g = values - mult[rows, None] - budget * costs
+            points[rows] = witness(np.argmax(g, axis=1))
+
+        violations = (_row_losses(self.data.loss, self.theta, points, self.labels) - mult
+                      - budget * np.sum(np.abs(points - self.refs), axis=1))
+        atoms = self.atoms - mult
+        stay = atoms > violations
+        points[stay] = self.refs[stay]
+        return points, np.where(stay, atoms, violations)
+
+    def complete(self):
+        """``complete`` at this theta."""
+        if not self.every:
+            raise ValueError("a completion needs the tables of every sample")
+        data = self.data
+        upper = data.derived.budget_upper
+        tables = []
+        start = np.empty(data.m)
+        betas, drops = [], []
+        for rows, values, costs, _ in self.classes:
+            values = np.column_stack([values, self.atoms[rows]])
+            costs = np.column_stack([costs, np.zeros(costs.shape[0])])
+            start[rows], beta, drop = _envelope_kinks(values, costs, upper)
+            tables.append((rows, values, costs))
+            betas.append(beta)
+            drops.append(drop)
+        betas, drops = np.concatenate(betas), np.concatenate(drops)
+        order = np.argsort(betas, kind="stable")
+        # J's slope right of beta = 0 and right of each kink in turn
+        active = np.sum(start) - np.concatenate([[0.0], np.cumsum(drops[order])])
+        turn = np.flatnonzero(data.radius - active / data.m >= 0.0)
+        budget = float(np.concatenate([[0.0], betas[order]])[turn[0]]) if turn.size else upper
+        multipliers = np.empty(data.m + 1)
+        for rows, values, costs in tables:
+            multipliers[:-1][rows] = np.max(values - budget * costs, axis=1)
+        multipliers[-1] = budget
+        return DualPoint(self.theta, multipliers)
 
 
 def separate(x, data, samples):
@@ -158,22 +222,7 @@ def separate(x, data, samples):
     agrees with ``constraint_g`` to machine precision, and its bits do
     not depend on which samples share the block.
     """
-    samples = np.asarray(samples, dtype=int)
-    refs = data.dataset.features[samples]
-    labels = data.dataset.labels[samples]
-    mult = x.multipliers[samples]
-    budget = x.multipliers[-1]
-    points = np.empty_like(refs)
-    for rows, values, costs, witness in _class_tables(x.theta, data, refs, labels):
-        g = values - mult[rows, None] - budget * costs
-        points[rows] = witness(np.argmax(g, axis=1))
-
-    violations = (_row_losses(data.loss, x.theta, points, labels) - mult
-                  - budget * np.sum(np.abs(points - refs), axis=1))
-    atoms = _row_losses(data.loss, x.theta, refs, labels) - mult
-    stay = atoms > violations
-    points[stay] = refs[stay]
-    return points, np.where(stay, atoms, violations)
+    return CandidateTables(x.theta, data, samples).separate(x.multipliers)
 
 
 def _envelope_kinks(values, costs, upper):
@@ -190,21 +239,21 @@ def _envelope_kinks(values, costs, upper):
     start = costs[np.arange(len(costs)), active]
     cost = start
     betas, drops = [], []
-    while values.shape[0]:
-        level = values[np.arange(len(values)), active]
-        cheaper = costs < cost[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while values.shape[0]:
+            level = values[np.arange(len(values)), active]
+            cheaper = costs < cost[:, None]
             cross = np.where(cheaper, (level[:, None] - values) / (cost[:, None] - costs),
                              np.inf)
-        beta = cross.min(axis=1)
-        go = beta < upper
-        # among lines crossing at the same beta the cheapest stays on top
-        nxt = np.argmin(np.where(cross == beta[:, None], costs, np.inf), axis=1)[go]
-        values, costs = values[go], costs[go]
-        new_cost = costs[np.arange(len(costs)), nxt]
-        betas.append(beta[go])
-        drops.append(cost[go] - new_cost)
-        active, cost = nxt, new_cost
+            beta = cross.min(axis=1)
+            go = beta < upper
+            # among lines crossing at the same beta the cheapest stays on top
+            nxt = np.argmin(np.where(cross == beta[:, None], costs, np.inf), axis=1)[go]
+            values, costs = values[go], costs[go]
+            new_cost = costs[np.arange(len(costs)), nxt]
+            betas.append(beta[go])
+            drops.append(cost[go] - new_cost)
+            active, cost = nxt, new_cost
     return start, np.concatenate(betas), np.concatenate(drops)
 
 
@@ -222,31 +271,7 @@ def complete(theta, data):
     the first kink (or end of the interval) where the slope turns
     non-negative, and each multiplier is its sample's maximum there.
     """
-    theta = np.asarray(theta, dtype=float)
-    refs, labels = data.dataset.features, data.dataset.labels
-    upper = data.derived.budget_upper
-    atoms = _row_losses(data.loss, theta, refs, labels)
-    tables = []
-    start = np.empty(data.m)
-    betas, drops = [], []
-    for rows, values, costs, _ in _class_tables(theta, data, refs, labels):
-        values = np.column_stack([values, atoms[rows]])
-        costs = np.column_stack([costs, np.zeros(costs.shape[0])])
-        start[rows], beta, drop = _envelope_kinks(values, costs, upper)
-        tables.append((rows, values, costs))
-        betas.append(beta)
-        drops.append(drop)
-    betas, drops = np.concatenate(betas), np.concatenate(drops)
-    order = np.argsort(betas, kind="stable")
-    # J's slope right of beta = 0 and right of each kink in turn
-    active = np.sum(start) - np.concatenate([[0.0], np.cumsum(drops[order])])
-    turn = np.flatnonzero(data.radius - active / data.m >= 0.0)
-    budget = float(np.concatenate([[0.0], betas[order]])[turn[0]]) if turn.size else upper
-    multipliers = np.empty(data.m + 1)
-    for rows, values, costs in tables:
-        multipliers[:-1][rows] = np.max(values - budget * costs, axis=1)
-    multipliers[-1] = budget
-    return DualPoint(theta, multipliers)
+    return CandidateTables(theta, data).complete()
 
 
 def _result(data, samples, points, violations):
@@ -262,10 +287,11 @@ def separate_exact(x, i, data):
     return _result(data, [i], *separate(x, data, [i]))
 
 
-def best_violation(x, data):
+def best_violation(x, data, tables=None):
     """Largest constraint value across all samples, violated or not.
 
-    Ties pick the smallest sample index.
+    Ties pick the smallest sample index.  ``tables``, when the caller has
+    built them, are the ``CandidateTables`` of every sample at x.theta.
     """
-    samples = np.arange(data.m)
-    return _result(data, samples, *separate(x, data, samples))
+    tables = CandidateTables(x.theta, data) if tables is None else tables
+    return _result(data, tables.samples, *tables.separate(x.multipliers))

@@ -22,6 +22,10 @@ Two algorithms, both driven by the separation oracles:
   gives LB; the loop stops once cap - LB <= eps and otherwise adds that
   point's violated cuts and goes on.  The pool keeps every cut.
 
+Wherever one theta is both separated and completed (each
+cutting-surface sweep, the final certification, the exchange's last
+sweep), ``separation.CandidateTables`` builds the candidate tables once.
+
 Both take a starting cut pool and grow it in place, so a caller can
 carry one solve's cuts to the next: a cut is a (sample, point) pair
 whose constraint does not depend on the radius.  The cutting surface
@@ -61,7 +65,7 @@ from .reformulate import (
     split_dual_solution,
     split_master_solution,
 )
-from .separation import best_violation, complete, separate
+from .separation import CandidateTables, best_violation, complete
 
 __all__ = [
     "IterationRecord",
@@ -97,7 +101,9 @@ class IterationRecord:
     backtracks: int
     master_seconds: float
     separation_seconds: float
-    # the part of separation_seconds spent in separation.complete
+    # the part of separation_seconds spent completing theta; the candidate
+    # tables the completion shares with the sweep are built once and
+    # count in separation_seconds only
     completion_seconds: float
     # what became the incumbent: "iterate", "completion" or None
     adopted: str | None = None
@@ -117,7 +123,8 @@ class SolveTrace:
     oracle_calls: int = 0
     master_seconds: float = 0.0
     separation_seconds: float = 0.0
-    # the part of separation_seconds spent in separation.complete
+    # the part of separation_seconds spent completing theta; a candidate
+    # table shared with a sweep counts in separation_seconds only
     completion_seconds: float = 0.0
     wall_seconds: float = 0.0
 
@@ -221,7 +228,9 @@ def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
             break
         point = split_dual_solution(data, report.solution)
         lower = -report.bound
-        sep = best_violation(point, data)
+        # the last sweep's tables also give the closing completion
+        tables = CandidateTables(point.theta, data)
+        sep = best_violation(point, data, tables)
         t2 = clock()
         trace.master_seconds += t1 - t0
         trace.separation_seconds += t2 - t1
@@ -252,7 +261,7 @@ def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
         trace.status = "iteration_limit"
     if point is not None:
         t0 = clock()
-        trace.robust_value = objective_f(complete(point.theta, data), data.radius)
+        trace.robust_value = objective_f(tables.complete(), data.radius)
         spent = clock() - t0
         trace.separation_seconds += spent
         trace.completion_seconds += spent
@@ -298,11 +307,10 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_I
     start = clock()
     trace = SolveTrace(algorithm="cutting_surface")
 
-    all_samples = np.arange(data.m)
     pool = CutPool(data) if pool is None else pool
     # each sample's observation is a zero-cost cut; a carried pool may
     # hold them already
-    pool.extend(all_samples, data.dataset.features)
+    pool.extend(np.arange(data.m), data.dataset.features)
 
     incumbent = None
     cap = der.objective_cap
@@ -353,9 +361,10 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_I
                 separation_seconds=0.0, completion_seconds=0.0))
             continue
 
-        points, violations = separate(point, data, all_samples)
+        tables = CandidateTables(point.theta, data)
+        points, violations = tables.separate(point.multipliers)
         t_swept = clock()
-        completion = complete(point.theta, data)
+        completion = tables.complete()
         t2 = clock()
         trace.separation_seconds += t2 - t1
         trace.completion_seconds += t2 - t_swept
@@ -403,12 +412,14 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_I
         # return the incumbent's completion unless it is higher, and
         # certify what we return by a full sweep
         t0 = clock()
-        completion = complete(incumbent.theta, data)
-        trace.completion_seconds += clock() - t0
+        tables = CandidateTables(incumbent.theta, data)
+        t_built = clock()
+        completion = tables.complete()
+        trace.completion_seconds += clock() - t_built
         trace.robust_value = objective_f(completion, data.radius)
         if trace.robust_value <= cap:
             incumbent = completion
-        _, final = separate(incumbent, data, all_samples)
+        _, final = tables.separate(incumbent.multipliers)
         trace.separation_seconds += clock() - t0
         trace.oracle_calls += data.m
         trace.final_violation = float(final.max())

@@ -106,6 +106,28 @@ def test_import_leaves_scipy_stats_out():
     assert result.stdout.strip() == "False"
 
 
+def fresh_scipy_modules(statement):
+    """The scipy modules a fresh process holds after running ``statement``."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = (f"import json, sys; {statement}; "
+            "print(json.dumps([k for k in sys.modules if k.split('.')[0] == 'scipy']))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def test_import_loads_no_scipy_module_beyond_linalg_and_special():
+    # the import pays for the Cholesky kernel (scipy.linalg) and the
+    # Student t tail (scipy.special), and for no other scipy module
+    allowed = fresh_scipy_modules("import scipy.linalg, scipy.linalg.lapack, scipy.special")
+    loaded = fresh_scipy_modules("import wassrobust")
+    assert {"scipy.linalg", "scipy.special"} <= loaded
+    assert loaded <= allowed, sorted(loaded - allowed)
+
+
 def test_config_round_trip_and_validation(tmp_path):
     cfg = ExperimentConfig(dataset_csv="d.csv", label_column="label",
                            train_size=20, repetitions=3,

@@ -83,6 +83,13 @@ def test_derive_constants_validation():
                          np.full(2, -1.0), np.full(2, 1.0))
 
 
+def test_region_filed_under_another_label_is_rejected():
+    ds = Dataset.from_arrays(np.array([[0.0], [1.0]]), [0, 1])
+    box = BoxRegion(np.array([-1.0]), np.array([2.0]), 1)
+    with pytest.raises(ValueError, match="the region for label 0 carries label 1"):
+        ProblemData.assemble(ds, {0: box, 1: box}, radius=0.5)
+
+
 def test_assemble_validation():
     ds = Dataset.from_arrays(np.array([[0.0]]), [1])
     regions = {1: BoxRegion(np.array([0.0]), np.array([0.0]), 1)}

@@ -32,13 +32,21 @@ from conftest import (
 
 
 def test_profile_single_coordinate_hand_case():
-    box = BoxRegion(np.array([-1.0]), np.array([1.0]), 1)
-    prof = transport_profile(np.array([0.0, 1.0]), box, np.array([[0.0], [0.5]]))
-    assert np.array_equal(prof.breakpoints, [[-1.0, 0.0, 1.0], [-1.0, 0.5, 1.0]])
-    assert np.array_equal(prof.costs, [[1.0, 0.0, 1.0], [1.5, 0.0, 0.5]])
-    assert np.array_equal(prof.base_cost, [0.0, 0.0])
-    assert np.array_equal(prof.witness([0, 2]), [[-1.0], [1.0]])
-    assert np.array_equal(prof.witness([1, 1]), [[0.0], [0.5]])
+    # label 1's loss rises as the score falls, label 0's as it rises
+    refs = np.array([[0.0], [0.5]])
+    theta = np.array([0.0, 1.0])
+    down = transport_profile(theta, BoxRegion(np.array([-1.0]), np.array([1.0]), 1), refs)
+    assert np.array_equal(down.breakpoints, [[0.0, -1.0], [0.5, -1.0]])
+    assert np.array_equal(down.costs, [[0.0, 1.0], [0.0, 1.5]])
+    assert np.array_equal(down.base_cost, [0.0, 0.0])
+    assert np.array_equal(down.witness([1, 1]), [[-1.0], [-1.0]])
+    assert np.array_equal(down.witness([0, 0]), [[0.0], [0.5]])
+    up = transport_profile(theta, BoxRegion(np.array([-1.0]), np.array([1.0]), 0), refs)
+    assert np.array_equal(up.breakpoints, [[0.0, 1.0], [0.5, 1.0]])
+    assert np.array_equal(up.costs, [[0.0, 1.0], [0.0, 0.5]])
+    assert np.array_equal(up.base_cost, [0.0, 0.0])
+    assert np.array_equal(up.witness([1, 1]), [[1.0], [1.0]])
+    assert np.array_equal(up.witness([0, 1]), [[0.0], [1.0]])
 
 
 def test_profile_zero_cost_at_own_score():
@@ -47,29 +55,30 @@ def test_profile_zero_cost_at_own_score():
         n = int(rng.integers(1, 5))
         lo = rng.normal(size=n)
         hi = lo + rng.uniform(0.2, 2.0, size=n)
-        box = BoxRegion(lo, hi, 0)
         refs = rng.uniform(lo, hi, size=(4, n))
         theta = rng.normal(size=n + 1)
-        prof = transport_profile(theta, box, refs)
-        middle = prof.breakpoints.shape[1] // 2
         own = theta[0] + refs @ theta[1:]
-        assert np.allclose(prof.breakpoints[:, middle], own, rtol=0, atol=1e-12)
-        assert np.array_equal(prof.costs[:, middle], np.zeros(4))
-        assert np.array_equal(prof.anchor, refs)
-        assert np.array_equal(prof.base_cost, np.zeros(4))
+        for label in (0, 1):
+            prof = transport_profile(theta, BoxRegion(lo, hi, label), refs)
+            # the anchor is the first column
+            assert np.allclose(prof.breakpoints[:, 0], own, rtol=0, atol=1e-12)
+            assert np.array_equal(prof.costs[:, 0], np.zeros(4))
+            assert np.array_equal(prof.anchor, refs)
+            assert np.array_equal(prof.base_cost, np.zeros(4))
 
 
 def test_profile_outside_reference_pays_entry_cost():
-    box = BoxRegion(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 1)
     ref = np.array([[2.0, -0.5]])
     theta = np.array([0.0, 1.0, 2.0])
-    prof = transport_profile(theta, box, ref)
-    assert np.array_equal(prof.anchor, [[1.0, 0.0]])
-    assert prof.base_cost[0] == pytest.approx(1.5, abs=1e-15)
-    assert np.all(prof.costs >= prof.base_cost[0] - 1e-15)
-    anchor_score = theta[0] + prof.anchor[0] @ theta[1:]
-    assert prof.breakpoints[0, 2] == pytest.approx(anchor_score, abs=1e-15)
-    assert prof.costs[0, 2] == pytest.approx(1.5, abs=1e-12)
+    for label in (0, 1):
+        box = BoxRegion(np.array([0.0, 0.0]), np.array([1.0, 1.0]), label)
+        prof = transport_profile(theta, box, ref)
+        assert np.array_equal(prof.anchor, [[1.0, 0.0]])
+        assert prof.base_cost[0] == pytest.approx(1.5, abs=1e-15)
+        assert np.all(prof.costs >= prof.base_cost[0] - 1e-15)
+        anchor_score = theta[0] + prof.anchor[0] @ theta[1:]
+        assert prof.breakpoints[0, 0] == pytest.approx(anchor_score, abs=1e-15)
+        assert prof.costs[0, 0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_profile_shape_and_convexity():
@@ -78,14 +87,21 @@ def test_profile_shape_and_convexity():
         n = int(rng.integers(1, 6))
         lo = rng.normal(size=n)
         hi = lo + rng.uniform(0.0, 2.0, size=n)
-        box = BoxRegion(lo, hi, 0)
         refs = rng.normal(size=(3, n)) * 0.5 + 0.5 * (lo + hi)
         theta = rng.normal(size=n + 1)
         theta[1 + rng.integers(0, n)] = 0.0  # a dead coordinate is fine
-        prof = transport_profile(theta, box, refs)
+        up = transport_profile(theta, BoxRegion(lo, hi, 0), refs)
+        down = transport_profile(theta, BoxRegion(lo, hi, 1), refs)
         live = int(np.count_nonzero(theta[1:]))
-        assert prof.breakpoints.shape == prof.costs.shape == (3, 2 * live + 1)
-        for bp, cs in zip(prof.breakpoints, prof.costs):
+        for half, rises in ((up, 1.0), (down, -1.0)):
+            assert half.breakpoints.shape == half.costs.shape == (3, live + 1)
+            # the score moves one way and the cost rises, column by column
+            assert np.all(rises * np.diff(half.breakpoints, axis=1) >= -1e-12)
+            assert np.all(np.diff(half.costs, axis=1) >= 0.0)
+        # both halves, joined at the anchor, make the whole convex profile
+        for k in range(3):
+            bp = np.concatenate([down.breakpoints[k, :0:-1], up.breakpoints[k]])
+            cs = np.concatenate([down.costs[k, :0:-1], up.costs[k]])
             assert np.all(np.diff(bp) >= -1e-12)
             assert np.all(cs >= -1e-12)
             seg = np.diff(bp) > 1e-12
@@ -326,3 +342,81 @@ def test_completion_matches_enumerated_robust_value():
         # exactly feasible: no sample's constraint is violated anywhere
         for i in range(data.m):
             assert vertex_max_violation(x, i, data)[0] <= 1e-12
+
+
+def two_sided_profile(theta, region, ref):
+    """One sample's whole transport profile, both directions: the scores,
+    costs and box points of its n' moves down (farthest first), the
+    anchor, then its n' moves up, and the slice of the moves that lower
+    the loss.  Written coordinate by coordinate; it shares no code with
+    ``transport_profile``, but sums in the same order, so its bits match.
+    """
+    w = theta[1:]
+    anchor = np.clip(ref, region.lower, region.upper)
+    base = float(np.sum(np.abs(anchor - ref)))
+    score = theta[0] + np.einsum("ij,j->i", anchor[None, :], w)[0]
+    order = sorted(np.flatnonzero(w), key=lambda j: -abs(w[j]))
+    sides = {}
+    for way in (1.0, -1.0):
+        u, c, z = score, base, anchor.copy()
+        column = []
+        for j in order:
+            face = region.upper[j] if (w[j] > 0.0) == (way > 0.0) else region.lower[j]
+            move = abs(face - anchor[j])
+            u, c = u + way * (abs(w[j]) * move), c + move
+            z[j] = face
+            column.append((u, c, z.copy()))
+        sides[way] = column
+    columns = sides[-1.0][::-1] + [(score, base, anchor)] + sides[1.0]
+    scores, costs, points = (np.array(part) for part in zip(*columns))
+    lowering = slice(len(order) + 1, None) if region.label == 1 else slice(0, len(order))
+    return scores, costs, points, lowering
+
+
+@pytest.mark.parametrize("m", [50, 200])
+def test_half_profiles_drop_only_columns_that_cannot_win(m):
+    rng = np.random.default_rng(m)
+    for seed in range(3):
+        # mean +/- one sd class boxes: most samples lie outside their box
+        data = box_problem(seed + 900, m=m, n=13, radius=0.1)
+        x = random_dual_point(data, seed)
+        theta = x.theta.copy()
+        theta[1 + rng.choice(13, size=3, replace=False)] = 0.0
+        refs, labels = data.dataset.features, data.dataset.labels
+        completion = complete(theta, data)
+        beta = completion.multipliers[-1]
+        atoms = data.loss.link_loss(theta[0] + np.einsum("ij,j->i", refs, theta[1:]), labels)
+        mult = x.multipliers
+        points, violations = separate(DualPoint(theta, mult), data, np.arange(m))
+        want_points = np.empty_like(points)
+        envelope = np.empty(m)
+        lowest, highest = np.empty(m), np.empty(m)
+        for i in range(m):
+            region, label = data.region_for_sample(i), int(labels[i])
+            scores, costs, pts, lowering = two_sided_profile(theta, region, refs[i])
+            values = data.loss.link_loss(scores, label)
+            anchor = scores.size // 2
+            for budget in (0.0, beta, mult[-1]):
+                g = values - mult[i] - budget * costs
+                assert np.all(g[lowering] <= g[anchor])
+            want_points[i] = pts[np.argmax(values - mult[i] - mult[-1] * costs)]
+            g = np.append(values, atoms[i]) - beta * np.append(costs, 0.0)
+            envelope[i] = g.max()
+            near = g >= envelope[i] - 1e-12
+            lowest[i] = np.append(costs, 0.0)[near].min()
+            highest[i] = np.append(costs, 0.0)[near].max()
+
+        want = (data.loss.link_loss(theta[0] + np.einsum("ij,j->i", want_points, theta[1:]),
+                                    labels)
+                - mult[:-1] - mult[-1] * np.sum(np.abs(want_points - refs), axis=1))
+        stay = atoms - mult[:-1] > want
+        want_points[stay] = refs[stay]
+        assert np.array_equal(points, want_points)
+        assert np.array_equal(violations, np.where(stay, atoms - mult[:-1], want))
+        assert np.array_equal(completion.multipliers[:-1], envelope)
+        # beta minimizes J: its slope, radius minus the mean active cost,
+        # changes sign at beta over the whole table
+        if beta > 0.0:
+            assert data.radius - highest.mean() <= 1e-12
+        if beta < data.derived.budget_upper:
+            assert data.radius - lowest.mean() >= -1e-12
