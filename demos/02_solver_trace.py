@@ -6,10 +6,10 @@ keeps the objective f below the cap M.  After
 each master, a sweep adds the violated scenario constraints and
 completes the master's theta: the completion is the exactly feasible
 point with that theta of least objective, the robust value J(theta).
-An eps-feasible iterate, or its completion if lower, becomes the
-incumbent and lowers the cap; after a sweep that adds cuts, the
-completion is adopted when it closes the gap to the lower bound at the
-guaranteed rate.  Once the margin vanishes, the plain master over the
+Only completions become the incumbent: one is adopted, and lowers the
+cap, when the iterate is eps-feasible and the completion lies below the
+cap, or when it closes the gap to the lower bound at the guaranteed
+rate.  Once the margin vanishes, the plain master over the
 cuts gives a certified lower bound, and the solve stops when the cap is
 within eps of it.
 """
@@ -63,7 +63,7 @@ def main():
           f"{trace.robust_value - trace.lower_bound:.2e} <= eps")
     print()
     print("a row with a large violation adds cuts; a row whose violation is")
-    print("below eps adopts the iterate or its completion.  Once the margin")
+    print("below eps adopts its completion if that lowers the cap.  Once the margin")
     print("falls to zero, the next row is the plain master over the cuts (it")
     print("has no margin): its value is the lower bound that certifies the gap")
 

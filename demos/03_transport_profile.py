@@ -12,8 +12,9 @@ one per nonzero weight, in the direction the loss rises.
 
 Every sample shares theta, so the profiles of a whole block of samples
 come from one sweep: ``transport_profile`` takes the block and returns
-one row of breakpoints per sample, and ``separate`` maximizes every
-listed sample's constraint at once.
+one row of breakpoints per sample, and ``CandidateTables`` builds every
+sample's candidates once per theta, so its ``separate`` maximizes every
+sample's constraint at once, at any multipliers.
 
 The tables below print that half of D for one sample (label 1, whose
 loss rises as u falls) and then show how the worst
@@ -26,10 +27,9 @@ import numpy as np
 
 from wassrobust import (
     BoxRegion,
+    CandidateTables,
     Dataset,
     ProblemData,
-    DualPoint,
-    separate,
     transport_profile,
 )
 
@@ -64,12 +64,12 @@ def main():
     print()
 
     lower, _ = data.multiplier_box()
+    tables = CandidateTables(theta, data)
     print(f"{'price':>8} {'worst scenario':>24} {'moved by':>10} {'violation':>11}")
     for price in (4.0, 1.0, 0.25, 0.05):
         mult = np.concatenate([np.full(dataset.m, lower[0] + 0.05), [price]])
-        x = DualPoint(theta, mult)
         # one sweep over all samples; row i is sample i's worst scenario
-        points, violations = separate(x, data, np.arange(dataset.m))
+        points, violations = tables.separate(mult)
         dist = np.abs(points[i] - features[i]).sum()
         print(f"{price:>8.2f} {np.round(points[i], 4)!s:>24} "
               f"{dist:>10.4f} {violations[i]:>11.4f}")

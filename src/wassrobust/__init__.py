@@ -21,10 +21,10 @@ from .losses import LogisticLoss
 from .convex import SolveReport, solve
 from .reformulate import CutPool, DerivedConstants, ProblemData, derive_constants
 from .separation import (
+    CandidateTables,
     SeparationResult,
     TransportProfile,
     best_violation,
-    separate,
     separate_exact,
     transport_profile,
 )

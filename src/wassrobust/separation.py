@@ -18,11 +18,11 @@ of them: one argsort and row-wise cumulative sums build the breakpoints
 of a whole block of samples at once.  Finite regions are searched by
 enumeration over one sample-by-point distance matrix.
 
-The same candidate tables give ``complete``: for a fixed theta, the
-exactly feasible multipliers of least objective, whose objective is the
-robust value J(theta).  ``CandidateTables`` builds them once per theta,
-so a caller that both separates and completes at one theta pays for
-them once; ``separate`` and ``complete`` build their own.
+``CandidateTables`` builds one theta's candidate tables once.  Its
+``separate`` sweeps them at any multipliers, and its ``complete`` gives
+the exactly feasible multipliers of least objective for that theta,
+whose objective is the robust value J(theta).  ``best_violation`` and
+``separate_exact`` return one sweep's most violated sample.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .model import BoxRegion, DualPoint, FiniteRegion, Scenario
 
 __all__ = ["TransportProfile", "SeparationResult", "CandidateTables", "transport_profile",
-           "separate", "separate_exact", "best_violation", "complete"]
+           "separate_exact", "best_violation"]
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,12 @@ class CandidateTables:
         self.classes = list(_class_tables(self.theta, data, self.refs, self.labels))
 
     def separate(self, multipliers):
-        """``separate`` at the dual point (theta, multipliers)."""
+        """Each sample's most violated point at (theta, multipliers), over
+        its region and its own observation, which wins only when strictly
+        better: the (r, n) points and their (r,) constraint values.  Each
+        value is re-evaluated at its point, so it agrees with
+        ``constraint_g`` to machine precision, and its bits do not depend
+        on which samples share the block."""
         mult = multipliers[self.samples]
         budget = multipliers[-1]
         points = np.empty_like(self.refs)
@@ -182,7 +187,20 @@ class CandidateTables:
         return points, np.where(stay, atoms, violations)
 
     def complete(self):
-        """``complete`` at this theta."""
+        """The least-objective dual point with this theta that is exactly
+        feasible: its objective is the robust value J(theta).
+
+        For fixed theta, J(theta) = min over beta in [0, budget_upper] of
+        beta * radius + (1/m) sum_i max_k (loss_ik - beta * cost_ik), where
+        k runs over sample i's candidates in ``separate`` plus its own
+        observation at zero cost; for every beta those hold the maximum
+        over the whole region.  J is convex and piecewise linear in beta,
+        and its slope is radius minus the mean active cost, which only
+        rises at the kinks of the samples' upper envelopes.  The
+        minimizing beta is the first kink (or end of the interval) where
+        the slope turns non-negative, and each multiplier is its sample's
+        maximum there.
+        """
         if not self.every:
             raise ValueError("a completion needs the tables of every sample")
         data = self.data
@@ -208,21 +226,6 @@ class CandidateTables:
             multipliers[:-1][rows] = np.max(values - budget * costs, axis=1)
         multipliers[-1] = budget
         return DualPoint(self.theta, multipliers)
-
-
-def separate(x, data, samples):
-    """Globally maximize each listed sample's constraint over its region.
-
-    Returns the (r, n) maximizing points and their (r,) constraint values.
-    Box regions use the transport-profile reduction and finite regions
-    are enumerated.  The sample's own observation is a candidate too:
-    keeping the training mass where it was costs no transport budget, so
-    it wins when it is strictly better than every region point.  Each
-    violation is the constraint value re-evaluated at its point, so it
-    agrees with ``constraint_g`` to machine precision, and its bits do
-    not depend on which samples share the block.
-    """
-    return CandidateTables(x.theta, data, samples).separate(x.multipliers)
 
 
 def _envelope_kinks(values, costs, upper):
@@ -257,23 +260,6 @@ def _envelope_kinks(values, costs, upper):
     return start, np.concatenate(betas), np.concatenate(drops)
 
 
-def complete(theta, data):
-    """The least-objective dual point with this theta that is exactly
-    feasible: its objective is the robust value J(theta).
-
-    For fixed theta, J(theta) = min over beta in [0, budget_upper] of
-    beta * radius + (1/m) sum_i max_k (loss_ik - beta * cost_ik), where k
-    runs over sample i's candidates in ``separate`` plus its own
-    observation at zero cost; for every beta those hold the maximum over
-    the whole region.  J is convex and piecewise linear in beta, and
-    its slope is radius minus the mean active cost, which only rises at
-    the kinks of the samples' upper envelopes.  The minimizing beta is
-    the first kink (or end of the interval) where the slope turns
-    non-negative, and each multiplier is its sample's maximum there.
-    """
-    return CandidateTables(theta, data).complete()
-
-
 def _result(data, samples, points, violations):
     """The sweep's first most violated sample, as a ``SeparationResult``."""
     k = int(np.argmax(violations))
@@ -283,8 +269,8 @@ def _result(data, samples, points, violations):
 
 
 def separate_exact(x, i, data):
-    """``separate`` for sample ``i`` alone, as a ``SeparationResult``."""
-    return _result(data, [i], *separate(x, data, [i]))
+    """A sweep of sample ``i`` alone, as a ``SeparationResult``."""
+    return _result(data, [i], *CandidateTables(x.theta, data, [i]).separate(x.multipliers))
 
 
 def best_violation(x, data, tables=None):

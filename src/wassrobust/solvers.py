@@ -11,20 +11,16 @@ Two algorithms, both driven by the separation oracles:
   bound (the cap) on the optimal value and repeatedly maximize the
   feasibility margin ``w`` of the current cut set under that bound.
   Each sweep adds every violated constraint it finds and completes the
-  master's theta: ``separation.complete`` gives the exactly feasible
-  point of least objective with that theta, whose objective is the
-  robust value J(theta).  An eps-feasible iterate, or its completion if
-  lower, becomes the incumbent and its objective the cap.  After any
-  other sweep the completion is adopted only when it closes the gap to
-  the best lower bound LB by the rate factor rho: f - LB <= rho (cap -
-  LB), which keeps the geometric contraction the acceptance tests
-  check.  When the margin vanishes, the plain master over the pool
-  gives LB; the loop stops once cap - LB <= eps and otherwise adds that
-  point's violated cuts and goes on.  The pool keeps every cut.
-
-Wherever one theta is both separated and completed (each
-cutting-surface sweep, the final certification, the exchange's last
-sweep), ``separation.CandidateTables`` builds the candidate tables once.
+  master's theta: ``CandidateTables.complete`` gives the exactly
+  feasible point of least objective with that theta, whose objective is
+  the robust value J(theta).  The incumbent is always a completion, and
+  its objective the cap.  A completion is adopted when the iterate is
+  eps-feasible and it lowers the cap, or when it closes the gap to the
+  best lower bound LB by the rate factor rho: f - LB <= rho (cap - LB),
+  which keeps the geometric contraction the acceptance tests check.
+  When the margin vanishes, the plain master over the pool gives LB; the
+  loop stops once cap - LB <= eps and otherwise adds that point's
+  violated cuts and goes on.  The pool keeps every cut.
 
 Both take a starting cut pool and grow it in place, so a caller can
 carry one solve's cuts to the next: a cut is a (sample, point) pair
@@ -65,7 +61,7 @@ from .reformulate import (
     split_dual_solution,
     split_master_solution,
 )
-from .separation import CandidateTables, best_violation, complete
+from .separation import CandidateTables, best_violation
 
 __all__ = [
     "IterationRecord",
@@ -105,7 +101,8 @@ class IterationRecord:
     # tables the completion shares with the sweep are built once and
     # count in separation_seconds only
     completion_seconds: float
-    # what became the incumbent: "iterate", "completion" or None
+    # "completion" when the sweep's completion became the incumbent,
+    # else None
     adopted: str | None = None
 
 
@@ -273,17 +270,17 @@ def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
     return point, trace
 
 
-def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_ITERATIONS,
-                          trace_path=None, capture_timing=True):
+def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
+                          capture_timing=True):
     """Centered cutting scheme that stops on a certified eps gap.
 
-    Each sweep adds every violated constraint it finds and may adopt the
-    iterate or its completion as the incumbent (see the module notes).
-    When the margin vanishes, the next master solved is the plain one
-    over the pool; its value is the lower bound, and the loop stops once
-    the cap is within eps of it.  Returns the completion of the
-    incumbent's theta when that is not above the incumbent; a solve that
-    adopts none returns None as its point and skips the final sweep.
+    Each sweep adds every violated constraint it finds and may adopt its
+    completion as the incumbent (see the module notes).  When the margin
+    vanishes, the next master solved is the plain one over the pool; its
+    value is the lower bound, and the loop stops once the cap is within
+    eps of it.  Returns the incumbent, certified by a sweep on the tables
+    it was completed from; a solve that adopts none returns None as its
+    point and skips that sweep.
 
     A warm start passes the cuts to begin from as ``pool``, which the
     solve grows in place, and a ``theta`` inside the parameter box: its
@@ -312,24 +309,26 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_I
     # hold them already
     pool.extend(np.arange(data.m), data.dataset.features)
 
-    incumbent = None
+    # the incumbent and the candidate tables it was completed from
+    incumbent = incumbent_tables = None
     cap = der.objective_cap
     lower = der.loss_lower
     if theta is not None:
         # the completion is exactly feasible, so its objective bounds the
         # optimum from above; it is the cap unless it is no tighter
         t0 = clock()
-        completion = complete(theta, data)
-        spent = clock() - t0
-        trace.separation_seconds += spent
-        trace.completion_seconds += spent
+        tables = CandidateTables(theta, data)
+        t_built = clock()
+        completion = tables.complete()
+        trace.completion_seconds += clock() - t_built
+        trace.separation_seconds += clock() - t0
         completed = objective_f(completion, data.radius)
         if completed < cap:
-            incumbent, cap = completion, completed
+            incumbent, incumbent_tables, cap = completion, tables, completed
     # the last centered master's margin vanished: solve the plain master
     gap_check = False
 
-    for k in range(1, max_iterations + 1):
+    for k in range(1, MAX_ITERATIONS + 1):
         t0 = clock()
         if gap_check:
             program = build_exchange_master(data, pool)
@@ -374,19 +373,15 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_I
 
         adopted = None
         completed = objective_f(completion, data.radius)
-        if not gap_check and worst <= eps:
-            # the iterate is eps-feasible: adopt it or its completion,
-            # whichever is lower, and tighten the cap
-            adopted = "completion" if completed <= record["objective"] else "iterate"
-        elif completed - lower <= der.rate_bound * (cap - lower):
-            # the completion contracts the gap at the guaranteed rate
+        # an eps-feasible iterate, or a contraction at the guaranteed rate
+        if ((not gap_check and worst <= eps and completed < cap)
+                or completed - lower <= der.rate_bound * (cap - lower)):
             adopted = "completion"
-        if adopted is not None:
-            incumbent = completion if adopted == "completion" else point
-            cap = objective_f(incumbent, data.radius)
+            incumbent, incumbent_tables, cap = completion, tables, completed
 
         done = gap_check and cap - lower <= eps
-        cutting = not done and (gap_check or worst > eps)
+        # with no lower cap the same master would be solved again
+        cutting = not done and (gap_check or worst > eps or adopted is None)
         added = pool.extend(violated, points[violated]) if cutting else 0
         # no new cut and no lower cap: the loop cannot move further at
         # this precision
@@ -409,17 +404,9 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, max_iterations=MAX_I
         trace.status = "iteration_limit"
 
     if incumbent is not None:
-        # return the incumbent's completion unless it is higher, and
-        # certify what we return by a full sweep
+        trace.robust_value = cap
         t0 = clock()
-        tables = CandidateTables(incumbent.theta, data)
-        t_built = clock()
-        completion = tables.complete()
-        trace.completion_seconds += clock() - t_built
-        trace.robust_value = objective_f(completion, data.radius)
-        if trace.robust_value <= cap:
-            incumbent = completion
-        _, final = tables.separate(incumbent.multipliers)
+        _, final = incumbent_tables.separate(incumbent.multipliers)
         trace.separation_seconds += clock() - t0
         trace.oracle_calls += data.m
         trace.final_violation = float(final.max())

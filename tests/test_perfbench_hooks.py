@@ -1,24 +1,30 @@
-"""The benchmark's per-layer hooks still find the library's layer boundaries.
+"""The benchmark's per-layer hooks still find the library's layer boundaries,
+and its workloads still run against the library's API.
 
 ``perfbench/tracing.py`` skips a target it cannot find, so a refactor that
 drops one would only show as a missing span in a benchmark run.  The
-module is imported from its file and left as it is.
+modules are imported from their files and left as they are.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from wassrobust import solvers
 from wassrobust.reformulate import build_master, master_interior_point
 
 from conftest import box_problem
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up by name
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -37,7 +43,7 @@ REQUIRED = {
 
 
 def test_layer_targets_resolve():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     rows = ("convex.", "reformulate.build", "reformulate.interior_point", "separation.")
     behind_rows = {(path, attr) for path, attr, name, _ in tracing.TARGETS
                    if name.startswith(rows)}
@@ -47,7 +53,7 @@ def test_layer_targets_resolve():
 
 
 def test_solve_spans_carry_steps_dim_and_rows():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     data = box_problem(5, m=6, n=2)
     pool = solvers._atom_pool(data)
     cap = data.derived.objective_cap
@@ -68,3 +74,11 @@ def test_solve_spans_carry_steps_dim_and_rows():
         # the plain master [theta, s, beta] or the centered one, with w
         assert span.attrs["dim"] - (data.theta_size + data.m + 1) in (0, 1)
         assert span.attrs["rows"] >= data.m
+
+
+@pytest.mark.parametrize("workload", ["fit_m200", "certify_m2000", "finite_c1", "experiment_m50"])
+def test_workload_runs_and_passes_its_check(workload, tmp_path):
+    # every library name a workload calls, through its first operation and
+    # that operation's check (certify_m2000's also sweeps each sample alone)
+    plan = load_perfbench("workloads").WORKLOADS[workload](0, tmp_path)
+    plan.check(0, plan.ops[0]())

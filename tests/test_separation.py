@@ -7,19 +7,18 @@ from hypothesis import strategies as st
 
 from wassrobust import (
     BoxRegion,
+    CandidateTables,
     Dataset,
     DualPoint,
     FiniteRegion,
     ProblemData,
     Scenario,
     constraint_g,
-    separate,
     separate_exact,
     transport_profile,
     best_violation,
     objective_f,
 )
-from wassrobust.separation import complete
 
 from conftest import (
     box_problem,
@@ -175,7 +174,7 @@ def assert_matches_oracle(x, data, points, violations, oracle):
 @given(box_instances())
 def test_sweep_matches_vertex_enumeration(instance):
     data, x = instance
-    points, violations = separate(x, data, np.arange(data.m))
+    points, violations = CandidateTables(x.theta, data).separate(x.multipliers)
     assert points.shape == (data.m, data.dataset.n)
     for i in range(data.m):
         assert data.region_for_sample(i).contains(points[i], tol=0.0) \
@@ -203,11 +202,11 @@ def test_sweep_mixes_a_finite_and_a_box_region():
 
     for seed in range(10):
         x = random_dual_point(data, seed)
-        points, violations = separate(x, data, np.arange(data.m))
+        points, violations = CandidateTables(x.theta, data).separate(x.multipliers)
         assert_matches_oracle(x, data, points, violations, oracle)
         # a row's bits do not depend on the block it is separated in
         for i in range(data.m):
-            alone = separate(x, data, [i])
+            alone = CandidateTables(x.theta, data, [i]).separate(x.multipliers)
             assert np.array_equal(alone[0][0], points[i])
             assert alone[1][0] == violations[i]
 
@@ -335,7 +334,7 @@ def test_completion_matches_enumerated_robust_value():
                   for s in range(10)]
     for data in instances:
         theta = rng.uniform(-3.0, 3.0, size=data.theta_size)
-        x = complete(theta, data)
+        x = CandidateTables(theta, data).complete()
         assert np.array_equal(x.theta, theta)
         assert 0.0 <= x.multipliers[-1] <= data.derived.budget_upper
         assert abs(objective_f(x, data.radius) - enumerated_robust_value(theta, data)) <= 1e-12
@@ -383,11 +382,12 @@ def test_half_profiles_drop_only_columns_that_cannot_win(m):
         theta = x.theta.copy()
         theta[1 + rng.choice(13, size=3, replace=False)] = 0.0
         refs, labels = data.dataset.features, data.dataset.labels
-        completion = complete(theta, data)
+        tables = CandidateTables(theta, data)
+        completion = tables.complete()
         beta = completion.multipliers[-1]
         atoms = data.loss.link_loss(theta[0] + np.einsum("ij,j->i", refs, theta[1:]), labels)
         mult = x.multipliers
-        points, violations = separate(DualPoint(theta, mult), data, np.arange(m))
+        points, violations = tables.separate(mult)
         want_points = np.empty_like(points)
         envelope = np.empty(m)
         lowest, highest = np.empty(m), np.empty(m)

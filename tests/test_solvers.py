@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from wassrobust import (
     BoxRegion,
+    CandidateTables,
     CutPool,
     Dataset,
+    DualPoint,
     ProblemData,
     fit_wrlr,
     objective_f,
@@ -19,7 +21,7 @@ from wassrobust import (
     solve_full_enumeration,
     solve_nominal,
 )
-from wassrobust import convex
+from wassrobust import convex, solvers
 
 from conftest import blob_dataset, box_problem, enumerated_robust_value, finite_problem
 
@@ -189,9 +191,10 @@ def test_cutting_surface_seeds_pool_with_every_sample():
     assert trace.status == "optimal"
 
 
-def test_cutting_surface_iteration_cap_reports_honestly():
+def test_cutting_surface_iteration_cap_reports_honestly(monkeypatch):
+    monkeypatch.setattr(solvers, "MAX_ITERATIONS", 3)
     data = box_problem(9, m=12, n=3, radius=0.2)
-    point, trace = solve_cutting_surface(data, 1e-8, max_iterations=3)
+    point, trace = solve_cutting_surface(data, 1e-8)
     assert trace.status == "iteration_limit"
     assert trace.iterations == 3
 
@@ -210,6 +213,50 @@ def test_solve_that_adopts_no_iterate_returns_none(monkeypatch):
         assert trace.final_violation is None
     with pytest.raises(RuntimeError, match="robust fit failed: master_iteration_limit"):
         fit_wrlr(data.dataset, 0.2)
+
+
+def test_loose_completions_certify_no_false_gap(monkeypatch):
+    # every completion sits 1e-3 above J(theta) but stays exactly
+    # feasible: its objective is an upper bound, just not the least one
+    complete = CandidateTables.complete
+
+    def loose(tables):
+        x = complete(tables)
+        return DualPoint(x.theta, np.append(x.multipliers[:-1] + 1e-3, x.multipliers[-1]))
+
+    monkeypatch.setattr(CandidateTables, "complete", loose)
+    eps = 1e-6
+    data = box_problem(2, m=12, n=3, radius=0.2)
+    point, trace = solve_cutting_surface(data, eps)
+    if trace.status == "optimal":
+        assert trace.robust_value - trace.lower_bound <= eps
+    assert objective_f(point, data.radius) == trace.robust_value
+    caps = [rec.cap for rec in trace.records]
+    assert all(new <= old for old, new in zip(caps, caps[1:]))
+
+
+def test_each_sweep_builds_the_only_candidate_tables(monkeypatch):
+    # the incumbent is certified on the tables it was completed from, so a
+    # cold solve builds one table set per sweep, and a warm theta one more
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return CandidateTables(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "CandidateTables", counting)
+    data = box_problem(4, m=10, n=3, radius=0.2)
+    point, cold = solve_cutting_surface(data, 1e-6)
+    sweeps = sum(rec.violation is not None for rec in cold.records)
+    assert cold.status == "optimal" and sweeps > 0
+    assert len(built) == sweeps
+    built.clear()
+    # the same training set at another radius
+    _, warm = solve_cutting_surface(box_problem(4, m=10, n=3, radius=0.1), 1e-6,
+                                    theta=point.theta)
+    assert warm.status == "optimal"
+    assert len(built) == sum(rec.violation is not None for rec in warm.records) + 1
+    assert np.array_equal(built[0], point.theta)
 
 
 def test_improvement_ratios_respect_rate_bound():
@@ -253,7 +300,7 @@ def test_trace_jsonl_round_trip(tmp_path):
         assert 0.0 <= rec.kkt_residual <= 1e-6
         assert line["ridges"] == rec.ridges >= 0
         assert line["backtracks"] == rec.backtracks >= 0
-        assert line["adopted"] == rec.adopted in (None, "iterate", "completion")
+        assert line["adopted"] == rec.adopted in (None, "completion")
     done = lines[-1]
     assert done["event"] == "done"
     assert done["status"] == trace.status
@@ -327,7 +374,8 @@ def test_timing_capture_modes():
     # the completions are part of the separation time, in every record too
     assert 0.0 < timed.completion_seconds < timed.separation_seconds
     assert all(0.0 <= r.completion_seconds <= r.separation_seconds for r in timed.records)
-    assert sum(r.completion_seconds for r in timed.records) < timed.completion_seconds
+    # a cold solve completes only in its sweeps
+    assert sum(r.completion_seconds for r in timed.records) == timed.completion_seconds
     # the exchange loop completes only the point it returns
     point, exchange = solve_exchange(data, 1e-5)
     assert 0.0 < exchange.completion_seconds < exchange.separation_seconds
