@@ -23,9 +23,10 @@ A flag that the chosen path would ignore is an error (exit status 2):
 not ``cutting_surface`` or ``exchange``, or when ``--solver`` names the
 other one.  Bad input of any other kind (a value the library rejects, an
 unreadable or malformed file, an instance without ``features``,
-``labels`` or ``radius``, an experiment ``--trace`` that is not an
-existing directory) prints one line naming the problem and exits with
-status 2.  ``trace-summary`` exits with status 2 on a line whose
+``labels`` or ``radius`` or whose ``regions`` are not an object of
+region objects, an experiment config value of the wrong type or range,
+an experiment ``--trace`` that is not an existing directory) prints one
+line naming the problem and exits with status 2.  ``trace-summary`` exits with status 2 on a line whose
 ``schema`` it does not read, naming that schema, and on a line that is
 not a JSON object or lacks a field it reads, naming the line number and
 the field.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -98,6 +100,9 @@ def _cmd_fit(args):
 
 
 def _region_from_payload(payload, label):
+    if not isinstance(payload, dict):
+        raise ValueError(f'region {label} must be an object with "points" or '
+                         f'"lower" and "upper", got {payload!r}')
     if "points" in payload:
         return FiniteRegion(np.asarray(payload["points"], dtype=float), label)
     missing = [f'"{key}"' for key in ("lower", "upper") if key not in payload]
@@ -124,6 +129,9 @@ def _cmd_solve(args):
     dataset = Dataset.from_arrays(np.asarray(payload["features"], dtype=float),
                                   np.asarray(payload["labels"]))
     if "regions" in payload:
+        if not isinstance(payload["regions"], dict):
+            return _error(args, 'instance "regions" must be an object mapping each '
+                          f"label to a region, got {payload['regions']!r}")
         regions = {int(k): _region_from_payload(v, int(k))
                    for k, v in payload["regions"].items()}
     else:
@@ -169,8 +177,7 @@ def _cmd_experiment(args):
         overrides["eps"] = args.eps
     if args.trace is not None:
         overrides["trace_dir"] = args.trace
-    if overrides:
-        config = config.replace(**overrides)
+    config = dataclasses.replace(config, **overrides)
     result = run_experiment(config)
     emit_results(result, args.csv_out, args.json_out)
     agg = result.aggregate

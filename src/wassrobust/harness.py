@@ -14,6 +14,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import stdtr
@@ -30,19 +31,6 @@ __all__ = [
     "welch_pvalue",
     "emit_results",
 ]
-
-RESULT_COLUMNS = (
-    "repetition",
-    "chosen_radius",
-    "auc_lr",
-    "auc_wrlr",
-    "outer_iterations",
-    "cut_count",
-    "master_fraction",
-    "separation_fraction",
-    "wall_seconds",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -63,7 +51,15 @@ class ExperimentConfig:
     trace_dir: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "radius_grid", tuple(float(r) for r in self.radius_grid))
+        for key in ("train_size", "repetitions", "folds", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        grid = self.radius_grid
+        if not isinstance(grid, (list, tuple)) or not all(
+                isinstance(r, Real) and not isinstance(r, bool) for r in grid):
+            raise ValueError(f"radius_grid must be a list of numbers, got {grid!r}")
+        object.__setattr__(self, "radius_grid", tuple(float(r) for r in grid))
         if self.train_size < 2:
             raise ValueError("train_size must be at least 2")
         if self.repetitions < 1:
@@ -81,11 +77,6 @@ class ExperimentConfig:
             raise ValueError(f"{path}: unknown config keys {unknown}")
         return cls(**payload)
 
-    def replace(self, **changes):
-        payload = asdict(self)
-        payload.update(changes)
-        return ExperimentConfig(**payload)
-
 
 @dataclass(frozen=True)
 class RepetitionResult:
@@ -100,6 +91,10 @@ class RepetitionResult:
     wall_seconds: float
 
 
+# the CSV columns ``emit_results`` writes, one row per repetition
+RESULT_COLUMNS = tuple(f.name for f in fields(RepetitionResult))
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
@@ -107,12 +102,17 @@ class ExperimentResult:
     aggregate: dict
 
 
+def _no_spread_pvalue(mean):
+    """The p-value when the differences have no spread: 0 for a positive
+    mean difference, 1 for a negative one, 0.5 for none."""
+    return 0.0 if mean > 0 else (1.0 if mean < 0 else 0.5)
+
+
 def paired_pvalue(auc_robust, auc_plain):
     """One-sided paired t-test p-value for 'robust beats plain'.
 
-    Degenerate spread is resolved by the sign of the mean difference:
-    all-zero differences give 0.5, a positive mean with zero variance
-    gives 0, a negative one gives 1.
+    Differences with no spread (all equal, or a single pair) are decided
+    by the sign of their mean (see ``_no_spread_pvalue``).
     """
     a = np.asarray(auc_robust, dtype=float)
     b = np.asarray(auc_plain, dtype=float)
@@ -120,22 +120,16 @@ def paired_pvalue(auc_robust, auc_plain):
         raise ValueError("need two equal-length 1-D score vectors")
     diff = a - b
     mean = float(np.mean(diff))
-    if a.size == 1:
-        sd = 0.0
-    else:
-        sd = float(np.std(diff, ddof=1))
+    sd = float(np.std(diff, ddof=1)) if diff.size > 1 else 0.0
     if sd == 0.0:
-        if mean > 0:
-            return 0.0
-        if mean < 0:
-            return 1.0
-        return 0.5
+        return _no_spread_pvalue(mean)
     stat = mean / (sd / np.sqrt(diff.size))
     return float(stdtr(diff.size - 1, -stat))
 
 
 def welch_pvalue(auc_robust, auc_plain):
-    """One-sided Welch t-test p-value for 'robust beats plain'."""
+    """One-sided Welch t-test p-value for 'robust beats plain'; two sides
+    with no spread are decided as in ``paired_pvalue``."""
     a = np.asarray(auc_robust, dtype=float)
     b = np.asarray(auc_plain, dtype=float)
     if a.size < 2 or b.size < 2:
@@ -144,22 +138,21 @@ def welch_pvalue(auc_robust, auc_plain):
     na, nb = a.size, b.size
     denom_sq = va / na + vb / nb
     if denom_sq == 0.0:
-        mean = float(np.mean(a) - np.mean(b))
-        return 0.0 if mean > 0 else (1.0 if mean < 0 else 0.5)
+        return _no_spread_pvalue(float(np.mean(a) - np.mean(b)))
     stat = (np.mean(a) - np.mean(b)) / np.sqrt(denom_sq)
     df = denom_sq**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     return float(stdtr(df, -stat))
 
 
-def _standardized(train, rest, dataset):
+def _standardized(train, test_x):
     """Z-score features using training statistics only."""
     mu = train.features.mean(axis=0)
     sd = train.features.std(axis=0, ddof=1) if train.m > 1 else np.ones(train.n)
     sd = np.where(sd > 0, sd, 1.0)
     scale = lambda X: (X - mu) / sd
     new_train = Dataset.from_arrays(scale(train.features), train.labels,
-                                    dataset.feature_names)
-    return new_train, scale(rest[0]), rest[1]
+                                    train.feature_names)
+    return new_train, scale(test_x)
 
 
 def _run_repetition(rep, config, dataset):
@@ -184,7 +177,7 @@ def _run_repetition(rep, config, dataset):
     if not (np.any(test_y == 0) and np.any(test_y == 1)):
         raise ValueError("held-out part lacks one class; use a smaller train_size")
     if config.standardize:
-        train, test_x, test_y = _standardized(train, (test_x, test_y), dataset)
+        train, test_x = _standardized(train, test_x)
 
     fit_kwargs = dict(
         eps=config.eps, solver=config.solver, theta_radius=config.theta_radius,
@@ -259,9 +252,8 @@ def emit_results(result, csv_path, json_path):
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for rep in result.repetitions:
-            row = asdict(rep)
-            writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
-                             for c in RESULT_COLUMNS])
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in asdict(rep).values()])
     payload = {
         "aggregate": result.aggregate,
         "config": asdict(result.config),

@@ -18,9 +18,11 @@ Two algorithms, both driven by the separation oracles:
   eps-feasible and it lowers the cap, or when it closes the gap to the
   best lower bound LB by the rate factor rho: f - LB <= rho (cap - LB),
   which keeps the geometric contraction the acceptance tests check.
-  When the margin vanishes, the plain master over the pool gives LB; the
-  loop stops once cap - LB <= eps and otherwise adds that point's
-  violated cuts and goes on.  The pool keeps every cut.
+  When the margin vanishes, or a sweep adds no cut and adopts nothing,
+  the plain master over the pool gives LB; the loop stops once
+  cap - LB <= eps and otherwise adds that point's violated cuts and goes
+  on.  It stops as stalled only when that plain master's sweep, too,
+  adds no cut and adopts nothing.  The pool keeps every cut.
 
 Both take a starting cut pool and grow it in place, so a caller can
 carry one solve's cuts to the next: a cut is a (sample, point) pair
@@ -276,11 +278,12 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
 
     Each sweep adds every violated constraint it finds and may adopt its
     completion as the incumbent (see the module notes).  When the margin
-    vanishes, the next master solved is the plain one over the pool; its
-    value is the lower bound, and the loop stops once the cap is within
-    eps of it.  Returns the incumbent, certified by a sweep on the tables
-    it was completed from; a solve that adopts none returns None as its
-    point and skips that sweep.
+    vanishes, or a sweep adds no cut and adopts nothing, the next master
+    solved is the plain one over the pool; its value is the lower bound,
+    and the loop stops once the cap is within eps of it.  Returns the
+    incumbent, certified by a sweep on the tables it was completed from;
+    a solve that adopts none returns None as its point and skips that
+    sweep.
 
     A warm start passes the cuts to begin from as ``pool``, which the
     solve grows in place, and a ``theta`` inside the parameter box: its
@@ -383,8 +386,9 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
         # with no lower cap the same master would be solved again
         cutting = not done and (gap_check or worst > eps or adopted is None)
         added = pool.extend(violated, points[violated]) if cutting else 0
-        # no new cut and no lower cap: the loop cannot move further at
-        # this precision
+        # no new cut and no lower cap: the centered master cannot move
+        # further at this precision, and after the plain one neither can
+        # the loop
         stalled = cutting and added == 0 and adopted is None
 
         trace.records.append(IterationRecord(
@@ -396,10 +400,10 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
         if done:
             trace.status = "optimal"
             break
-        if stalled:
+        if stalled and gap_check:
             trace.status = "stalled"
             break
-        gap_check = False
+        gap_check = stalled
     else:
         trace.status = "iteration_limit"
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LogisticLoss, sigmoid
-from .model import BoxRegion
+from .model import BoxRegion, _frozen
 from .reformulate import CutPool, ProblemData
 from .solvers import SolveTrace, solve_cutting_surface, solve_exchange, solve_nominal
 
@@ -56,9 +56,7 @@ class FittedModel:
     def __post_init__(self):
         for name, dtype in (("theta", float), ("samples", int), ("points", float)):
             if getattr(self, name) is not None:
-                arr = np.array(getattr(self, name), dtype=dtype)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
 
 
 def build_regions(dataset):
@@ -169,9 +167,7 @@ class CvReport:
     seed: int
 
     def __post_init__(self):
-        arr = np.array(self.fold_of_sample, dtype=int)
-        arr.setflags(write=False)
-        object.__setattr__(self, "fold_of_sample", arr)
+        object.__setattr__(self, "fold_of_sample", _frozen(self.fold_of_sample, int))
 
 
 def _require_both_classes(dataset):
@@ -181,24 +177,24 @@ def _require_both_classes(dataset):
 
 
 def _stratified_folds(dataset, folds, rng):
-    """Fold label per sample, balanced within each class."""
+    """Fold label per sample: each class is permuted and dealt round-robin
+    into the folds, so a class of c samples fills folds 0 to min(c, folds) - 1."""
     assignment = np.zeros(dataset.m, dtype=int)
     for label in (0, 1):
-        idx = np.flatnonzero(dataset.labels == label)
-        perm = rng.permutation(idx)
-        for pos, sample in enumerate(perm):
-            assignment[sample] = pos % folds
+        perm = rng.permutation(np.flatnonzero(dataset.labels == label))
+        assignment[perm] = np.arange(perm.size) % folds
     return assignment
 
 
 def select_r0(train, grid, folds=4, seed=0, **fit_kwargs):
     """Pick the radius with the best mean validation AUC.
 
-    Folds are stratified and seeded.  Each fold's training part must
-    contain both classes; assignments are redrawn up to 20 times before
-    giving up.  Folds whose validation part is single-class contribute
-    no AUC and are skipped consistently for every radius.  Ties choose
-    the smaller radius.
+    Folds are stratified and seeded (see ``_stratified_folds``).  They
+    need ``folds >= 2`` and two samples of each class, so that every
+    fold's training part holds both classes; otherwise ``ValueError``.
+    When the smaller class has c < folds samples, only folds 0 to c - 1
+    hold it, so only they validate, for every radius.  Ties choose the
+    smaller radius.
 
     Each fold fits the distinct radii in ascending order, and every fit
     is warm-started from the fold's previous model (see ``fit_wrlr``):
@@ -211,41 +207,24 @@ def select_r0(train, grid, folds=4, seed=0, **fit_kwargs):
         raise ValueError("radius grid is empty")
     if any(r < 0 for r in grid):
         raise ValueError("radii must be non-negative")
-    _require_both_classes(train)
-    rng = np.random.default_rng(seed)
-    assignment = None
-    for _ in range(20):
-        candidate = _stratified_folds(train, folds, rng)
-        ok = True
-        for fold in range(folds):
-            part = train.labels[candidate != fold]
-            if not (np.any(part == 0) and np.any(part == 1)):
-                ok = False
-                break
-        if ok:
-            assignment = candidate
-            break
-    if assignment is None:
-        raise ValueError("could not build folds whose training parts hold both classes")
-
-    usable = [fold for fold in range(folds)
-              if len(set(train.labels[assignment == fold])) == 2]
-    if not usable:
-        raise ValueError("no fold's validation part contains both classes")
-
-    split = []
-    for fold in usable:
-        train_part = train.subset(np.flatnonzero(assignment != fold))
-        val_idx = np.flatnonzero(assignment == fold)
-        split.append((train_part, train.features[val_idx], train.labels[val_idx]))
+    counts = train.class_counts()
+    if folds < 2 or min(counts) < 2:
+        raise ValueError(f"cross-validation needs folds >= 2 and two samples of each "
+                         f"class; got folds={folds} and classes of {counts[0]} and "
+                         f"{counts[1]} samples")
+    assignment = _stratified_folds(train, folds, np.random.default_rng(seed))
 
     radii = sorted(set(grid))
     aucs = {radius: [] for radius in radii}
-    for part, val_x, val_y in split:
+    # the folds whose validation part holds both classes
+    for fold in range(min(*counts, folds)):
+        part = train.subset(np.flatnonzero(assignment != fold))
+        val = assignment == fold
         model = None
         for radius in radii:
             model = fit_wrlr(part, radius, warm=model, **fit_kwargs)
-            aucs[radius].append(auc(predict_score(model, val_x), val_y))
+            aucs[radius].append(auc(predict_score(model, train.features[val]),
+                                    train.labels[val]))
     mean_by_radius = {radius: float(np.mean(values)) for radius, values in aucs.items()}
 
     means = tuple(mean_by_radius[r] for r in grid)

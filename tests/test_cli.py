@@ -261,6 +261,31 @@ def test_experiment_command(tmp_path, capsys):
     assert tuple(header.split(",")) == RESULT_COLUMNS
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("folds", 0, "folds=0"),
+    ("folds", 2.5, "folds must be an integer, got 2.5"),
+    ("repetitions", 2.0, "repetitions must be an integer, got 2.0"),
+    ("train_size", 20.0, "train_size must be an integer, got 20.0"),
+    ("radius_grid", 0.1, "radius_grid must be a list of numbers, got 0.1"),
+], ids=["folds-0", "folds-2.5", "repetitions-2.0", "train_size-20.0", "radius_grid-0.1"])
+def test_experiment_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value,
+                                                             message):
+    data = dataset_csv(tmp_path, seed=29, m=30)
+    cfg = ExperimentConfig(dataset_csv=str(data), label_column="label",
+                           train_size=15, repetitions=1, radius_grid=(0.0,))
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg, cfg_path)
+    payload = json.loads(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**payload, key: value}))
+    csv_out = tmp_path / "results.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--csv-out", str(csv_out),
+                 "--json-out", str(tmp_path / "results.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("wassrobust experiment: error: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert not csv_out.exists()
+
+
 def test_separate_debug_profile_is_convex(tmp_path, capsys):
     data = dataset_csv(tmp_path, seed=31, m=20)
     code = main(["separate-debug", "--data", str(data), "--label-column", "label",
@@ -322,13 +347,17 @@ FIT = ["fit", "--data", "{csv}", "--label-column", "label"]
      'region 1 needs "points" or "lower" and "upper"; it has no "upper"'),
     (["solve", "--instance", "{empty_region}"],
      'region 0 needs "points" or "lower" and "upper"; it has no "lower" or "upper"'),
+    (["solve", "--instance", "{region_not_object}"],
+     'region 0 must be an object with "points" or "lower" and "upper", got 5'),
+    (["solve", "--instance", "{regions_list}"],
+     'instance "regions" must be an object mapping each label to a region, got [1]'),
     (FIT + ["--eps", "-1"], "eps must be positive"),
     (FIT + ["--r0", "-1"], "radius must be non-negative"),
     (["separate-debug", "--data", "{csv}", "--label-column", "label",
       "--sample-index", "9"], "--sample-index 9 out of range (m=4)"),
 ], ids=["theta-radius-0", "non-numeric-field", "missing-csv", "instance-without-radius",
         "negative-radius", "region-without-upper", "region-without-points-or-lower",
-        "negative-eps", "negative-r0", "sample-index-9"])
+        "region-not-object", "regions-list", "negative-eps", "negative-r0", "sample-index-9"])
 def test_bad_input_exits_2_naming_the_problem(tmp_path, capsys, argv, message):
     csv_path = dataset_csv(tmp_path, seed=43, m=4)
     bad_csv = tmp_path / "bad.csv"
@@ -341,6 +370,8 @@ def test_bad_input_exits_2_naming_the_problem(tmp_path, capsys, argv, message):
         "no_upper": {**payload, "regions": {**payload["regions"],
                                             "1": {"lower": [-2.0, -2.0]}}},
         "empty_region": {**payload, "regions": {**payload["regions"], "0": {}}},
+        "region_not_object": {**payload, "regions": {"0": 5}},
+        "regions_list": {**payload, "regions": [1]},
     }
     for name, instance in instances.items():
         paths[name] = tmp_path / f"{name}.json"

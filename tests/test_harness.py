@@ -1,5 +1,6 @@
 """Experiment harness: statistics, repetition protocol, result files."""
 
+import dataclasses
 import json
 import os
 import re
@@ -136,7 +137,7 @@ def test_config_round_trip_and_validation(tmp_path):
     write_config(cfg, path)
     back = ExperimentConfig.from_json(path)
     assert back == cfg
-    assert back.replace(seed=9).seed == 9
+    assert dataclasses.replace(back, seed=9).seed == 9
     with pytest.raises(ValueError):
         ExperimentConfig(dataset_csv="d", label_column="l", train_size=1)
     with pytest.raises(ValueError):
@@ -270,7 +271,7 @@ def test_standardize_changes_features_not_the_protocol(tmp_path):
                             train_size=15, repetitions=1, radius_grid=(0.0,),
                             seed=1, capture_timing=False)
     plain = run_experiment(base)
-    scaled = run_experiment(base.replace(standardize=True))
+    scaled = run_experiment(dataclasses.replace(base, standardize=True))
     # same split, same protocol; AUC is scale-sensitive only through the fit,
     # so both runs must produce a valid result on the same repetition count
     assert len(plain.repetitions) == len(scaled.repetitions) == 1
@@ -303,7 +304,7 @@ def test_missing_trace_dir_is_refused_before_any_fit(tmp_path, monkeypatch, caps
     with pytest.raises(ValueError, match=re.escape(f"trace_dir '{absent}' is not an existing")):
         run_experiment(cfg)
     cfg_path = tmp_path / "config.json"
-    write_config(cfg.replace(trace_dir=None), cfg_path)
+    write_config(dataclasses.replace(cfg, trace_dir=None), cfg_path)
     csv_out = tmp_path / "results.csv"
     assert main(["experiment", "--config", str(cfg_path), "--csv-out", str(csv_out),
                  "--trace", str(absent)]) == 2

@@ -230,6 +230,8 @@ def test_loose_completions_certify_no_false_gap(monkeypatch):
     point, trace = solve_cutting_surface(data, eps)
     if trace.status == "optimal":
         assert trace.robust_value - trace.lower_bound <= eps
+    # a stall is declared only after the plain master has certified a bound
+    assert data.derived.loss_lower < trace.lower_bound <= trace.robust_value
     assert objective_f(point, data.radius) == trace.robust_value
     caps = [rec.cap for rec in trace.records]
     assert all(new <= old for old, new in zip(caps, caps[1:]))

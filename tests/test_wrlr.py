@@ -333,9 +333,10 @@ def test_select_r0_tie_prefers_smaller_radius():
     assert report.chosen_radius == 0.0
 
 
-def cold_cross_validation(ds, grid, folds, seed, eps):
-    """Mean validation AUC per radius, every fit cold, and the fold
-    labels: each class is permuted and dealt round-robin into the folds."""
+def cold_cross_validation(ds, grid, folds, seed, eps, validating=None):
+    """Mean validation AUC per radius over the folds ``validating`` (all
+    by default), every fit cold, and the fold labels: each class is
+    permuted and dealt round-robin into the folds."""
     rng = np.random.default_rng(seed)
     fold_of = np.zeros(ds.m, dtype=int)
     for label in (0, 1):
@@ -344,7 +345,7 @@ def cold_cross_validation(ds, grid, folds, seed, eps):
     means = []
     for radius in grid:
         aucs = []
-        for fold in range(folds):
+        for fold in range(folds) if validating is None else validating:
             val = np.flatnonzero(fold_of == fold)
             model = fit_wrlr(ds.subset(np.flatnonzero(fold_of != fold)), radius, eps=eps)
             aucs.append(auc(predict_score(model, ds.features[val]), ds.labels[val]))
@@ -363,6 +364,20 @@ def test_select_r0_carrying_matches_cold_folds():
         assert report.chosen_radius == grid[means.index(max(means))]
 
 
+def test_select_r0_skips_folds_that_miss_the_smaller_class():
+    grid = (0.0, 0.05)
+    full = blob_dataset(50, 30, 3, flip=1.0)
+    keep = np.concatenate([np.flatnonzero(full.labels == 1)[:3],
+                           np.flatnonzero(full.labels == 0)[:13]])
+    ds = full.subset(np.sort(keep))
+    report = select_r0(ds, grid, folds=4, seed=3, eps=1e-5)
+    # three positives fill folds 0-2, so fold 3 validates on negatives only
+    assert not np.any(ds.labels[report.fold_of_sample == 3])
+    means, fold_of = cold_cross_validation(ds, grid, 4, 3, 1e-5, validating=range(3))
+    assert np.array_equal(report.fold_of_sample, fold_of)
+    assert np.allclose(report.mean_aucs, means, rtol=0.0, atol=1e-9)
+
+
 def test_select_r0_stratification_balances_classes():
     ds = blob_dataset(31, 20, 2)
     report = select_r0(ds, (0.0,), folds=4, seed=5)
@@ -378,6 +393,10 @@ def test_select_r0_impossible_folds_raise():
     ds = Dataset.from_arrays(X, [0, 0, 0, 1])
     with pytest.raises(ValueError, match="folds|classes"):
         select_r0(ds, (0.0,), folds=4, seed=0)
+    # one fold leaves no training part, and zero folds no fold at all
+    for folds in (0, 1):
+        with pytest.raises(ValueError, match=f"folds >= 2 .* got folds={folds}"):
+            select_r0(blob_dataset(1, 8, 2), (0.0,), folds=folds)
     with pytest.raises(ValueError, match="grid"):
         select_r0(blob_dataset(1, 8, 2), ())
 
