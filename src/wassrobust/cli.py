@@ -11,7 +11,8 @@ Subcommands:
 * ``trace-summary``   summarise a ``--trace`` file: status, iterations,
                       master, separation and completion seconds, Newton
                       steps and line-search backtracks per master, the
-                      worst KKT residual, cuts and ridges, the robust
+                      worst KKT residual, absolute and as a share of
+                      its master's tolerance, cuts and ridges, the robust
                       value of the returned theta, the certified lower
                       bound and their gap
 
@@ -224,7 +225,7 @@ def _cmd_separate_debug(args):
 
 # the fields trace-summary reads from each kind of trace line
 _SUMMARY_FIELDS = {
-    "iteration": ("newton_steps", "backtracks", "kkt_residual", "ridges"),
+    "iteration": ("newton_steps", "backtracks", "master_tol", "kkt_residual", "ridges"),
     "done": ("status", "iterations", "master_seconds", "separation_seconds",
              "completion_seconds", "cut_count", "robust_value", "lower_bound"),
 }
@@ -274,6 +275,9 @@ def _cmd_trace_summary(args):
         "newton_steps_per_master": sum(steps) / len(steps) if steps else None,
         "backtracks_per_master": sum(backtracks) / len(backtracks) if backtracks else None,
         "worst_kkt_residual": max((r["kkt_residual"] for r in records), default=None),
+        # at most 1 when every master was solved to its tolerance
+        "worst_kkt_over_tol": max((r["kkt_residual"] / r["master_tol"] for r in records),
+                                  default=None),
         "cuts": done["cut_count"],
         "ridges": sum(r["ridges"] for r in records),
         "robust_value": done["robust_value"],

@@ -22,7 +22,12 @@ Two algorithms, both driven by the separation oracles:
   the plain master over the pool gives LB; the loop stops once
   cap - LB <= eps and otherwise adds that point's violated cuts and goes
   on.  It stops as stalled only when that plain master's sweep, too,
-  adds no cut and adopts nothing.  The pool keeps every cut.
+  adds no cut and adopts nothing; the budget's last iteration is a gap
+  check too, so every exit carries a certified lower bound.  The pool
+  keeps every cut.  Only a centered master's center is used, never its
+  value, so it is solved to max(1e-8, CENTERED_TOL * (cap - LB)); its
+  margin is then at most the optimal one, which can only hand over to
+  the plain master sooner.  Every other master is solved to 1e-8.
 
 Both take a starting cut pool and grow it in place, so a caller can
 carry one solve's cuts to the next: a cut is a (sample, point) pair
@@ -76,7 +81,7 @@ __all__ = [
 
 
 # version of the JSON-lines layout ``SolveTrace.write_jsonl`` writes
-TRACE_SCHEMA = 7
+TRACE_SCHEMA = 8
 
 
 @dataclass
@@ -92,6 +97,8 @@ class IterationRecord:
     cut_count: int
     best_objective: float | None
     newton_steps: int
+    # the tolerance the master was solved to, and its KKT residual
+    master_tol: float
     kkt_residual: float
     # Cholesky retries with a ridge in the master solve
     ridges: int
@@ -155,6 +162,10 @@ class SolveTrace:
 
 # outer iterations before a solver reports ``iteration_limit``
 MAX_ITERATIONS = 500
+# the tolerance of a plain master; a centered one is solved to the
+# fraction CENTERED_TOL of the gap cap - LB, but never tighter
+MASTER_TOL = 1e-8
+CENTERED_TOL = 1e-2
 
 
 def _atom_pool(data):
@@ -219,7 +230,7 @@ def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
     for k in range(MAX_ITERATIONS + 1):
         t0 = clock()
         program = build_exchange_master(data, pool)
-        report = convex.solve(program, x0)
+        report = convex.solve(program, x0, tol=MASTER_TOL)
         t1 = clock()
         if report.status != convex.OPTIMAL:
             trace.status = f"master_{report.status}"
@@ -242,7 +253,7 @@ def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
             objective=-report.objective, violation=sep.violation,
             violated=sep.violated, cuts_added=added, cut_count=len(pool),
             best_objective=None, newton_steps=report.iterations,
-            kkt_residual=report.kkt_residual, ridges=report.ridges,
+            master_tol=MASTER_TOL, kkt_residual=report.kkt_residual, ridges=report.ridges,
             backtracks=report.backtracks,
             master_seconds=t1 - t0, separation_seconds=t2 - t1, completion_seconds=0.0,
         ))
@@ -280,10 +291,12 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
     completion as the incumbent (see the module notes).  When the margin
     vanishes, or a sweep adds no cut and adopts nothing, the next master
     solved is the plain one over the pool; its value is the lower bound,
-    and the loop stops once the cap is within eps of it.  Returns the
-    incumbent, certified by a sweep on the tables it was completed from;
-    a solve that adopts none returns None as its point and skips that
-    sweep.
+    and the loop stops once the cap is within eps of it.  The budget's
+    last iteration solves the plain master too.  Centered masters are
+    solved to a fraction of the gap; a record's ``master_tol`` says what.
+    Returns the incumbent, certified by a sweep on the tables it was
+    completed from; a solve that adopts none returns None as its point
+    and skips that sweep.
 
     A warm start passes the cuts to begin from as ``pool``, which the
     solve grows in place, and a ``theta`` inside the parameter box: its
@@ -332,13 +345,18 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
     gap_check = False
 
     for k in range(1, MAX_ITERATIONS + 1):
+        # the budget's last iteration checks the gap, so that every exit
+        # carries a certified lower bound
+        gap_check = gap_check or k == MAX_ITERATIONS
         t0 = clock()
         if gap_check:
-            program = build_exchange_master(data, pool)
-            report = convex.solve(program, exchange_interior_point(data))
+            tol = MASTER_TOL
+            program, x0 = build_exchange_master(data, pool), exchange_interior_point(data)
         else:
-            program = build_master(data, pool, cap)
-            report = convex.solve(program, master_interior_point(data, pool, cap))
+            # only the center is used (see the module notes)
+            tol = max(MASTER_TOL, CENTERED_TOL * (cap - lower))
+            program, x0 = build_master(data, pool, cap), master_interior_point(data, pool, cap)
+        report = convex.solve(program, x0, tol=tol)
         t1 = clock()
         trace.master_seconds += t1 - t0
         if report.status != convex.OPTIMAL:
@@ -352,7 +370,8 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
         else:
             point, margin = split_master_solution(data, report.solution)
         record = dict(iteration=k, margin=margin, objective=objective_f(point, data.radius),
-                      newton_steps=report.iterations, kkt_residual=report.kkt_residual,
+                      newton_steps=report.iterations, master_tol=tol,
+                      kkt_residual=report.kkt_residual,
                       ridges=report.ridges, backtracks=report.backtracks,
                       master_seconds=t1 - t0)
         if margin is not None and margin <= margin_tol:

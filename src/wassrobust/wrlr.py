@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -190,8 +191,8 @@ def select_r0(train, grid, folds=4, seed=0, **fit_kwargs):
     """Pick the radius with the best mean validation AUC.
 
     Folds are stratified and seeded (see ``_stratified_folds``).  They
-    need ``folds >= 2`` and two samples of each class, so that every
-    fold's training part holds both classes; otherwise ``ValueError``.
+    need an integer ``folds >= 2`` and two samples of each class, so that
+    every fold's training part holds both classes; otherwise ``ValueError``.
     When the smaller class has c < folds samples, only folds 0 to c - 1
     hold it, so only they validate, for every radius.  Ties choose the
     smaller radius.
@@ -207,6 +208,8 @@ def select_r0(train, grid, folds=4, seed=0, **fit_kwargs):
         raise ValueError("radius grid is empty")
     if any(r < 0 for r in grid):
         raise ValueError("radii must be non-negative")
+    if isinstance(folds, bool) or not isinstance(folds, Integral):
+        raise ValueError(f"folds must be an integer, got {folds!r}")
     counts = train.class_counts()
     if folds < 2 or min(counts) < 2:
         raise ValueError(f"cross-validation needs folds >= 2 and two samples of each "

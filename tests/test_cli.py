@@ -95,6 +95,7 @@ def test_trace_summary_matches_the_solve_trace(tmp_path, capsys, monkeypatch):
         "newton_steps_per_master": repr(sum(steps) / len(steps)),
         "backtracks_per_master": repr(sum(backtracks) / len(backtracks)),
         "worst_kkt_residual": repr(max(r.kkt_residual for r in trace.records)),
+        "worst_kkt_over_tol": repr(max(r.kkt_residual / r.master_tol for r in trace.records)),
         "cuts": repr(summary["cut_count"]),
         "ridges": repr(sum(r.ridges for r in trace.records)),
         "robust_value": repr(trace.robust_value),
@@ -102,26 +103,29 @@ def test_trace_summary_matches_the_solve_trace(tmp_path, capsys, monkeypatch):
         "gap": repr(trace.robust_value - trace.lower_bound),
     }
     assert trace.robust_value - trace.lower_bound <= 1e-5
+    # every master of an optimal solve meets its own tolerance
+    assert float(printed["worst_kkt_over_tol"]) <= 1.0
 
 
 def test_trace_summary_refuses_unknown_schema_and_unfinished_trace(tmp_path, capsys):
     path = tmp_path / "old.jsonl"
-    for schema in (4, 5, 6):
+    for schema in (4, 5, 6, 7):
         path.write_text(json.dumps({"schema": schema, "event": "done",
                                     "status": "optimal"}) + "\n")
         assert main(["trace-summary", str(path)]) == 2
         assert f"trace schema {schema};" in capsys.readouterr().err
-    path.write_text(json.dumps({"schema": 7, "event": "iteration", "newton_steps": 9,
-                                "backtracks": 2, "kkt_residual": 0.0, "ridges": 0}) + "\n")
+    path.write_text(json.dumps({"schema": 8, "event": "iteration", "newton_steps": 9,
+                                "backtracks": 2, "master_tol": 1e-8, "kkt_residual": 0.0,
+                                "ridges": 0}) + "\n")
     assert main(["trace-summary", str(path)]) == 2
     assert 'no "done" line' in capsys.readouterr().err
-    done = {"schema": 7, "event": "done", "status": "optimal", "master_seconds": 0.1,
+    done = {"schema": 8, "event": "done", "status": "optimal", "master_seconds": 0.1,
             "separation_seconds": 0.1, "cut_count": 3, "robust_value": 0.5}
     for lines, message in [
-        ([{"schema": 7}], 'line 1 has no "event"'),
+        ([{"schema": 8}], 'line 1 has no "event"'),
         ([done], 'line 1 has no "iterations", "completion_seconds", "lower_bound"'),
-        ([{"schema": 7, "event": "iteration", "newton_steps": 9, "kkt_residual": 0.0,
-           "ridges": 0}], 'line 1 has no "backtracks"'),
+        ([{"schema": 8, "event": "iteration", "newton_steps": 9, "kkt_residual": 0.0,
+           "ridges": 0}], 'line 1 has no "backtracks", "master_tol"'),
         (["[4]", done], "line 1 is not a JSON object"),
     ]:
         path.write_text("".join((line if isinstance(line, str) else json.dumps(line))

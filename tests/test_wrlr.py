@@ -401,6 +401,12 @@ def test_select_r0_impossible_folds_raise():
         select_r0(blob_dataset(1, 8, 2), ())
 
 
+@pytest.mark.parametrize("folds", [2.5, 4.0, True, "4"])
+def test_select_r0_rejects_non_integer_folds(folds):
+    with pytest.raises(ValueError, match=f"folds must be an integer, got {folds!r}"):
+        select_r0(blob_dataset(1, 16, 2), (0.0,), folds=folds)
+
+
 def test_save_load_round_trip(tmp_path):
     model = fit_wrlr(blob_dataset(33, 10, 2), 0.05, eps=1e-4)
     path = tmp_path / "model.json"
