@@ -7,11 +7,10 @@ each master, a sweep adds the violated scenario constraints and
 completes the master's theta: the completion is the exactly feasible
 point with that theta of least objective, the robust value J(theta).
 Only completions become the incumbent: one is adopted, and lowers the
-cap, when the iterate is eps-feasible and the completion lies below the
-cap, or when it closes the gap to the lower bound at the guaranteed
-rate.  Once the margin vanishes, the plain master over the
-cuts gives a certified lower bound, and the solve stops when the cap is
-within eps of it.
+cap, when it closes the gap to the lower bound at the guaranteed rate.
+Once the margin vanishes, or a sweep adds no cut and adopts nothing, the
+plain master over the cuts gives a certified lower bound, and the solve
+stops on the first row whose cap is within eps of it.
 """
 
 import numpy as np
@@ -62,10 +61,11 @@ def main():
     print(f"lower bound {trace.lower_bound:.8f}, certified gap "
           f"{trace.robust_value - trace.lower_bound:.2e} <= eps")
     print()
-    print("a row with a large violation adds cuts; a row whose violation is")
-    print("below eps adopts its completion if that lowers the cap.  Once the margin")
-    print("falls to zero, the next row is the plain master over the cuts (it")
-    print("has no margin): its value is the lower bound that certifies the gap")
+    print("a row with a positive violation adds cuts; a row adopts its completion")
+    print("when that contracts the gap at the guaranteed rate.  Once the margin")
+    print("falls to zero, or a row adds no cut and adopts nothing, the next row")
+    print("is the plain master over the cuts (it has no margin): its bound is")
+    print("the lower bound that certifies the gap")
 
 
 if __name__ == "__main__":

@@ -67,6 +67,8 @@ __all__ = [
 
 OPTIMAL = "optimal"
 ITERATION_LIMIT = "iteration_limit"
+# Newton steps before a solve reports ``ITERATION_LIMIT``
+MAX_NEWTON = 200
 
 
 class MasterProgram:
@@ -282,7 +284,7 @@ def _check_start(program, x):
     return g, sig
 
 
-def _pd_solve(program, tol, x, g, sig, max_iters):
+def _pd_solve(program, tol, x, g, sig):
     """Primal-dual interior steps from a strictly feasible x with row values g
     and ``sig``, the sigmoid of its cut scores; returns the SolveReport.
 
@@ -323,9 +325,9 @@ def _pd_solve(program, tol, x, g, sig, max_iters):
     r_dual = dual_residual(sig, lam)
     # length of the previous accepted step
     alpha = 1.0
-    status, steps = ITERATION_LIMIT, max_iters
+    status, steps = ITERATION_LIMIT, MAX_NEWTON
 
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_NEWTON + 1):
         gap = float(s @ lam)
         dual_sq = float(r_dual @ r_dual)
         dual_norm = math.sqrt(dual_sq)
@@ -387,7 +389,7 @@ def _pd_solve(program, tol, x, g, sig, max_iters):
     return SolveReport(x, float(c @ x), status, kkt, steps, ridges, backtracks, bound)
 
 
-def solve(program, x0, tol=1e-8, max_newton=200):
+def solve(program, x0, tol=1e-8):
     """Solve the program to within ``tol`` of its optimal value.
 
     ``x0`` must be strictly feasible: strictly inside the box and every
@@ -402,4 +404,4 @@ def solve(program, x0, tol=1e-8, max_newton=200):
         raise ValueError("tol must be positive")
     x = np.asarray(x0, dtype=float)
     g, sig = _check_start(program, x)
-    return _pd_solve(program, tol, x, g, sig, max_newton)
+    return _pd_solve(program, tol, x, g, sig)

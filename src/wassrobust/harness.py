@@ -51,10 +51,18 @@ class ExperimentConfig:
     trace_dir: str | None = None
 
     def __post_init__(self):
-        for key in ("train_size", "repetitions", "folds", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+        for keys, kind, what in (
+                (("train_size", "repetitions", "folds", "seed"), Integral, "an integer"),
+                (("eps", "theta_radius"), Real, "a positive number"),
+                (("capture_timing", "standardize"), bool, "true or false"),
+                (("dataset_csv", "label_column"), str, "a string"),
+                (("trace_dir",), (str, type(None)), "a string or null")):
+            for key in keys:
+                value = getattr(self, key)
+                # bool is an Integral, so only the flags may be one
+                if (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)
+                        or kind is Real and not 0 < value < np.inf):
+                    raise ValueError(f"{key} must be {what}, got {value!r}")
         grid = self.radius_grid
         if not isinstance(grid, (list, tuple)) or not all(
                 isinstance(r, Real) and not isinstance(r, bool) for r in grid):

@@ -10,24 +10,24 @@ Two algorithms, both driven by the separation oracles:
 * ``solve_cutting_surface``: the centered scheme.  Keep a strict upper
   bound (the cap) on the optimal value and repeatedly maximize the
   feasibility margin ``w`` of the current cut set under that bound.
-  Each sweep adds every violated constraint it finds and completes the
-  master's theta: ``CandidateTables.complete`` gives the exactly
-  feasible point of least objective with that theta, whose objective is
-  the robust value J(theta).  The incumbent is always a completion, and
-  its objective the cap.  A completion is adopted when the iterate is
-  eps-feasible and it lowers the cap, or when it closes the gap to the
-  best lower bound LB by the rate factor rho: f - LB <= rho (cap - LB),
-  which keeps the geometric contraction the acceptance tests check.
-  When the margin vanishes, or a sweep adds no cut and adopts nothing,
-  the plain master over the pool gives LB; the loop stops once
-  cap - LB <= eps and otherwise adds that point's violated cuts and goes
-  on.  It stops as stalled only when that plain master's sweep, too,
-  adds no cut and adopts nothing; the budget's last iteration is a gap
-  check too, so every exit carries a certified lower bound.  The pool
-  keeps every cut.  Only a centered master's center is used, never its
-  value, so it is solved to max(1e-8, CENTERED_TOL * (cap - LB)); its
-  margin is then at most the optimal one, which can only hand over to
-  the plain master sooner.  Every other master is solved to 1e-8.
+  Every iterate is swept: each violated constraint found becomes a cut,
+  and the master's theta is completed: ``CandidateTables.complete``
+  gives the exactly feasible point of least objective with that theta,
+  whose objective is the robust value J(theta).  The incumbent is always
+  a completion, and its objective the cap.  A completion is adopted only
+  when it closes the gap to the best lower bound LB by the rate factor
+  rho: f - LB <= rho (cap - LB), which keeps the geometric contraction
+  the acceptance tests check.  When the margin vanishes, or a sweep adds
+  no cut and adopts nothing, the next master is the plain one over the
+  pool, whose bound raises LB.  Both bounds hold at every iteration, so
+  the loop stops on any iteration once cap - LB <= eps.  It stops as
+  stalled only when a plain master's sweep, too, adds no cut and adopts
+  nothing; the budget's last iteration is a plain master too, so every
+  exit carries a certified lower bound.  The pool keeps every cut.  Only
+  a centered master's center is used, never its value, so it is solved
+  to max(1e-8, CENTERED_TOL * (cap - LB)); its margin is then at most
+  the optimal one, which can only hand over to the plain master sooner.
+  Every other master is solved to 1e-8.
 
 Both take a starting cut pool and grow it in place, so a caller can
 carry one solve's cuts to the next: a cut is a (sample, point) pair
@@ -90,9 +90,9 @@ class IterationRecord:
     margin: float | None
     cap: float | None
     objective: float | None
-    violation: float | None
+    violation: float
     # samples with a positive violation in the sweep
-    violated: int | None
+    violated: int
     cuts_added: int
     cut_count: int
     best_objective: float | None
@@ -287,16 +287,17 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
                           capture_timing=True):
     """Centered cutting scheme that stops on a certified eps gap.
 
-    Each sweep adds every violated constraint it finds and may adopt its
-    completion as the incumbent (see the module notes).  When the margin
-    vanishes, or a sweep adds no cut and adopts nothing, the next master
-    solved is the plain one over the pool; its value is the lower bound,
-    and the loop stops once the cap is within eps of it.  The budget's
-    last iteration solves the plain master too.  Centered masters are
-    solved to a fraction of the gap; a record's ``master_tol`` says what.
-    Returns the incumbent, certified by a sweep on the tables it was
-    completed from; a solve that adopts none returns None as its point
-    and skips that sweep.
+    Every iterate is swept: each violated constraint found becomes a
+    cut, and the completion is adopted as the incumbent when it contracts
+    the gap at the guaranteed rate (see the module notes).  When the
+    margin vanishes, or a sweep adds no cut and adopts nothing, the next
+    master solved is the plain one over the pool, whose bound is the
+    lower bound; the budget's last iteration solves it too.  The loop
+    stops on any iteration once the cap is within eps of the lower bound.
+    Centered masters are solved to a fraction of the gap; a record's
+    ``master_tol`` says what.  Returns the incumbent, certified by a
+    sweep on the tables it was completed from; a solve that adopts none
+    returns None as its point and skips that sweep.
 
     A warm start passes the cuts to begin from as ``pool``, which the
     solve grows in place, and a ``theta`` inside the parameter box: its
@@ -341,7 +342,7 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
         completed = objective_f(completion, data.radius)
         if completed < cap:
             incumbent, incumbent_tables, cap = completion, tables, completed
-    # the last centered master's margin vanished: solve the plain master
+    # solve the plain master next: the loop stalled or the margin vanished
     gap_check = False
 
     for k in range(1, MAX_ITERATIONS + 1):
@@ -369,19 +370,6 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
             lower = max(lower, -report.bound)
         else:
             point, margin = split_master_solution(data, report.solution)
-        record = dict(iteration=k, margin=margin, objective=objective_f(point, data.radius),
-                      newton_steps=report.iterations, master_tol=tol,
-                      kkt_residual=report.kkt_residual,
-                      ridges=report.ridges, backtracks=report.backtracks,
-                      master_seconds=t1 - t0)
-        if margin is not None and margin <= margin_tol:
-            gap_check = True
-            trace.records.append(IterationRecord(
-                **record, cap=cap, violation=None, violated=None, cuts_added=0,
-                cut_count=len(pool), best_objective=None if incumbent is None else cap,
-                separation_seconds=0.0, completion_seconds=0.0))
-            continue
-
         tables = CandidateTables(point.theta, data)
         points, violations = tables.separate(point.multipliers)
         t_swept = clock()
@@ -390,30 +378,30 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
         trace.separation_seconds += t2 - t1
         trace.completion_seconds += t2 - t_swept
         trace.oracle_calls += data.m
-        worst = float(violations.max())
         violated = np.flatnonzero(violations > 0.0)
 
         adopted = None
         completed = objective_f(completion, data.radius)
-        # an eps-feasible iterate, or a contraction at the guaranteed rate
-        if ((not gap_check and worst <= eps and completed < cap)
-                or completed - lower <= der.rate_bound * (cap - lower)):
+        # a contraction at the guaranteed rate
+        if completed - lower <= der.rate_bound * (cap - lower):
             adopted = "completion"
             incumbent, incumbent_tables, cap = completion, tables, completed
 
-        done = gap_check and cap - lower <= eps
-        # with no lower cap the same master would be solved again
-        cutting = not done and (gap_check or worst > eps or adopted is None)
-        added = pool.extend(violated, points[violated]) if cutting else 0
+        done = cap - lower <= eps
+        added = 0 if done else pool.extend(violated, points[violated])
         # no new cut and no lower cap: the centered master cannot move
         # further at this precision, and after the plain one neither can
         # the loop
-        stalled = cutting and added == 0 and adopted is None
+        stalled = not done and added == 0 and adopted is None
 
         trace.records.append(IterationRecord(
-            **record, cap=cap, violation=worst, violated=violated.size,
+            iteration=k, margin=margin, cap=cap, objective=objective_f(point, data.radius),
+            violation=float(violations.max()), violated=violated.size,
             cuts_added=added, cut_count=len(pool),
             best_objective=None if incumbent is None else cap,
+            newton_steps=report.iterations, master_tol=tol,
+            kkt_residual=report.kkt_residual, ridges=report.ridges,
+            backtracks=report.backtracks, master_seconds=t1 - t0,
             separation_seconds=t2 - t1, completion_seconds=t2 - t_swept, adopted=adopted,
         ))
         if done:
@@ -422,7 +410,7 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
         if stalled and gap_check:
             trace.status = "stalled"
             break
-        gap_check = stalled
+        gap_check = stalled or (margin is not None and margin <= margin_tol)
     else:
         trace.status = "iteration_limit"
 

@@ -271,7 +271,18 @@ def test_experiment_command(tmp_path, capsys):
     ("repetitions", 2.0, "repetitions must be an integer, got 2.0"),
     ("train_size", 20.0, "train_size must be an integer, got 20.0"),
     ("radius_grid", 0.1, "radius_grid must be a list of numbers, got 0.1"),
-], ids=["folds-0", "folds-2.5", "repetitions-2.0", "train_size-20.0", "radius_grid-0.1"])
+    ("eps", "1e-5", "eps must be a positive number, got '1e-5'"),
+    ("eps", 0, "eps must be a positive number, got 0"),
+    ("eps", True, "eps must be a positive number, got True"),
+    ("theta_radius", "10", "theta_radius must be a positive number, got '10'"),
+    ("capture_timing", "no", "capture_timing must be true or false, got 'no'"),
+    ("standardize", "yes", "standardize must be true or false, got 'yes'"),
+    ("dataset_csv", 5, "dataset_csv must be a string, got 5"),
+    ("label_column", 1, "label_column must be a string, got 1"),
+    ("trace_dir", 3, "trace_dir must be a string or null, got 3"),
+], ids=["folds-0", "folds-2.5", "repetitions-2.0", "train_size-20.0", "radius_grid-0.1",
+        "eps-str", "eps-0", "eps-bool", "theta_radius-str", "capture_timing-str",
+        "standardize-str", "dataset_csv-int", "label_column-int", "trace_dir-int"])
 def test_experiment_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value,
                                                              message):
     data = dataset_csv(tmp_path, seed=29, m=30)

@@ -10,7 +10,7 @@ import scipy.linalg
 import scipy.optimize
 
 from wassrobust import BoxRegion, CutPool, Dataset, DualPoint, ProblemData, Scenario
-from wassrobust import constraint_g, objective_f, solve_nominal
+from wassrobust import constraint_g, convex, objective_f, solve_nominal
 from wassrobust.convex import ITERATION_LIMIT, OPTIMAL, _solve_spd, solve
 from wassrobust.reformulate import (
     build_exchange_master,
@@ -164,7 +164,7 @@ def test_centered_master_matches_epigraph_program():
         assert report.objective == pytest.approx(result.x[-2], rel=1e-6)
 
 
-def test_weak_duality_bound_holds_at_any_multipliers():
+def test_weak_duality_bound_holds_at_any_multipliers(monkeypatch):
     # the plain master's bound brackets its optimum with the returned
     # value, and holds even after a step or three; the centered master
     # has unbounded w, so it has none
@@ -174,7 +174,9 @@ def test_weak_duality_bound_holds_at_any_multipliers():
         assert best.status == OPTIMAL
         assert best.objective <= best.bound <= best.objective + 1e-8
         for steps in (1, 3, 10):
-            assert solve(plain, x0, max_newton=steps).bound >= best.objective
+            monkeypatch.setattr(convex, "MAX_NEWTON", steps)
+            assert solve(plain, x0).bound >= best.objective
+        monkeypatch.undo()
         assert solve(centered, x_centered).bound == math.inf
 
 
@@ -248,22 +250,25 @@ def test_start_that_is_not_strictly_feasible_is_rejected():
         solve(program, x)
 
 
-def test_iteration_cap_is_honest():
+def test_iteration_cap_is_honest(monkeypatch):
+    monkeypatch.setattr(convex, "MAX_NEWTON", 1)
     for program, x0 in small_masters(13)[2]:
-        report = solve(program, x0, max_newton=1)
+        report = solve(program, x0)
         assert report.status == ITERATION_LIMIT
         assert report.iterations == 1
 
 
-def test_iteration_limit_reports_gap_plus_dual_residual():
+def test_iteration_limit_reports_gap_plus_dual_residual(monkeypatch):
     # a solve whose tolerance admits the point after one step stops there
     # as optimal and reports gap + dual residual norm; the solve capped at
     # that one step must report the same measure, not the gap alone.  The
     # dual residual after one step is not negligible here (about 0.9 and
     # 0.13 against totals of 27 and 6.9)
     for program, x0 in small_masters(13)[2]:
-        capped = solve(program, x0, max_newton=1)
-        loose = solve(program, x0, tol=2.0 * capped.kkt_residual, max_newton=2)
+        monkeypatch.setattr(convex, "MAX_NEWTON", 1)
+        capped = solve(program, x0)
+        monkeypatch.setattr(convex, "MAX_NEWTON", 2)
+        loose = solve(program, x0, tol=2.0 * capped.kkt_residual)
         assert capped.status == ITERATION_LIMIT and loose.status == OPTIMAL
         assert loose.iterations == 1
         assert np.array_equal(loose.solution, capped.solution)

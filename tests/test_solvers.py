@@ -195,6 +195,15 @@ def test_cutting_surface_seeds_pool_with_every_sample():
     assert trace.status == "optimal"
 
 
+@pytest.mark.parametrize("seed, m, n", [(10, 6, 2), (2, 12, 3)])
+def test_every_cutting_surface_record_carries_a_sweep(seed, m, n):
+    # a centered master whose margin vanished is swept before the plain
+    # master takes over, so no iteration goes without cuts or a completion
+    point, trace = solve_cutting_surface(box_problem(seed, m=m, n=n), 1e-5)
+    assert trace.status == "optimal"
+    assert all(rec.violation is not None for rec in trace.records)
+
+
 def test_cutting_surface_iteration_cap_reports_honestly(monkeypatch):
     monkeypatch.setattr(solvers, "MAX_ITERATIONS", 3)
     data = box_problem(9, m=12, n=3, radius=0.2)
@@ -208,9 +217,7 @@ def test_cutting_surface_iteration_cap_reports_honestly(monkeypatch):
 
 def test_solve_that_adopts_no_iterate_returns_none(monkeypatch):
     # one Newton step per master: the first master ends iteration_limit
-    solve = convex.solve
-    monkeypatch.setattr(convex, "solve", lambda program, x0, **kw: solve(program, x0,
-                                                                         max_newton=1))
+    monkeypatch.setattr(convex, "MAX_NEWTON", 1)
     data = box_problem(9, m=12, n=3, radius=0.2)
     for solver in (solve_cutting_surface, solve_exchange):
         point, trace = solver(data, 1e-5)
@@ -256,15 +263,14 @@ def test_each_sweep_builds_the_only_candidate_tables(monkeypatch):
     monkeypatch.setattr(solvers, "CandidateTables", counting)
     data = box_problem(4, m=10, n=3, radius=0.2)
     point, cold = solve_cutting_surface(data, 1e-6)
-    sweeps = sum(rec.violation is not None for rec in cold.records)
-    assert cold.status == "optimal" and sweeps > 0
-    assert len(built) == sweeps
+    assert cold.status == "optimal"
+    assert len(built) == cold.iterations > 0
     built.clear()
     # the same training set at another radius
     _, warm = solve_cutting_surface(box_problem(4, m=10, n=3, radius=0.1), 1e-6,
                                     theta=point.theta)
     assert warm.status == "optimal"
-    assert len(built) == sum(rec.violation is not None for rec in warm.records) + 1
+    assert len(built) == warm.iterations + 1
     assert np.array_equal(built[0], point.theta)
 
 
@@ -298,15 +304,12 @@ def test_trace_jsonl_round_trip(tmp_path):
     gap_checks = [rec.margin is None for rec in trace.records]
     assert gap_checks == [False] * (trace.iterations - 1) + [True]
     cap = data.derived.objective_cap
-    sweeps = 0
     for rec, line in zip(trace.records, lines):
         assert line["violated"] == rec.violated
-        if rec.violation is not None:
-            # every violated sample yields a cut, or a duplicate of one
-            assert 0 <= rec.violated <= data.m
-            assert (rec.violated > 0) == (rec.violation > 0.0)
-            assert rec.cuts_added <= rec.violated
-            sweeps += 1
+        # every violated sample yields a cut, or a duplicate of one
+        assert 0 <= rec.violated <= data.m
+        assert (rec.violated > 0) == (rec.violation > 0.0)
+        assert rec.cuts_added <= rec.violated
         assert line["event"] == "iteration"
         assert line["iteration"] == rec.iteration
         assert line["cut_count"] == rec.cut_count
@@ -332,7 +335,7 @@ def test_trace_jsonl_round_trip(tmp_path):
     assert done["final_violation"] == trace.final_violation
     assert done["robust_value"] == trace.robust_value == objective_f(point, data.radius)
     assert done["lower_bound"] == trace.lower_bound
-    assert sweeps and any(rec.violated for rec in trace.records)
+    assert any(rec.violated for rec in trace.records)
 
 
 # criterion 3's instances at eps 1e-6, then criterion 4's at eps 1e-7
