@@ -8,17 +8,22 @@ the strict objective cap, the centering coefficient), keeps the cut
 pool, and assembles from it the finite master programs the iterative
 solvers need:
 
-* the plain master: minimize the dual objective under a finite cut set;
-  over the m zero-cost cuts at the observed samples it is the nominal
-  problem (no perturbation), whose optimum is the average training loss,
-* the centered master: maximize the feasibility margin ``w`` under the
-  same cuts plus a level constraint on the objective,
+* the plain master, ``build_master(data, pool)``: minimize the dual
+  objective under a finite cut set; over the m zero-cost cuts at the
+  observed samples it is the nominal problem (no perturbation), whose
+  optimum is the average training loss,
+* the centered master, ``build_master(data, pool, cap)``: maximize the
+  feasibility margin ``w`` under the same cuts plus a level constraint
+  on the objective,
 * the fully enumerated dual for finite regions, used as an oracle: the
   plain master over the pool of every (sample, region point) pair.
 
+``master_interior_point`` gives either master a strictly feasible
+start, and ``split_master_solution`` reads either one's solution back.
+
 Variable layouts, in order:
-    master            [theta, multipliers, w]
-    exchange/enum     [theta, multipliers]
+    plain master       [theta, multipliers]
+    centered master    [theta, multipliers, w]
 """
 
 from __future__ import annotations
@@ -37,12 +42,9 @@ __all__ = [
     "CutPool",
     "derive_constants",
     "build_master",
-    "build_exchange_master",
     "enumeration_cuts",
     "master_interior_point",
-    "exchange_interior_point",
     "split_master_solution",
-    "split_dual_solution",
 ]
 
 ENUMERATION_BUDGET = 10_000
@@ -238,46 +240,36 @@ def _curves(data, pool):
     return np.concatenate([ones, pool.points], axis=1) * -sign[:, None]
 
 
-def build_master(data, pool, cap):
-    """Centered master: maximize w under the pool's cuts and objective cap.
-
-    Variables are [theta, multipliers, w].  ``cap`` is the current
-    strict upper bound on the dual objective; it must lie between the
-    loss lower bound (below which the program has no feasible point
-    with non-negative margin) and the overall objective cap.  The level
-    row is f(x) + (1 + centering) * w <= cap.
+def build_master(data, pool, cap=None):
+    """The master over the pool's cuts.  With ``cap`` None it is the
+    plain master: minimize the dual objective over [theta, multipliers]
+    (the solver maximizes, so its coefficients enter negated).  Otherwise
+    it is the centered master: maximize w over [theta, multipliers, w]
+    under the level row f(x) + (1 + centering) * w <= cap.  The cap, the
+    current strict upper bound on the dual objective, lies between the
+    loss lower bound (below it no point has a non-negative margin) and
+    the overall objective cap.
     """
-    der = data.derived
-    if cap < der.loss_lower:
-        raise ValueError("objective cap lies below the loss lower bound: "
-                         "the dual objective can never reach it")
-    if cap > der.objective_cap:
-        raise ValueError("objective cap exceeds the derived strict upper bound")
-    objective = np.zeros(data.theta_size + data.m + 2)
-    objective[-1] = 1.0
-
-    mult_lo, mult_hi = data.multiplier_box()
-    lower = np.concatenate([data.theta_lower, mult_lo, [-np.inf]])
-    upper = np.concatenate([data.theta_upper, mult_hi, [np.inf]])
-    return MasterProgram(objective, lower, upper, _curves(data, pool), pool.samples,
-                         pool.dists, centered=(der.centering_bound, data.radius, cap))
-
-
-def build_exchange_master(data, pool):
-    """Plain master: minimize the dual objective under the pool's cuts.
-
-    Variables are [theta, multipliers]; the solver maximizes, so the
-    objective coefficients enter negated.
-    """
-    n_theta = data.theta_size
-    dim = n_theta + data.m + 1
-    objective = np.zeros(dim)
-    objective[n_theta:] = -data.objective_coefficients()
     mult_lo, mult_hi = data.multiplier_box()
     lower = np.concatenate([data.theta_lower, mult_lo])
     upper = np.concatenate([data.theta_upper, mult_hi])
+    centered = None
+    if cap is None:
+        objective = np.zeros(lower.size)
+        objective[data.theta_size:] = -data.objective_coefficients()
+    else:
+        der = data.derived
+        if cap < der.loss_lower:
+            raise ValueError("objective cap lies below the loss lower bound: "
+                             "the dual objective can never reach it")
+        if cap > der.objective_cap:
+            raise ValueError("objective cap exceeds the derived strict upper bound")
+        objective = np.zeros(lower.size + 1)
+        objective[-1] = 1.0
+        lower, upper = np.append(lower, -np.inf), np.append(upper, np.inf)
+        centered = (der.centering_bound, data.radius, cap)
     return MasterProgram(objective, lower, upper, _curves(data, pool), pool.samples,
-                         pool.dists)
+                         pool.dists, centered=centered)
 
 
 def enumeration_cuts(data):
@@ -305,30 +297,20 @@ def enumeration_cuts(data):
     return pool
 
 
-def _interior_multipliers(data):
+def master_interior_point(data, pool, cap=None):
+    """A strictly feasible start for ``build_master(data, pool, cap)``:
+    theta at the centre of its box, each sample multiplier above the
+    largest loss value and, for the centered master, a margin w below
+    what the level row and the pool's cuts allow.  The plain start holds
+    for any pool."""
     der = data.derived
-    m = data.m
+    theta = 0.5 * (data.theta_lower + data.theta_upper)
     # comfortably above the largest loss value, yet inside the box
     per_sample = min(der.loss_upper + 1.0,
                      der.loss_lower + 0.75 * (der.multiplier_upper - der.loss_lower))
-    budget = min(1.0, 0.5 * der.budget_upper)
-    return np.concatenate([np.full(m, per_sample), [budget]])
-
-
-def _interior_theta(data):
-    return 0.5 * (data.theta_lower + data.theta_upper)
-
-
-def exchange_interior_point(data):
-    """A strictly feasible start for the plain master, any cut set."""
-    return np.concatenate([_interior_theta(data), _interior_multipliers(data)])
-
-
-def master_interior_point(data, pool, cap):
-    """A strictly feasible start for the centered master."""
-    der = data.derived
-    theta = _interior_theta(data)
-    mult = _interior_multipliers(data)
+    mult = np.append(np.full(data.m, per_sample), min(1.0, 0.5 * der.budget_upper))
+    if cap is None:
+        return np.concatenate([theta, mult])
     f_val = float(data.objective_coefficients() @ mult)
     w_cap = (cap - f_val) / (1.0 + der.centering_bound)
     if len(pool):
@@ -338,10 +320,8 @@ def master_interior_point(data, pool, cap):
 
 
 def split_master_solution(data, vec):
-    """[theta, multipliers, w] -> (DualPoint, w)."""
-    return DualPoint(vec[: data.theta_size], vec[data.theta_size : -1]), float(vec[-1])
-
-
-def split_dual_solution(data, vec):
-    """[theta, multipliers] -> DualPoint."""
-    return DualPoint(vec[: data.theta_size], vec[data.theta_size :])
+    """[theta, multipliers] -> (DualPoint, None), and
+    [theta, multipliers, w] -> (DualPoint, w)."""
+    n_theta, dim = data.theta_size, data.theta_size + data.m + 1
+    w = float(vec[-1]) if vec.size > dim else None
+    return DualPoint(vec[:n_theta], vec[n_theta:dim]), w

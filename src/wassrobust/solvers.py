@@ -60,12 +60,9 @@ from . import convex
 from .model import objective_f
 from .reformulate import (
     CutPool,
-    build_exchange_master,
     build_master,
     enumeration_cuts,
-    exchange_interior_point,
     master_interior_point,
-    split_dual_solution,
     split_master_solution,
 )
 from .separation import CandidateTables, best_violation
@@ -175,6 +172,15 @@ def _atom_pool(data):
     return pool
 
 
+def _solve_plain(data, pool, what):
+    """The plain master over ``pool``, solved; RuntimeError if not optimal."""
+    report = convex.solve(build_master(data, pool), master_interior_point(data, pool),
+                          tol=MASTER_TOL)
+    if report.status != convex.OPTIMAL:
+        raise RuntimeError(f"{what} failed to solve: {report.status}")
+    return report
+
+
 def solve_nominal(data):
     """Minimize the average training loss; returns (theta, value, report).
 
@@ -183,10 +189,7 @@ def solve_nominal(data):
     optimum is the average loss.  The value is that loss evaluated at
     theta, so the budget multiplier's residue does not enter it.
     """
-    program = build_exchange_master(data, _atom_pool(data))
-    report = convex.solve(program, exchange_interior_point(data))
-    if report.status != convex.OPTIMAL:
-        raise RuntimeError(f"nominal problem failed to solve: {report.status}")
+    report = _solve_plain(data, _atom_pool(data), "nominal problem")
     theta = report.solution[: data.theta_size]
     value = float(np.mean(data.loss.evaluate_many(
         theta, data.dataset.features, data.dataset.labels)))
@@ -199,11 +202,8 @@ def solve_full_enumeration(data):
     Only for finite regions within the enumeration budget; serves as the
     ground-truth oracle for the iterative solvers.
     """
-    program = build_exchange_master(data, enumeration_cuts(data))
-    report = convex.solve(program, exchange_interior_point(data))
-    if report.status != convex.OPTIMAL:
-        raise RuntimeError(f"enumeration failed to solve: {report.status}")
-    point = split_dual_solution(data, report.solution)
+    report = _solve_plain(data, enumeration_cuts(data), "enumeration")
+    point, _ = split_master_solution(data, report.solution)
     return point, -report.objective
 
 
@@ -224,25 +224,23 @@ def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
     start = clock()
     trace = SolveTrace(algorithm="exchange")
     pool = CutPool(data) if pool is None else pool
-    x0 = exchange_interior_point(data)
     point = None
     lower = None
     for k in range(MAX_ITERATIONS + 1):
         t0 = clock()
-        program = build_exchange_master(data, pool)
-        report = convex.solve(program, x0, tol=MASTER_TOL)
+        report = convex.solve(build_master(data, pool), master_interior_point(data, pool),
+                              tol=MASTER_TOL)
         t1 = clock()
+        trace.master_seconds += t1 - t0
         if report.status != convex.OPTIMAL:
             trace.status = f"master_{report.status}"
-            trace.master_seconds += t1 - t0
             break
-        point = split_dual_solution(data, report.solution)
+        point, _ = split_master_solution(data, report.solution)
         lower = -report.bound
         # the last sweep's tables also give the closing completion
         tables = CandidateTables(point.theta, data)
         sep = best_violation(point, data, tables)
         t2 = clock()
-        trace.master_seconds += t1 - t0
         trace.separation_seconds += t2 - t1
         trace.oracle_calls += data.m
         added = 0
@@ -349,27 +347,23 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
         # the budget's last iteration checks the gap, so that every exit
         # carries a certified lower bound
         gap_check = gap_check or k == MAX_ITERATIONS
+        # the plain master has no level row; only a centered master's
+        # center is used (see the module notes)
+        level = None if gap_check else cap
+        tol = MASTER_TOL if gap_check else max(MASTER_TOL, CENTERED_TOL * (cap - lower))
         t0 = clock()
-        if gap_check:
-            tol = MASTER_TOL
-            program, x0 = build_exchange_master(data, pool), exchange_interior_point(data)
-        else:
-            # only the center is used (see the module notes)
-            tol = max(MASTER_TOL, CENTERED_TOL * (cap - lower))
-            program, x0 = build_master(data, pool, cap), master_interior_point(data, pool, cap)
-        report = convex.solve(program, x0, tol=tol)
+        report = convex.solve(build_master(data, pool, level),
+                              master_interior_point(data, pool, level), tol=tol)
         t1 = clock()
         trace.master_seconds += t1 - t0
         if report.status != convex.OPTIMAL:
             trace.status = f"master_{report.status}"
             break
-        if gap_check:
-            point, margin = split_dual_solution(data, report.solution), None
+        point, margin = split_master_solution(data, report.solution)
+        if level is None:
             # the plain master over the pool relaxes the dual (see the
             # module notes)
             lower = max(lower, -report.bound)
-        else:
-            point, margin = split_master_solution(data, report.solution)
         tables = CandidateTables(point.theta, data)
         points, violations = tables.separate(point.multipliers)
         t_swept = clock()

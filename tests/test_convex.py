@@ -12,12 +12,7 @@ import scipy.optimize
 from wassrobust import BoxRegion, CutPool, Dataset, DualPoint, ProblemData, Scenario
 from wassrobust import constraint_g, convex, objective_f, solve_nominal
 from wassrobust.convex import ITERATION_LIMIT, OPTIMAL, _solve_spd, solve
-from wassrobust.reformulate import (
-    build_exchange_master,
-    build_master,
-    exchange_interior_point,
-    master_interior_point,
-)
+from wassrobust.reformulate import build_master, master_interior_point
 
 from conftest import box_problem, cut_pool
 
@@ -41,9 +36,8 @@ def small_masters(seed, cuts=None):
     pool = cut_pool(data, corner_cuts(data, seed) if cuts is None else cuts)
     cuts = [Scenario(point, i, int(data.dataset.labels[i]))
             for i, point in zip(pool.samples, pool.points)]
-    cap = data.derived.objective_cap
-    return data, cuts, [(build_exchange_master(data, pool), exchange_interior_point(data)),
-                        (build_master(data, pool, cap), master_interior_point(data, pool, cap))]
+    return data, cuts, [(build_master(data, pool, cap), master_interior_point(data, pool, cap))
+                        for cap in (None, data.derived.objective_cap)]
 
 
 def test_level_rows_hand_case():
@@ -66,7 +60,8 @@ def test_box_only_optimum_hits_the_corner():
     # over no cuts the plain master minimizes the dual objective over the
     # multiplier box alone: every multiplier at its lower bound
     data = box_problem(2, m=6, n=2)
-    report = solve(build_exchange_master(data, CutPool(data)), exchange_interior_point(data))
+    pool = CutPool(data)
+    report = solve(build_master(data, pool), master_interior_point(data, pool))
     assert report.status == OPTIMAL
     lower, _ = data.multiplier_box()
     assert np.allclose(report.solution[data.theta_size:], lower, atol=1e-6)
@@ -81,7 +76,7 @@ def test_softplus_row_hand_case():
     regions = {1: BoxRegion(np.array([-1.0]), np.array([2.0]), 1)}
     data = ProblemData.assemble(ds, regions, radius=0.5, theta_radius=2.0)
     pool = cut_pool(data, [Scenario(np.array([-1.0]), 0, 1)])
-    report = solve(build_exchange_master(data, pool), exchange_interior_point(data))
+    report = solve(build_master(data, pool), master_interior_point(data, pool))
     assert report.status == OPTIMAL
     low, row = math.log1p(math.exp(-6.0)), math.log1p(math.exp(-4.0))
     assert -report.objective == pytest.approx(low + 0.25 * (row - low), abs=1e-7)
@@ -284,9 +279,9 @@ def test_start_near_the_atom_cuts_still_solves():
     data = box_problem(0, m=200, n=13, radius=0.1)
     feats, labels = data.dataset.features, data.dataset.labels
     pool = cut_pool(data, [Scenario(feats[i], i, int(labels[i])) for i in range(data.m)])
-    x0 = exchange_interior_point(data)
+    x0 = master_interior_point(data, pool)
     x0[data.theta_size : data.theta_size + data.m] = math.log(2.0) + 0.1
-    report = solve(build_exchange_master(data, pool), x0)
+    report = solve(build_master(data, pool), x0)
     assert report.status == OPTIMAL
     _, average_loss, _ = solve_nominal(data)
     assert abs(-report.objective - average_loss) <= 1e-6

@@ -34,7 +34,6 @@ def load_perfbench(name):
 REQUIRED = {
     ("wassrobust.convex", "solve"),
     ("wassrobust.solvers", "build_master"),
-    ("wassrobust.solvers", "build_exchange_master"),
     ("wassrobust.solvers", "master_interior_point"),
     ("wassrobust.separation", "separate_exact"),
     ("wassrobust.solvers", "best_violation"),
@@ -69,6 +68,10 @@ def test_solve_spans_carry_steps_dim_and_rows():
         solvers.solve_cutting_surface(data, 1e-5)
     solves = [s for s in tracer.spans if s.name == "convex.solve"]
     assert solves
+    # every master, plain or centered, is built and started through the
+    # wrapped names
+    for name in ("reformulate.build", "reformulate.interior_point"):
+        assert sum(s.name == name for s in tracer.spans) == len(solves)
     for span in solves:
         assert span.attrs["steps"] > 0
         # the plain master [theta, s, beta] or the centered one, with w

@@ -21,12 +21,9 @@ from wassrobust import (
 from wassrobust import convex
 from wassrobust.solvers import solve_nominal
 from wassrobust.reformulate import (
-    build_exchange_master,
     build_master,
     enumeration_cuts,
-    exchange_interior_point,
     master_interior_point,
-    split_dual_solution,
     split_master_solution,
 )
 
@@ -139,10 +136,11 @@ def test_master_hand_optimum_single_atom_cut():
 def test_exchange_hand_optimum_single_atom_cut():
     data = one_point_problem()
     pool = cut_pool(data, [Scenario(np.array([0.0]), 0, 1)])
-    program = build_exchange_master(data, pool)
-    report = convex.solve(program, x0=exchange_interior_point(data))
+    program = build_master(data, pool)
+    report = convex.solve(program, x0=master_interior_point(data, pool))
     assert report.status == convex.OPTIMAL
-    point = split_dual_solution(data, report.solution)
+    point, margin = split_master_solution(data, report.solution)
+    assert margin is None
     # best play: push theta0 up, pay v1 = softplus(-10), spend no budget
     assert objective_f(point, data.radius) == pytest.approx(
         data.derived.loss_lower, abs=1e-6)
@@ -250,19 +248,12 @@ def test_interior_points_are_strictly_feasible():
         pool = cut_pool(data, [Scenario(feats[i], i, int(labels[i]))
                                for i in range(data.m)])
 
-        prog = build_exchange_master(data, pool)
-        x0 = exchange_interior_point(data)
-        assert np.max(prog.evaluate(x0)[0]) < 0
-        assert np.all(x0 > prog.lower) and np.all(x0 < prog.upper)
-
-        cap = data.derived.objective_cap
-        progm = build_master(data, pool, cap)
-        xm = master_interior_point(data, pool, cap)
-        assert np.max(progm.evaluate(xm)[0]) < 0
-        finite_lo = np.isfinite(progm.lower)
-        finite_hi = np.isfinite(progm.upper)
-        assert np.all(xm[finite_lo] > progm.lower[finite_lo])
-        assert np.all(xm[finite_hi] < progm.upper[finite_hi])
+        for cap in (None, data.derived.objective_cap):
+            prog = build_master(data, pool, cap)
+            x0 = master_interior_point(data, pool, cap)
+            assert np.max(prog.evaluate(x0)[0]) < 0
+            # the centered master's w is unbounded
+            assert np.all(x0 > prog.lower) and np.all(x0 < prog.upper)
 
 
 def test_enumeration_cuts_cover_atoms_and_respect_budget():
@@ -275,7 +266,7 @@ def test_enumeration_cuts_cover_atoms_and_respect_budget():
     got = sorted(zip(pool.samples.tolist(), pool.points[:, 0].tolist(),
                      pool.dists.tolist()))
     assert got == [(0, 0.0, 0.0), (0, 0.5, 0.5), (1, 1.0, 0.0), (1, 2.0, 1.0)]
-    build_exchange_master(data, pool)
+    build_master(data, pool)
 
     big = {0: FiniteRegion(np.ones((10001, 1)) * 0.5, 0),
            1: FiniteRegion(np.array([[1.0]]), 1)}
@@ -300,7 +291,7 @@ def test_master_rows_match_constraint_g():
             cuts += [Scenario(p, i, int(labels[i])) for p in (feats[i], corner, inside)]
         pool = cut_pool(data, cuts)
         assert len(pool) == len(cuts)
-        exchange = build_exchange_master(data, pool)
+        plain = build_master(data, pool)
         master = build_master(data, pool, data.derived.objective_cap)
         for k in range(5):
             x = random_dual_point(data, 100 * seed + k)
@@ -309,7 +300,7 @@ def test_master_rows_match_constraint_g():
                           for c in cuts])
             assert np.allclose(pool.values(x.theta, x.multipliers), g, rtol=0.0, atol=1e-12)
             vec = np.concatenate([x.theta, x.multipliers])
-            assert np.allclose(exchange.evaluate(vec)[0], g, rtol=0.0, atol=1e-12)
+            assert np.allclose(plain.evaluate(vec)[0], g, rtol=0.0, atol=1e-12)
             # the centered master's level row comes first
             got = master.evaluate(np.concatenate([vec, [w]]))[0][1:]
             assert np.allclose(got, g + data.derived.centering_bound * w,
@@ -321,12 +312,8 @@ def test_split_round_trips():
     dim = data.theta_size + data.m + 1
     vec = np.arange(dim, dtype=float)
     vec[-1] = abs(vec[-1])
-    point = split_dual_solution(data, vec)
-    assert np.array_equal(point.theta, vec[:data.theta_size])
-    assert np.array_equal(point.multipliers, vec[data.theta_size:])
-
-    mvec = np.concatenate([vec, [2.5]])
-    pt, margin = split_master_solution(data, mvec)
-    assert np.array_equal(pt.theta, vec[:data.theta_size])
-    assert np.array_equal(pt.multipliers, vec[data.theta_size:])
-    assert margin == 2.5
+    for w, full in ((None, vec), (2.5, np.concatenate([vec, [2.5]]))):
+        point, margin = split_master_solution(data, full)
+        assert np.array_equal(point.theta, vec[:data.theta_size])
+        assert np.array_equal(point.multipliers, vec[data.theta_size:])
+        assert margin == w
