@@ -14,7 +14,9 @@ Subcommands:
                       worst KKT residual, absolute and as a share of
                       its master's tolerance, cuts and ridges, the robust
                       value of the returned theta, the certified lower
-                      bound and their gap
+                      bound, their gap and the master that failed, if
+                      one did: its Newton steps, backtracks, KKT
+                      residual, ridges and tolerance
 
 ``experiment`` takes ``--seed`` for its train/test splits and folds;
 ``fit``, ``solve`` and ``experiment`` take ``--eps`` and ``--trace``.
@@ -143,7 +145,9 @@ def _cmd_solve(args):
     )
     eps = 1e-5 if args.eps is None else args.eps
     solve = solve_exchange if solver == "exchange" else solve_cutting_surface
-    point, trace = solve(data, eps, trace_path=args.trace)
+    point, trace = solve(data, eps)
+    if args.trace:
+        trace.write_jsonl(args.trace)
     if point is None:
         print(f"solve failed: {trace.status}", file=sys.stderr)
         return 1
@@ -227,7 +231,8 @@ def _cmd_separate_debug(args):
 _SUMMARY_FIELDS = {
     "iteration": ("newton_steps", "backtracks", "master_tol", "kkt_residual", "ridges"),
     "done": ("status", "iterations", "master_seconds", "separation_seconds",
-             "completion_seconds", "cut_count", "robust_value", "lower_bound"),
+             "completion_seconds", "cut_count", "robust_value", "lower_bound",
+             "failed_master"),
 }
 
 
@@ -284,6 +289,7 @@ def _cmd_trace_summary(args):
         "lower_bound": done["lower_bound"],
         "gap": (None if done["robust_value"] is None or done["lower_bound"] is None
                 else done["robust_value"] - done["lower_bound"]),
+        "failed_master": done["failed_master"],
     }
     for name, value in summary.items():
         print(f"{name} {value!r}")

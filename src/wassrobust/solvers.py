@@ -42,10 +42,15 @@ multipliers (``SolveReport.bound``), not its objective value: the bound
 holds however loosely the master was solved, while the value of its
 interior-point solution can sit above the master's optimum.
 
+Every master is ``build_master`` over the pool: the plain one with no
+cap, the centered one under the cap; ``master_interior_point`` starts
+it and ``split_master_solution`` reads its solution.
+
 Both return their final point, or None when they have none, together
 with a trace of every master solve, the robust value J of the returned
-theta and the lower bound the solve certified; the trace can be written
-as JSON lines for inspection.
+theta and the lower bound the solve certified.  A master that is not
+optimal ends the solve, and its report is the trace's ``failed_master``.
+The caller writes the trace as JSON lines (``SolveTrace.write_jsonl``).
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ __all__ = [
 
 
 # version of the JSON-lines layout ``SolveTrace.write_jsonl`` writes
-TRACE_SCHEMA = 8
+TRACE_SCHEMA = 9
 
 
 @dataclass
@@ -123,6 +128,10 @@ class SolveTrace:
     # J at the returned theta, and the certified lower bound on the optimum
     robust_value: float | None = None
     lower_bound: float | None = None
+    # the master whose solve was not optimal, as its record would give it
+    # (newton_steps, master_tol, kkt_residual, ridges, backtracks); None
+    # when every master solved
+    failed_master: dict | None = None
     oracle_calls: int = 0
     master_seconds: float = 0.0
     separation_seconds: float = 0.0
@@ -163,6 +172,13 @@ MAX_ITERATIONS = 500
 # fraction CENTERED_TOL of the gap cap - LB, but never tighter
 MASTER_TOL = 1e-8
 CENTERED_TOL = 1e-2
+
+
+def _master_fields(report, tol):
+    """A master solve's fields in its IterationRecord."""
+    return dict(newton_steps=report.iterations, master_tol=tol,
+                kkt_residual=report.kkt_residual, ridges=report.ridges,
+                backtracks=report.backtracks)
 
 
 def _atom_pool(data):
@@ -207,7 +223,7 @@ def solve_full_enumeration(data):
     return point, -report.objective
 
 
-def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
+def solve_exchange(data, eps, pool=None, capture_timing=True):
     """Exchange scheme: add the most violated cut until eps/2-feasible.
 
     Stops when the separation oracle finds no constraint violated by
@@ -234,6 +250,7 @@ def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
         trace.master_seconds += t1 - t0
         if report.status != convex.OPTIMAL:
             trace.status = f"master_{report.status}"
+            trace.failed_master = _master_fields(report, MASTER_TOL)
             break
         point, _ = split_master_solution(data, report.solution)
         lower = -report.bound
@@ -250,9 +267,7 @@ def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
             iteration=k, margin=None, cap=None,
             objective=-report.objective, violation=sep.violation,
             violated=sep.violated, cuts_added=added, cut_count=len(pool),
-            best_objective=None, newton_steps=report.iterations,
-            master_tol=MASTER_TOL, kkt_residual=report.kkt_residual, ridges=report.ridges,
-            backtracks=report.backtracks,
+            best_objective=None, **_master_fields(report, MASTER_TOL),
             master_seconds=t1 - t0, separation_seconds=t2 - t1, completion_seconds=0.0,
         ))
         if sep.violation <= 0.5 * eps:
@@ -276,13 +291,10 @@ def solve_exchange(data, eps, pool=None, trace_path=None, capture_timing=True):
         # the last restricted master relaxes the dual (see the module notes)
         trace.lower_bound = lower
     trace.wall_seconds = clock() - start
-    if trace_path:
-        trace.write_jsonl(trace_path)
     return point, trace
 
 
-def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
-                          capture_timing=True):
+def solve_cutting_surface(data, eps, pool=None, theta=None, capture_timing=True):
     """Centered cutting scheme that stops on a certified eps gap.
 
     Every iterate is swept: each violated constraint found becomes a
@@ -358,6 +370,7 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
         trace.master_seconds += t1 - t0
         if report.status != convex.OPTIMAL:
             trace.status = f"master_{report.status}"
+            trace.failed_master = _master_fields(report, tol)
             break
         point, margin = split_master_solution(data, report.solution)
         if level is None:
@@ -393,9 +406,7 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
             violation=float(violations.max()), violated=violated.size,
             cuts_added=added, cut_count=len(pool),
             best_objective=None if incumbent is None else cap,
-            newton_steps=report.iterations, master_tol=tol,
-            kkt_residual=report.kkt_residual, ridges=report.ridges,
-            backtracks=report.backtracks, master_seconds=t1 - t0,
+            **_master_fields(report, tol), master_seconds=t1 - t0,
             separation_seconds=t2 - t1, completion_seconds=t2 - t_swept, adopted=adopted,
         ))
         if done:
@@ -419,6 +430,4 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, trace_path=None,
     if trace.status == "optimal" and (incumbent is None or trace.final_violation > eps):
         trace.status = "uncertified"
     trace.wall_seconds = clock() - start
-    if trace_path:
-        trace.write_jsonl(trace_path)
     return incumbent, trace

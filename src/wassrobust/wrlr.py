@@ -106,6 +106,10 @@ def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
     not depend on the radius, and each is checked again as it is added.
     The cutting-surface solver also starts from the completion of its
     theta, whose objective is a valid first cap.
+
+    ``trace_path`` names a file for the solve's trace, as JSON lines
+    (``SolveTrace.write_jsonl``); a fit with no point writes it before it
+    raises.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -119,12 +123,15 @@ def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
     pool = CutPool(data)
     if warm is not None and warm.samples is not None:
         pool.extend(warm.samples, warm.points)
-    options = dict(pool=pool, trace_path=trace_path, capture_timing=capture_timing)
+    options = dict(pool=pool, capture_timing=capture_timing)
     if solver == "cutting_surface":
         point, trace = solve_cutting_surface(
             data, eps, theta=None if warm is None else warm.theta, **options)
     else:
         point, trace = solve_exchange(data, eps, **options)
+    # a failed fit leaves its trace too
+    if trace_path:
+        trace.write_jsonl(trace_path)
     if point is None:
         raise RuntimeError(f"robust fit failed: {trace.status}")
     return FittedModel(theta=point.theta, radius=float(radius), kind="wrlr",

@@ -17,7 +17,7 @@ from wassrobust import (
     predict_score,
     solve_cutting_surface,
 )
-from wassrobust import cli
+from wassrobust import cli, convex, fit_wrlr
 from wassrobust.cli import main
 from wassrobust.harness import RESULT_COLUMNS
 
@@ -101,30 +101,50 @@ def test_trace_summary_matches_the_solve_trace(tmp_path, capsys, monkeypatch):
         "robust_value": repr(trace.robust_value),
         "lower_bound": repr(trace.lower_bound),
         "gap": repr(trace.robust_value - trace.lower_bound),
+        "failed_master": repr(None),
     }
     assert trace.robust_value - trace.lower_bound <= 1e-5
     # every master of an optimal solve meets its own tolerance
     assert float(printed["worst_kkt_over_tol"]) <= 1.0
 
 
+def test_failed_master_reaches_the_trace_and_its_summary(tmp_path, capsys, monkeypatch):
+    # no master can solve in two Newton steps: the fit raises, yet its
+    # trace is written and names the master that failed
+    monkeypatch.setattr(convex, "MAX_NEWTON", 2)
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(RuntimeError, match="master_iteration_limit"):
+        fit_wrlr(blob_dataset(19, 24, 2), 0.05, trace_path=str(path))
+    done = json.loads(path.read_text().splitlines()[-1])
+    assert done["event"] == "done" and done["status"] == "master_iteration_limit"
+    failed = done["failed_master"]
+    assert failed["newton_steps"] == 2
+    assert set(failed) == {"newton_steps", "backtracks", "kkt_residual", "ridges",
+                           "master_tol"}
+    assert main(["trace-summary", str(path)]) == 0
+    printed = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert printed["failed_master"] == repr(failed)
+
+
 def test_trace_summary_refuses_unknown_schema_and_unfinished_trace(tmp_path, capsys):
     path = tmp_path / "old.jsonl"
-    for schema in (4, 5, 6, 7):
+    for schema in (4, 5, 6, 7, 8):
         path.write_text(json.dumps({"schema": schema, "event": "done",
                                     "status": "optimal"}) + "\n")
         assert main(["trace-summary", str(path)]) == 2
         assert f"trace schema {schema};" in capsys.readouterr().err
-    path.write_text(json.dumps({"schema": 8, "event": "iteration", "newton_steps": 9,
+    path.write_text(json.dumps({"schema": 9, "event": "iteration", "newton_steps": 9,
                                 "backtracks": 2, "master_tol": 1e-8, "kkt_residual": 0.0,
                                 "ridges": 0}) + "\n")
     assert main(["trace-summary", str(path)]) == 2
     assert 'no "done" line' in capsys.readouterr().err
-    done = {"schema": 8, "event": "done", "status": "optimal", "master_seconds": 0.1,
+    done = {"schema": 9, "event": "done", "status": "optimal", "master_seconds": 0.1,
             "separation_seconds": 0.1, "cut_count": 3, "robust_value": 0.5}
     for lines, message in [
-        ([{"schema": 8}], 'line 1 has no "event"'),
-        ([done], 'line 1 has no "iterations", "completion_seconds", "lower_bound"'),
-        ([{"schema": 8, "event": "iteration", "newton_steps": 9, "kkt_residual": 0.0,
+        ([{"schema": 9}], 'line 1 has no "event"'),
+        ([done], 'line 1 has no "iterations", "completion_seconds", "lower_bound", '
+                 '"failed_master"'),
+        ([{"schema": 9, "event": "iteration", "newton_steps": 9, "kkt_residual": 0.0,
            "ridges": 0}], 'line 1 has no "backtracks", "master_tol"'),
         (["[4]", done], "line 1 is not a JSON object"),
     ]:

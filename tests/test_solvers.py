@@ -294,10 +294,12 @@ def test_improvement_ratios_respect_rate_bound():
 def test_trace_jsonl_round_trip(tmp_path):
     data = box_problem(10, m=6, n=2)
     path = tmp_path / "trace.jsonl"
-    point, trace = solve_cutting_surface(data, 1e-5, trace_path=str(path))
+    point, trace = solve_cutting_surface(data, 1e-5)
+    trace.write_jsonl(str(path))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == trace.iterations + 1
-    assert all(line["schema"] == 8 for line in lines)
+    assert all(line["schema"] == 9 for line in lines)
+    assert lines[-1]["failed_master"] is None
     # the lower bound rises only at a gap check, and this solve's only one
     # is its last iteration, so every centered master starts from the
     # derived loss bound and the cap the record before it left
