@@ -14,9 +14,8 @@ Subcommands:
                       worst KKT residual, absolute and as a share of
                       its master's tolerance, cuts and ridges, the robust
                       value of the returned theta, the certified lower
-                      bound, their gap and the master that failed, if
-                      one did: its Newton steps, backtracks, KKT
-                      residual, ridges and tolerance
+                      bound, their gap and the report of a master that
+                      was not optimal (``failed_master``)
 
 ``experiment`` takes ``--seed`` for its train/test splits and folds;
 ``fit``, ``solve`` and ``experiment`` take ``--eps`` and ``--trace``.

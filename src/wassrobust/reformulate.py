@@ -232,14 +232,6 @@ class CutPool:
         return self.samples.size
 
 
-def _curves(data, pool):
-    """Each cut's score vector over theta: the loss of cut j is
-    softplus(curves[j] . theta)."""
-    sign = 2.0 * data.dataset.labels[pool.samples] - 1.0
-    ones = np.ones((len(pool), 1))
-    return np.concatenate([ones, pool.points], axis=1) * -sign[:, None]
-
-
 def build_master(data, pool, cap=None):
     """The master over the pool's cuts.  With ``cap`` None it is the
     plain master: minimize the dual objective over [theta, multipliers]
@@ -268,8 +260,11 @@ def build_master(data, pool, cap=None):
         objective[-1] = 1.0
         lower, upper = np.append(lower, -np.inf), np.append(upper, np.inf)
         centered = (der.centering_bound, data.radius, cap)
-    return MasterProgram(objective, lower, upper, _curves(data, pool), pool.samples,
-                         pool.dists, centered=centered)
+    # each cut's score vector over theta: cut j's loss is softplus(curves[j] . theta)
+    sign = 2.0 * data.dataset.labels[pool.samples] - 1.0
+    curves = np.concatenate([np.ones((len(pool), 1)), pool.points], axis=1) * -sign[:, None]
+    return MasterProgram(objective, lower, upper, curves, pool.samples, pool.dists,
+                         centered=centered)
 
 
 def enumeration_cuts(data):
@@ -297,13 +292,31 @@ def enumeration_cuts(data):
     return pool
 
 
-def master_interior_point(data, pool, cap=None):
-    """A strictly feasible start for ``build_master(data, pool, cap)``:
-    theta at the centre of its box, each sample multiplier above the
-    largest loss value and, for the centered master, a margin w below
-    what the level row and the pool's cuts allow.  The plain start holds
-    for any pool."""
+def master_interior_point(data, pool, cap=None, near=None):
+    """A strictly feasible start for ``build_master(data, pool, cap)``.
+
+    Given the dual point ``near``, the plain master starts next to it:
+    its theta and budget multiplier clipped 0.1 % of the box width inside
+    the box, and each sample multiplier 1e-3 of the loss range above its
+    largest cut value there (Yildirim and Wright, SIAM J. Optim. 2002).
+    Otherwise, or where that would put a multiplier at its upper bound,
+    the start is cold: theta at the box's centre, each sample multiplier
+    above the largest loss value (feasible for any pool) and, for the
+    centered master, a margin w below what the level row and cuts allow.
+    """
     der = data.derived
+    if cap is None and near is not None:
+        lo = np.append(data.theta_lower, 0.0)
+        hi = np.append(data.theta_upper, der.budget_upper)
+        inset = 1e-3 * (hi - lo)
+        clipped = np.clip(np.append(near.theta, near.multipliers[-1]), lo + inset, hi - inset)
+        theta, beta = clipped[:-1], clipped[-1]
+        # each sample's largest cut value loss - beta * dist, kept inside the box
+        top = np.full(data.m, der.loss_lower)
+        np.maximum.at(top, pool.samples, pool.values(theta, np.append(np.zeros(data.m), beta)))
+        mult = top + 1e-3 * (der.loss_upper - der.loss_lower)
+        if mult.max() < der.multiplier_upper:
+            return np.concatenate([theta, mult, [beta]])
     theta = 0.5 * (data.theta_lower + data.theta_upper)
     # comfortably above the largest loss value, yet inside the box
     per_sample = min(der.loss_upper + 1.0,

@@ -36,15 +36,13 @@ also takes a starting theta; the completion of any theta in the
 parameter box is exactly feasible, so its objective is a valid first
 cap.  The exchange scheme keeps no cap and takes only the cuts.
 
+Every master, plain or centered, is ``build_master`` over the pool; the
+cutting surface starts a plain one next to the last master's point.
 A lower bound comes from a plain master over the pool, which relaxes
 the dual.  It is that master's weak-duality bound at its final
 multipliers (``SolveReport.bound``), not its objective value: the bound
 holds however loosely the master was solved, while the value of its
 interior-point solution can sit above the master's optimum.
-
-Every master is ``build_master`` over the pool: the plain one with no
-cap, the centered one under the cap; ``master_interior_point`` starts
-it and ``split_master_solution`` reads its solution.
 
 Both return their final point, or None when they have none, together
 with a trace of every master solve, the robust value J of the returned
@@ -128,9 +126,7 @@ class SolveTrace:
     # J at the returned theta, and the certified lower bound on the optimum
     robust_value: float | None = None
     lower_bound: float | None = None
-    # the master whose solve was not optimal, as its record would give it
-    # (newton_steps, master_tol, kkt_residual, ridges, backtracks); None
-    # when every master solved
+    # a master that was not optimal, as ``_master_fields`` gives it, else None
     failed_master: dict | None = None
     oracle_calls: int = 0
     master_seconds: float = 0.0
@@ -240,8 +236,7 @@ def solve_exchange(data, eps, pool=None, capture_timing=True):
     start = clock()
     trace = SolveTrace(algorithm="exchange")
     pool = CutPool(data) if pool is None else pool
-    point = None
-    lower = None
+    point = lower = None
     for k in range(MAX_ITERATIONS + 1):
         t0 = clock()
         report = convex.solve(build_master(data, pool), master_interior_point(data, pool),
@@ -260,9 +255,8 @@ def solve_exchange(data, eps, pool=None, capture_timing=True):
         t2 = clock()
         trace.separation_seconds += t2 - t1
         trace.oracle_calls += data.m
-        added = 0
-        if sep.violation > 0.5 * eps:
-            added = pool.extend([sep.scenario.sample_index], sep.scenario.point[None, :])
+        added = 0 if sep.violation <= 0.5 * eps else pool.extend(
+            [sep.scenario.sample_index], sep.scenario.point[None, :])
         trace.records.append(IterationRecord(
             iteration=k, margin=None, cap=None,
             objective=-report.objective, violation=sep.violation,
@@ -270,14 +264,10 @@ def solve_exchange(data, eps, pool=None, capture_timing=True):
             best_objective=None, **_master_fields(report, MASTER_TOL),
             master_seconds=t1 - t0, separation_seconds=t2 - t1, completion_seconds=0.0,
         ))
-        if sep.violation <= 0.5 * eps:
-            trace.status = "optimal"
-            trace.final_violation = sep.violation
-            break
         if not added:
-            # the oracle re-derived an existing cut: the master cannot
-            # move further at this precision
-            trace.status = "stalled"
+            # no cut was needed, or the oracle re-derived an existing one,
+            # and the master cannot move further at this precision
+            trace.status = "optimal" if sep.violation <= 0.5 * eps else "stalled"
             trace.final_violation = sep.violation
             break
     else:
@@ -338,8 +328,7 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, capture_timing=True)
 
     # the incumbent and the candidate tables it was completed from
     incumbent = incumbent_tables = None
-    cap = der.objective_cap
-    lower = der.loss_lower
+    cap, lower = der.objective_cap, der.loss_lower
     if theta is not None:
         # the completion is exactly feasible, so its objective bounds the
         # optimum from above; it is the cap unless it is no tighter
@@ -352,20 +341,21 @@ def solve_cutting_surface(data, eps, pool=None, theta=None, capture_timing=True)
         completed = objective_f(completion, data.radius)
         if completed < cap:
             incumbent, incumbent_tables, cap = completion, tables, completed
-    # solve the plain master next: the loop stalled or the margin vanished
-    gap_check = False
+    # solve the plain master next: the loop stalled or the margin vanished;
+    # the last master's point
+    gap_check, point = False, None
 
     for k in range(1, MAX_ITERATIONS + 1):
         # the budget's last iteration checks the gap, so that every exit
         # carries a certified lower bound
         gap_check = gap_check or k == MAX_ITERATIONS
-        # the plain master has no level row; only a centered master's
-        # center is used (see the module notes)
+        # only a centered master's center is used (see the module notes);
+        # a plain one starts next to the last master's point, if any
         level = None if gap_check else cap
         tol = MASTER_TOL if gap_check else max(MASTER_TOL, CENTERED_TOL * (cap - lower))
         t0 = clock()
         report = convex.solve(build_master(data, pool, level),
-                              master_interior_point(data, pool, level), tol=tol)
+                              master_interior_point(data, pool, level, near=point), tol=tol)
         t1 = clock()
         trace.master_seconds += t1 - t0
         if report.status != convex.OPTIMAL:

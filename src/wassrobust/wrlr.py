@@ -107,9 +107,8 @@ def fit_wrlr(train, radius, eps=1e-5, solver="cutting_surface",
     The cutting-surface solver also starts from the completion of its
     theta, whose objective is a valid first cap.
 
-    ``trace_path`` names a file for the solve's trace, as JSON lines
-    (``SolveTrace.write_jsonl``); a fit with no point writes it before it
-    raises.
+    ``trace_path`` names a file for the solve's JSON-lines trace; a fit
+    with no point writes it before it raises.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")

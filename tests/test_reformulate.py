@@ -10,6 +10,7 @@ from wassrobust import (
     BoxRegion,
     CutPool,
     Dataset,
+    DualPoint,
     FiniteRegion,
     LogisticLoss,
     ProblemData,
@@ -254,6 +255,44 @@ def test_interior_points_are_strictly_feasible():
             assert np.max(prog.evaluate(x0)[0]) < 0
             # the centered master's w is unbounded
             assert np.all(x0 > prog.lower) and np.all(x0 < prog.upper)
+
+
+def test_plain_start_near_a_point_is_strictly_feasible():
+    for seed in range(5):
+        data = box_problem(seed + 65, m=10, n=2)
+        feats, labels = data.dataset.features, data.dataset.labels
+        cuts = [Scenario(feats[i], i, int(labels[i])) for i in range(data.m)]
+        cuts += [Scenario(data.region_for_sample(i).upper, i, int(labels[i]))
+                 for i in range(0, data.m, 2)]
+        pool = cut_pool(data, cuts)
+        prog = build_master(data, pool)
+        drawn = random_dual_point(data, seed)
+        # a theta on the box's face and a budget multiplier at zero are
+        # moved inside
+        near = DualPoint(np.append(data.theta_upper[0], drawn.theta[1:]),
+                         np.append(drawn.multipliers[:-1], 0.0))
+        x0 = master_interior_point(data, pool, near=near)
+        assert np.max(prog.evaluate(x0)[0]) < 0
+        assert np.all(x0 > prog.lower) and np.all(x0 < prog.upper)
+        assert np.array_equal(x0[1:data.theta_size], near.theta[1:])
+        assert not np.array_equal(x0, master_interior_point(data, pool))
+        # the centered start ignores the point
+        cap = data.derived.objective_cap
+        assert np.array_equal(master_interior_point(data, pool, cap, near=near),
+                              master_interior_point(data, pool, cap))
+
+
+def test_plain_start_near_a_point_falls_back_to_cold():
+    # the observation at -1000 lies far outside its region [-1, 1]: at
+    # theta = (0, 5) its cut value is about 5000, far above the sample
+    # multiplier's upper bound, so the start is the cold one
+    ds = Dataset.from_arrays(np.array([[-1000.0]]), [1])
+    regions = {1: BoxRegion(np.array([-1.0]), np.array([1.0]), 1)}
+    data = ProblemData.assemble(ds, regions, radius=0.1)
+    pool = cut_pool(data, [Scenario(np.array([-1000.0]), 0, 1)])
+    near = DualPoint(np.array([0.0, 5.0]), np.array([1.0, 1.0]))
+    assert np.array_equal(master_interior_point(data, pool, near=near),
+                          master_interior_point(data, pool))
 
 
 def test_enumeration_cuts_cover_atoms_and_respect_budget():

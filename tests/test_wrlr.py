@@ -64,6 +64,19 @@ def test_fits_solve_at_every_feature_scale(scale):
     assert model.trace.status == "optimal"
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_every_seed_solves_at_feature_scale_1000(seed):
+    # feature std near 1000: each gap-check master starts next to the last
+    # master's point; from the cold start, seeds 2, 6, 7 and 8 ran their
+    # plain master out of Newton steps
+    model = fit_wrlr(blob_dataset(seed, 20, 3, scale=1000.0), 0.1, eps=1e-4)
+    trace = model.trace
+    assert trace.status == "optimal"
+    assert max(r.newton_steps for r in trace.records) <= 150
+    assert trace.robust_value - trace.lower_bound <= 1e-4
+    assert trace.final_violation <= 1e-4
+
+
 def test_fit_wrlr_zero_radius_is_plain_lr():
     ds = blob_dataset(22, 15, 2)
     a = fit_wrlr(ds, 0.0)
