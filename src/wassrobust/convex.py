@@ -40,7 +40,8 @@ A cut row touches theta through its curve, one s entry, beta and w, so
 and J dx from the cut arrays, and its Newton step eliminates the m
 sample multipliers s, whose block is diagonal over the cut rows, and
 factors only the complement over the border [theta, beta, w], of
-size n_theta + 1 or n_theta + 2.
+size n_theta + 1 or n_theta + 2, with NumPy's LAPACK gufuncs; a failed
+Cholesky factorization comes back NaN and is retried with a ridge.
 
 Everything here is deterministic: identical inputs produce identical
 reports, bit for bit.
@@ -52,8 +53,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
+# np.linalg.cholesky's and np.linalg.solve's gufuncs, without the ~4 us of
+# checks a call that cost more than a factorization of up to 17 columns; the
+# module is private, with both names from numpy 1.24 on (2.4.6 was tested)
+from numpy.linalg._umath_linalg import cholesky_lo, solve1
 
 from .losses import softplus_and_sigmoid
 
@@ -249,19 +252,19 @@ def _solve_spd(hess, rhs):
     """Solve hess @ d = rhs for a (near) positive definite hess; a failed
     Cholesky factorization is retried with a growing ridge on the diagonal.
     Returns d and the number of retries."""
-    # LAPACK directly: cho_factor/cho_solve's argument checks cost more
-    # than the factorization of a small matrix
-    factor, info = dpotrf(hess, clean=0)
-    if info == 0:
-        return dpotrs(factor, rhs)[0], 0
-    n = hess.shape[0]
-    scale = max(1.0, float(np.trace(hess)) / n)
-    ridges = [scale * 10.0 ** (k - 12) for k in range(_RIDGE_TRIES - 1)]
-    for tries, ridge in enumerate(ridges, start=1):
-        factor, info = dpotrf(hess + ridge * np.eye(n), clean=0)
-        if info == 0:
-            return dpotrs(factor, rhs)[0], tries
-    raise scipy.linalg.LinAlgError(
+    # Cholesky only tests definiteness (NumPy has no triangular-solve gufunc)
+    # and LU solves; a failed Cholesky is NaN-filled, with no warning here
+    with np.errstate(invalid="ignore"):
+        if not math.isnan(cholesky_lo(hess, signature="d->d")[-1, -1]):
+            return solve1(hess, rhs, signature="dd->d"), 0
+        n = hess.shape[0]
+        scale = max(1.0, float(np.trace(hess)) / n)
+        ridges = [scale * 10.0 ** (k - 12) for k in range(_RIDGE_TRIES - 1)]
+        for tries, ridge in enumerate(ridges, start=1):
+            ridged = hess + ridge * np.eye(n)
+            if not math.isnan(cholesky_lo(ridged, signature="d->d")[-1, -1]):
+                return solve1(ridged, rhs, signature="dd->d"), tries
+    raise np.linalg.LinAlgError(
         f"Newton matrix of size {n}x{n} is not positive definite, "
         f"even with a ridge of {ridges[-1]:.3g} on its diagonal")
 

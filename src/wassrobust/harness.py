@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.special import stdtr
 
 from .model import Dataset
 from .wrlr import SOLVERS, auc, fit_lr, fit_wrlr, predict_score, select_r0
@@ -116,6 +115,12 @@ def _no_spread_pvalue(mean):
     return 0.0 if mean > 0 else (1.0 if mean < 0 else 0.5)
 
 
+def _t_tail(df, t):
+    """P(T > t) for Student's t; loads SciPy on the first call, not at import."""
+    from scipy.special import stdtr
+    return float(stdtr(df, -t))
+
+
 def paired_pvalue(auc_robust, auc_plain):
     """One-sided paired t-test p-value for 'robust beats plain'.
 
@@ -132,7 +137,7 @@ def paired_pvalue(auc_robust, auc_plain):
     if sd == 0.0:
         return _no_spread_pvalue(mean)
     stat = mean / (sd / np.sqrt(diff.size))
-    return float(stdtr(diff.size - 1, -stat))
+    return _t_tail(diff.size - 1, stat)
 
 
 def welch_pvalue(auc_robust, auc_plain):
@@ -149,7 +154,7 @@ def welch_pvalue(auc_robust, auc_plain):
         return _no_spread_pvalue(float(np.mean(a) - np.mean(b)))
     stat = (np.mean(a) - np.mean(b)) / np.sqrt(denom_sq)
     df = denom_sq**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    return float(stdtr(df, -stat))
+    return _t_tail(df, stat)
 
 
 def _standardized(train, test_x):

@@ -288,8 +288,57 @@ def test_start_near_the_atom_cuts_still_solves():
 
 
 def test_newton_matrix_that_no_ridge_fixes_raises():
-    with pytest.raises(scipy.linalg.LinAlgError, match=r"size 1x1 .* ridge of 1e-06"):
+    with pytest.raises(np.linalg.LinAlgError, match=r"size 1x1 .* ridge of 1e-06"):
         _solve_spd(np.array([[-1.0]]), np.ones(1))
+    # a NaN matrix fails every factorization without a RuntimeWarning
+    with pytest.raises(np.linalg.LinAlgError, match=r"size 4x4 "):
+        _solve_spd(np.full((4, 4), np.nan), np.ones(4))
+
+
+def test_spd_solve_matches_scipy_cholesky():
+    """Positive definite matrices of every border size up to 17, with
+    diagonal scalings up to 1e8, solve as scipy's Cholesky solve does and
+    need no ridge.  The scaled solution D x carries the comparison, so
+    every entry counts at the unscaled system's size."""
+    rng = np.random.default_rng(8)
+    for n in range(1, 18):
+        for _ in range(3):
+            b = rng.normal(size=(n, n))
+            d = 10.0 ** rng.uniform(0.0, 8.0, n)
+            hess = (b @ b.T + n * np.eye(n)) * np.outer(d, d)
+            rhs = rng.normal(size=n)
+            x, ridges = _solve_spd(hess, rhs)
+            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(hess), rhs)
+            assert ridges == 0
+            assert np.linalg.norm(d * (x - expected)) <= 1e-9 * np.linalg.norm(d * expected)
+
+
+def test_rank_one_newton_matrix_takes_the_first_ridge_that_factors():
+    """a a^T at n = 5 is singular, and with integer a its second pivot
+    is exactly 0: the ridge count is the first k at which scipy's
+    Cholesky factors a a^T + ridge_k I, with the ridges
+    max(1, trace / n) * 10^(k - 13), and the step solves that ridged
+    system to a backward error near rounding."""
+    a = np.array([3.0, -1.0, 4.0, 1.0, -5.0])
+    hess, rhs = np.outer(a, a), np.arange(1.0, 6.0)
+    scale = max(1.0, float(np.trace(hess)) / a.size)
+
+    def ridged(k):
+        return hess + (scale * 10.0 ** (k - 13) if k else 0.0) * np.eye(a.size)
+
+    def factors(k):
+        try:
+            scipy.linalg.cholesky(ridged(k))
+        except scipy.linalg.LinAlgError:
+            return False
+        return True
+
+    x, ridges = _solve_spd(hess, rhs)
+    assert ridges == next(k for k in range(convex._RIDGE_TRIES) if factors(k)) >= 1
+    assert np.isfinite(x).all()
+    matrix = ridged(ridges)
+    residual = np.linalg.norm(matrix @ x - rhs)
+    assert residual <= 1e-14 * np.linalg.norm(matrix) * np.linalg.norm(x)
 
 
 def level_objective(data, x):

@@ -120,13 +120,17 @@ def fresh_scipy_modules(statement):
     return set(json.loads(result.stdout))
 
 
-def test_import_loads_no_scipy_module_beyond_linalg_and_special():
-    # the import pays for the Cholesky kernel (scipy.linalg) and the
-    # Student t tail (scipy.special), and for no other scipy module
-    allowed = fresh_scipy_modules("import scipy.linalg, scipy.linalg.lapack, scipy.special")
-    loaded = fresh_scipy_modules("import wassrobust")
-    assert {"scipy.linalg", "scipy.special"} <= loaded
+def test_import_loads_no_scipy_module():
+    # the master's linear algebra is NumPy's; only a p-value needs scipy,
+    # and then scipy.special's own modules and no more
+    assert fresh_scipy_modules("import wassrobust") == set()
+    assert fresh_scipy_modules("import wassrobust.cli") == set()
+    allowed = fresh_scipy_modules("import scipy.special")
+    loaded = fresh_scipy_modules(
+        "from wassrobust import paired_pvalue; paired_pvalue([0.9, 0.8], [0.7, 0.75])")
+    assert "scipy.special" in loaded
     assert loaded <= allowed, sorted(loaded - allowed)
+    assert not {"scipy.linalg", "scipy.stats"} & loaded
 
 
 def test_config_round_trip_and_validation(tmp_path):
